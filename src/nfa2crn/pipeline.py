@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,7 +25,17 @@ from .analysis import ParameterSet, check_constraints
 from .nfa import Nfa, accepts, extended_transition
 from .perturb import ObservationScheme, PerturbationProfile, perturb_initial, perturb_rates
 from .signals import SignalSpec, encode, validate
-from .simulate import Decision, SimConfig, Trace, check_phi, decide, integrate
+from .simulate import (
+    BlockPath,
+    Decision,
+    IntegratorFault,
+    SimConfig,
+    Trace,
+    check_phi,
+    conservation_deviation,
+    decide,
+    integrate,
+)
 from .translate import (
     TranslationOutput,
     dual_portal_species_name,
@@ -114,24 +126,22 @@ class StageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
 
+@contextmanager
 def _stage(name: str):
-    from .simulate import IntegratorFault
-
-    class _StageContext:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            # integrator faults keep their type (they map to a distinct exit code)
-            if exc is not None and not isinstance(exc, (StageError, IntegratorFault)):
-                raise StageError(f"stage {name!r} failed: {exc}") from exc
-            return False
-
-    return _StageContext()
+    try:
+        yield
+    except (StageError, IntegratorFault):
+        # integrator faults keep their type (they map to a distinct exit code)
+        raise
+    except Exception as exc:
+        raise StageError(f"stage {name!r} failed: {exc}") from exc
 
 
-def run_end_to_end(manifest: RunManifest) -> RunResult:
+def run_end_to_end(manifest: RunManifest, *, block_path: BlockPath | None = None) -> RunResult:
     """Compile, encode, perturb, integrate, decide, and verify one run.
+
+    ``block_path`` lets consecutive runs of a corpus share integrated symbol
+    blocks (see ``simulate.BlockPath``); the report is the same without it.
 
     The report's ``verified`` flag is true only when every per-state verdict
     matches membership in the reachable set, nothing is undetermined, the
@@ -160,7 +170,7 @@ def run_end_to_end(manifest: RunManifest) -> RunResult:
             x0 = perturb_initial(translation.initial, params.epsilon,
                                  mode=manifest.initial_mode, seed=manifest.seed)
     with _stage("integrate"):
-        trace = integrate(brn, x0, signal, sim)
+        trace = integrate(brn, x0, signal, sim, block_path=block_path)
     with _stage("decide"):
         decision = decide(trace, nfa, sig_spec, manifest.scheme)
 
@@ -196,15 +206,9 @@ def run_end_to_end(manifest: RunManifest) -> RunResult:
 
     pairs = [(state_species_name(q), dual_state_species_name(q)) for q in nfa.states]
     pairs += [(portal_species_name(q), dual_portal_species_name(q)) for q in nfa.states]
-    dev = 0.0
-    totals_ok = True
-    totals: dict[str, float] = {}
-    for a, b in pairs:
-        c0 = x0[a] + x0[b]
-        totals[a] = c0
-        dev = max(dev, float(np.max(np.abs(trace.column(a) + trace.column(b) - c0))))
-        if not (1 - params.epsilon - 1e-12 <= c0 <= 1 + 2 * params.epsilon + 1e-12):
-            totals_ok = False
+    dev, totals = conservation_deviation(trace, x0, pairs)
+    totals_ok = all(1 - params.epsilon - 1e-12 <= c0 <= 1 + 2 * params.epsilon + 1e-12
+                    for c0 in totals.values())
 
     # the encoder is admissible by construction; a corner-exact medium-density
     # sweep here keeps the report honest without dominating corpus runtime
@@ -280,14 +284,35 @@ def all_words(alphabet: Sequence[str], max_len: int) -> list[tuple[str, ...]]:
     return words
 
 
-def _run_report(manifest: RunManifest) -> dict:
-    return run_end_to_end(manifest).report
+def _run_reports(manifests: Sequence[RunManifest]) -> list[dict]:
+    block_path = BlockPath()
+    return [run_end_to_end(m, block_path=block_path).report for m in manifests]
 
 
 def corpus_reports(manifests: Iterable[RunManifest], processes: int | None = None) -> list[dict]:
-    """Run many manifests, optionally across a worker pool, preserving order."""
+    """Run many manifests, optionally across a worker pool; reports come back in input order.
+
+    Manifests that differ only in their word form a group.  Each group runs
+    in lexicographic word order, the depth-first order of its word trie, so
+    that consecutive runs share a ``BlockPath`` and integrate every distinct
+    symbol block once.  A pool gives each worker one contiguous slice of that
+    order.  Every report is the one ``run_end_to_end`` gives for its manifest
+    alone.
+    """
     manifests = list(manifests)
-    if processes and processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            return list(pool.map(_run_report, manifests, chunksize=4))
-    return [_run_report(m) for m in manifests]
+    groups: dict[RunManifest, int] = {}
+    keys = [(groups.setdefault(replace(m, word=()), len(groups)), m.word) for m in manifests]
+    order = sorted(range(len(manifests)), key=keys.__getitem__)
+    ordered = [manifests[i] for i in order]
+    if processes and processes > 1 and len(ordered) > 1:
+        size = -(-len(ordered) // processes)
+        slices = [ordered[k:k + size] for k in range(0, len(ordered), size)]
+        with ProcessPoolExecutor(max_workers=len(slices),
+                                 mp_context=get_context("spawn")) as pool:
+            results = [r for part in pool.map(_run_reports, slices) for r in part]
+    else:
+        results = _run_reports(ordered)
+    reports: list = [None] * len(manifests)
+    for i, report in zip(order, results):
+        reports[i] = report
+    return reports

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
 from .brn import Brn, ConcState, ConstantRate, OffsetRate, PiecewiseLinearRate, SinusoidRate
 from .nfa import Nfa, extended_transition
@@ -27,6 +27,7 @@ from .translate import state_species_name
 __all__ = [
     "SimConfig",
     "Trace",
+    "BlockPath",
     "Decision",
     "IntegratorFault",
     "integrate",
@@ -68,16 +69,21 @@ class SimConfig:
 
 
 class _CompiledNetwork:
-    """Index arrays for fast mass-action drift evaluation."""
+    """Index arrays for fast mass-action drift, with inputs clamped to a signal."""
 
-    def __init__(self, brn: Brn, driven: Sequence[str]):
+    def __init__(self, brn: Brn, signal):
         names = brn.species_names
         n = len(names)
         index = {nm: i for i, nm in enumerate(names)}
-        self.driven_idx = np.array([index[nm] for nm in driven], dtype=int)
+        self.driven_names = [s.name for s in brn.species if s.is_input]
+        self.driven_idx = np.array([index[nm] for nm in self.driven_names], dtype=int)
+        self.driven_fns = _driven_evaluators(signal, self.driven_names)
         driven_set = set(self.driven_idx.tolist())
         self.free_idx = np.array([i for i in range(n) if i not in driven_set], dtype=int)
         self.n_species = n
+        self._x = np.empty(n + 1)
+        self._x[-1] = 1.0
+        self._driven = list(zip(self.driven_idx.tolist(), self.driven_fns))
 
         width = max((sum(r.reactants.values()) for r in brn.reactions), default=1)
         slots = np.full((len(brn.reactions), max(width, 1)), n, dtype=int)  # n = sentinel slot holding 1.0
@@ -101,7 +107,7 @@ class _CompiledNetwork:
 
         base = np.empty(len(brn.reactions))
         sin_rows, sin_amp, sin_omega, sin_phase = [], [], [], []
-        pwl_rows: list[tuple[int, np.ndarray, np.ndarray]] = []
+        pwl_by_grid: dict[tuple[float, ...], list[tuple[int, tuple[float, ...]]]] = {}
         generic: list[tuple[int, object]] = []
         for j, rxn in enumerate(brn.reactions):
             law = rxn.rate
@@ -117,7 +123,7 @@ class _CompiledNetwork:
                 sin_phase.append(law.phase)
             elif isinstance(law, PiecewiseLinearRate):
                 base[j] = law.nominal
-                pwl_rows.append((j, np.asarray(law.times), np.asarray(law.offsets)))
+                pwl_by_grid.setdefault(law.times, []).append((j, law.offsets))
             else:
                 base[j] = 0.0
                 generic.append((j, law))
@@ -126,9 +132,16 @@ class _CompiledNetwork:
         self.sin_amp = np.array(sin_amp)
         self.sin_omega = np.array(sin_omega)
         self.sin_phase = np.array(sin_phase)
-        self.pwl_rows = pwl_rows
+        # rows sharing one knot grid take one search and one lerp per evaluation;
+        # the lerp is np.interp's formula, so the rates are the same to the bit
+        self.pwl_groups = []
+        for times, members in pwl_by_grid.items():
+            knots = np.asarray(times)
+            offsets = np.array([off for _, off in members])
+            slopes = np.diff(offsets, axis=1) / np.diff(knots)
+            self.pwl_groups.append((np.array([j for j, _ in members]), knots, offsets, slopes))
         self.generic = generic
-        self.k_static = not (len(sin_rows) or pwl_rows or generic)
+        self.k_static = not (len(sin_rows) or pwl_by_grid or generic)
 
     def rates_at(self, t: float) -> np.ndarray:
         if self.k_static:
@@ -136,11 +149,33 @@ class _CompiledNetwork:
         k = self.k_base.copy()
         if self.sin_rows.size:
             k[self.sin_rows] += self.sin_amp * np.sin(self.sin_omega * t + self.sin_phase)
-        for j, times, offsets in self.pwl_rows:
-            k[j] += np.interp(t, times, offsets)
+        for rows, knots, offsets, slopes in self.pwl_groups:
+            i = int(np.searchsorted(knots, t, side="right")) - 1
+            if i < 0:
+                k[rows] += offsets[:, 0]
+            elif i >= len(knots) - 1:
+                k[rows] += offsets[:, -1]
+            else:
+                k[rows] += slopes[:, i] * (t - knots[i]) + offsets[:, i]
         for j, law in self.generic:
             k[j] = law.value(t)
         return k
+
+    def drift(self, t: float, y: np.ndarray) -> np.ndarray:
+        """Mass-action drift of the free species at time t, inputs read from the signal."""
+        x = self._x
+        x[self.free_idx] = y
+        for pos, fn in self._driven:
+            x[pos] = fn(t)
+        return self.stoich @ (self.rates_at(t) * x[self.slots].prod(axis=1))
+
+    def sampled_values(self, signal, t_grid: np.ndarray, free_vals: np.ndarray) -> np.ndarray:
+        """Full sample table: free species from the integrator, inputs from the signal."""
+        values = np.empty((len(t_grid), self.n_species))
+        values[:, self.free_idx] = free_vals
+        for pos, nm in zip(self.driven_idx, self.driven_names):
+            values[:, pos] = np.asarray(signal.concentration(nm, t_grid), dtype=float)
+        return values
 
 
 def _driven_evaluators(signal, names: Sequence[str]):
@@ -232,82 +267,125 @@ def trace_from_csv(fileobj) -> Trace:
     return trace
 
 
-def integrate(brn: Brn, x0: ConcState, signal, config: SimConfig) -> Trace:
+class BlockPath:
+    """Integrated symbol blocks along the current branch of a corpus's word trie.
+
+    A word's input is a sequence of reset/symbol/copy blocks of ``3 tau``
+    each, so up to ``3k tau`` a run's trajectory depends only on the network
+    and its rate laws, the initial state, the tolerances, ``tau`` and the
+    first ``k`` symbols.  ``integrate`` keeps here, for block ``i`` of the
+    run it last integrated, the dense-output segments over
+    ``[3i tau, 3(i+1) tau]`` and the state at the block's end.  A later run
+    with the same context starts from the last block boundary its word shares
+    with that run; the blocks past it are dropped.  A stored block is exactly
+    what the run would compute itself, so its report does not change.
+    """
+
+    def __init__(self):
+        self._context = None
+        self._blocks: list[tuple[str, list, list, np.ndarray]] = []
+
+    def resume(self, context: tuple, word: Sequence[str]) -> list[tuple[str, list, list, np.ndarray]]:
+        """The stored blocks that a run with this context and word begins with."""
+        if context != self._context:
+            self._context = context
+            self._blocks = []
+        k = 0
+        while k < min(len(self._blocks), len(word)) and self._blocks[k][0] == word[k]:
+            k += 1
+        del self._blocks[k:]
+        return list(self._blocks)
+
+    def extend(self, symbol: str, ts: list, interpolants: list, y_end: np.ndarray) -> None:
+        """Store the next block of the branch: its segments and its end state."""
+        self._blocks.append((symbol, ts, interpolants, y_end))
+
+
+def integrate(brn: Brn, x0: ConcState, signal, config: SimConfig, *,
+              block_path: BlockPath | None = None) -> Trace:
     """Integrate the driven system from x0 over [0, t_end].
 
     Species of input kind are clamped to the signal at all times (their
     entries in x0 are ignored); everything else follows the mass-action
-    drift.  Raises IntegratorFault on solver failure or on a negative
-    excursion beyond ten times the absolute tolerance; smaller excursions are
-    clamped to zero in the outputs.
+    drift.  The solver restarts at every corner of the signal
+    (``critical_times()``), so no step straddles a kink and each piece picks
+    a fresh step size; the pieces' dense outputs are stitched into one.
+    Given a ``block_path`` and a word signal, whole symbol blocks already
+    integrated for an earlier word with the same prefix are reused, and the
+    new ones are stored.  Raises IntegratorFault on solver failure or on a
+    negative excursion beyond ten times the absolute tolerance; smaller
+    excursions are clamped to zero in the outputs.
     """
-    driven_names = [s.name for s in brn.species if s.is_input]
-    net = _CompiledNetwork(brn, driven_names)
-    driven_fns = _driven_evaluators(signal, driven_names)
-    x_ext = np.empty(net.n_species + 1)
-    x_ext[-1] = 1.0
-
-    def rhs(t, y):
-        x_ext[net.free_idx] = y
-        for pos, fn in zip(net.driven_idx, driven_fns):
-            x_ext[pos] = fn(t)
-        rates = net.rates_at(t) * x_ext[net.slots].prod(axis=1)
-        return net.stoich @ rates
-
-    tau = getattr(getattr(signal, "spec", None), "tau", None)
+    net = _CompiledNetwork(brn, signal)
+    spec = getattr(signal, "spec", None)
+    tau = getattr(spec, "tau", None)
     max_step = config.max_step
     if max_step is None:
         max_step = tau / 3.0 if tau else np.inf
+    y = np.asarray(x0.values, dtype=float)[net.free_idx]
 
-    y0 = np.asarray(x0.values, dtype=float)[net.free_idx]
-    sol = solve_ivp(
-        rhs, (0.0, config.t_end), y0, method="RK45",
-        rtol=config.rel_tol, atol=config.abs_tol,
-        max_step=max_step, dense_output=True,
-    )
-    if not sol.success:
-        raise IntegratorFault(f"integration failed: {sol.message}",
-                              time=float(sol.t[-1]) if len(sol.t) else 0.0)
-    floor = float(np.min(sol.y, initial=0.0))
-    if floor < -10.0 * config.abs_tol:
-        j = np.unravel_index(np.argmin(sol.y), sol.y.shape)
-        raise IntegratorFault(
-            f"negative concentration {floor:.3e} beyond fault threshold",
-            time=float(sol.t[j[1]]), state=sol.y[:, j[1]].copy(),
+    ts: list[float] = [0.0]
+    interpolants: list = []
+    t = 0.0
+    shared = block_path is not None and spec is not None
+    if shared:
+        # only blocks that end within [0, t_end] are shared
+        word = spec.word[:sum(3 * i * tau <= config.t_end for i in range(1, spec.length + 1))]
+        context = (brn, y.tobytes(), config.rel_tol, config.abs_tol, max_step, tau)
+        blocks = block_path.resume(context, word)
+        for _symbol, block_ts, block_interpolants, y_end in blocks:
+            ts.extend(block_ts)
+            interpolants.extend(block_interpolants)
+            y = y_end
+        n_blocks = len(blocks)
+        t = 3 * n_blocks * tau
+        block_start = len(interpolants)
+
+    corners = np.asarray(signal.critical_times(), dtype=float)
+    for t_next in [*corners[(corners > t) & (corners < config.t_end)].tolist(), config.t_end]:
+        sol = solve_ivp(
+            net.drift, (t, t_next), y, method="RK45",
+            rtol=config.rel_tol, atol=config.abs_tol,
+            max_step=max_step, dense_output=True,
         )
+        if not sol.success:
+            raise IntegratorFault(f"integration failed: {sol.message}",
+                                  time=float(sol.t[-1]) if len(sol.t) else t)
+        floor = float(np.min(sol.y, initial=0.0))
+        if floor < -10.0 * config.abs_tol:
+            j = np.unravel_index(np.argmin(sol.y), sol.y.shape)
+            raise IntegratorFault(
+                f"negative concentration {floor:.3e} beyond fault threshold",
+                time=float(sol.t[j[1]]), state=sol.y[:, j[1]].copy(),
+            )
+        ts.extend(sol.sol.ts[1:].tolist())
+        interpolants.extend(sol.sol.interpolants)
+        y = sol.y[:, -1]
+        t = t_next
+        if shared and n_blocks < len(word) and t == 3 * (n_blocks + 1) * tau:
+            block_path.extend(word[n_blocks], ts[block_start + 1:], interpolants[block_start:], y)
+            n_blocks += 1
+            block_start = len(interpolants)
+    dense = OdeSolution(ts, interpolants)
 
     stride = config.sample_stride if config.sample_stride else config.t_end / 400.0
     n_samples = max(int(round(config.t_end / stride)), 1)
     t_grid = np.linspace(0.0, config.t_end, n_samples + 1)
-    free_vals = np.maximum(sol.sol(t_grid).T, 0.0)
-    values = np.empty((len(t_grid), net.n_species))
-    values[:, net.free_idx] = free_vals
-    for pos, nm in zip(net.driven_idx, driven_names):
-        values[:, pos] = np.asarray(signal.concentration(nm, t_grid), dtype=float)
+    values = net.sampled_values(signal, t_grid, np.maximum(dense(t_grid).T, 0.0))
 
     trace = Trace(names=brn.species_names, times=t_grid, values=values, t_end=config.t_end)
     trace._free_idx = net.free_idx
     trace._driven_idx = net.driven_idx
-    trace._dense = sol.sol
-    trace._driven_fns = driven_fns
+    trace._dense = dense
+    trace._driven_fns = net.driven_fns
     return trace
 
 
 def integrate_fixed_step(brn: Brn, x0: ConcState, signal, config: SimConfig,
                          h: float) -> Trace:
     """Classical fixed-step fourth-order Runge-Kutta cross-check integrator."""
-    driven_names = [s.name for s in brn.species if s.is_input]
-    net = _CompiledNetwork(brn, driven_names)
-    driven_fns = _driven_evaluators(signal, driven_names)
-    x_ext = np.empty(net.n_species + 1)
-    x_ext[-1] = 1.0
-
-    def rhs(t, y):
-        x_ext[net.free_idx] = y
-        for pos, fn in zip(net.driven_idx, driven_fns):
-            x_ext[pos] = fn(t)
-        rates = net.rates_at(t) * x_ext[net.slots].prod(axis=1)
-        return net.stoich @ rates
+    net = _CompiledNetwork(brn, signal)
+    rhs = net.drift
 
     n_steps = max(int(math.ceil(config.t_end / h)), 1)
     h = config.t_end / n_steps
@@ -331,10 +409,7 @@ def integrate_fixed_step(brn: Brn, x0: ConcState, signal, config: SimConfig,
 
     t_grid = np.asarray(ts)
     free_vals = np.maximum(np.asarray(ys), 0.0)
-    values = np.empty((len(t_grid), net.n_species))
-    values[:, net.free_idx] = free_vals
-    for pos, nm in zip(net.driven_idx, driven_names):
-        values[:, pos] = np.asarray(signal.concentration(nm, t_grid), dtype=float)
+    values = net.sampled_values(signal, t_grid, free_vals)
 
     from scipy.interpolate import interp1d
 
@@ -344,7 +419,7 @@ def integrate_fixed_step(brn: Brn, x0: ConcState, signal, config: SimConfig,
     trace._free_idx = net.free_idx
     trace._driven_idx = net.driven_idx
     trace._dense = dense
-    trace._driven_fns = driven_fns
+    trace._driven_fns = net.driven_fns
     return trace
 
 

@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import PLAN_DELTA, PLAN_EPS, PLAN_ETA
+from nfa2crn.analysis import plan_parameters
 from nfa2crn.cli import main
+from nfa2crn.nfa import parse_nfa
 from nfa2crn.perturb import ObservationScheme, PerturbationProfile
 from nfa2crn.pipeline import (
     RunManifest,
@@ -99,11 +102,38 @@ def test_corpus_reports_sequential(example_nfa, planned):
 
 
 def test_corpus_reports_worker_pool_matches_sequential(example_nfa, planned):
+    # a shuffled corpus whose words share prefixes: sinusoid rates over every
+    # word of length <= 3, piecewise rates (whose knots depend on the word
+    # length), and random initial states under two seeds
     manifests = [_manifest(example_nfa, w, planned, perturbed=True, seed=2)
-                 for w in (("1",), ("0", "1"))]
+                 for w in all_words(example_nfa.alphabet, 3)]
+    piecewise = PerturbationProfile(delta=planned.delta, mode="piecewise", seed=4)
+    manifests += [RunManifest(nfa=example_nfa, word=w, params=planned, profile=piecewise)
+                  for w in (("1", "0"), ("1", "1"), ("1",))]
+    manifests += [RunManifest(nfa=example_nfa, word=w, params=planned,
+                              initial_mode="random", seed=seed)
+                  for seed in (7, 8) for w in (("0", "1"), ("0",))]
+    order = np.random.default_rng(1).permutation(len(manifests))
+    manifests = [manifests[i] for i in order]
+
+    alone = [run_end_to_end(m).report for m in manifests]
     sequential = corpus_reports(manifests)
     pooled = corpus_reports(manifests, processes=2)
-    assert json.dumps(sequential, sort_keys=True) == json.dumps(pooled, sort_keys=True)
+    assert [r["manifest"] for r in sequential] == [m.to_json_dict() for m in manifests]
+    assert json.dumps(sequential, sort_keys=True) == json.dumps(alone, sort_keys=True)
+    assert json.dumps(pooled, sort_keys=True) == json.dumps(alone, sort_keys=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rk45_overflow_regression():
+    # automaton #9 of the perturbed acceptance corpus on word "1": RK45's error
+    # norm overflowed on a rejected trial step while the solver stepped
+    # straight across the signal corners
+    seed = 20240811 + 10
+    nfa = parse_nfa("states: q0\nalphabet: 0 1\ninitial: q0\ntrans: q0 0 q0\n")
+    params = plan_parameters(nfa.num_transitions, PLAN_EPS, PLAN_ETA, PLAN_DELTA).params
+    result = run_end_to_end(_manifest(nfa, ("1",), params, perturbed=True, seed=seed))
+    assert result.verified
 
 
 def test_other_adversary_modes_end_to_end(example_nfa, planned):

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from nfa2crn.brn import Brn, ConcState, Reaction, Species
+from nfa2crn import simulate
+from nfa2crn.brn import Brn, ConcState, PiecewiseLinearRate, Reaction, Species
 from nfa2crn.perturb import ObservationScheme, PerturbationProfile, perturb_rates
 from nfa2crn.signals import SignalSpec, encode
 from nfa2crn.simulate import (
+    BlockPath,
     SimConfig,
     check_phi,
     conservation_deviation,
@@ -73,6 +75,67 @@ def test_conservation_on_driven_run(example_nfa, planned):
     dev, totals = conservation_deviation(trace, out.initial, pairs)
     assert dev <= 1e-8
     assert all(v == pytest.approx(1.0) for v in totals.values())
+
+
+def test_pieces_end_at_signal_corners(example_nfa, planned):
+    out = translate(example_nfa, planned.rates)
+    signal = encode(SignalSpec(("1", "0"), epsilon=planned.epsilon, tau=planned.tau))
+    trace = integrate(out.brn, out.initial, signal, SimConfig(t_end=7.5 * planned.tau))
+    assert set(signal.critical_times().tolist()) <= set(trace._dense.ts.tolist())
+
+
+def test_block_path_reuses_shared_prefix_exactly(example_nfa, planned, monkeypatch):
+    out = translate(example_nfa, planned.rates)
+    brn = perturb_rates(out.brn, PerturbationProfile(delta=planned.delta, mode="sinusoid",
+                                                     omega=2 * math.pi / planned.tau, seed=3))
+    config = SimConfig(t_end=9.0 * planned.tau)
+    spans = []
+    real_solve_ivp = simulate.solve_ivp
+
+    def recording_solve_ivp(fun, t_span, *args, **kwargs):
+        spans.append(tuple(t_span))
+        return real_solve_ivp(fun, t_span, *args, **kwargs)
+
+    def run(word, block_path=None):
+        spans.clear()
+        signal = encode(SignalSpec(word, epsilon=planned.epsilon, tau=planned.tau))
+        trace = integrate(brn, out.initial, signal, config, block_path=block_path)
+        return trace, list(spans)
+
+    monkeypatch.setattr(simulate, "solve_ivp", recording_solve_ivp)
+    block_path = BlockPath()
+    run(("1", "0"), block_path)
+    shared, shared_spans = run(("1", "1"), block_path)
+    alone, alone_spans = run(("1", "1"))
+    # the first block (three phases) came from the store
+    assert min(t0 for t0, _ in shared_spans) == 3 * planned.tau
+    assert len(alone_spans) - len(shared_spans) == 9
+    assert np.array_equal(shared.values, alone.values)
+    assert np.array_equal(shared._dense.ts, alone._dense.ts)
+    # the same word again integrates only its tail; another initial state shares nothing
+    _, again_spans = run(("1", "1"), block_path)
+    assert again_spans == [(6 * planned.tau, config.t_end)]
+    x0 = out.initial.replace(Y_A=0.99, Yb_A=0.01)
+    spans.clear()
+    trace = integrate(brn, x0, encode(SignalSpec(("1", "1"), epsilon=planned.epsilon,
+                                                 tau=planned.tau)), config, block_path=block_path)
+    assert min(t0 for t0, _ in spans) == 0.0
+    assert not np.array_equal(trace.values, alone.values)
+
+
+def test_piecewise_rates_match_the_rate_laws(example_nfa, planned):
+    out = translate(example_nfa, planned.rates)
+    brn = perturb_rates(out.brn, PerturbationProfile(delta=planned.delta, mode="piecewise",
+                                                     knots=9, seed=5), t_end=4.0)
+    # one reaction on a grid of its own
+    first = brn.reactions[0]
+    other = PiecewiseLinearRate(first.rate.nominal, (0.5, 1.25, 3.0), (1e-4, -2e-4, 5e-4))
+    brn = Brn(brn.species, (Reaction(first.reactants, first.products, other), *brn.reactions[1:]))
+    net = simulate._CompiledNetwork(brn, _zero_signal())
+    times = np.concatenate([np.linspace(-1.0, 5.0, 97), [0.5, 1.25, 3.0, 4.0]])
+    for t in times:
+        expected = np.array([rxn.rate.value(t) for rxn in brn.reactions])
+        assert np.array_equal(net.rates_at(float(t)), expected)
 
 
 def test_fixed_step_cross_check(example_nfa, planned):
