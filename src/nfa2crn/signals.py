@@ -101,6 +101,13 @@ class InputSignal:
     def __init__(self, spec: SignalSpec, present_phases: Mapping[str, tuple[int, ...]]):
         self.spec = spec
         self._phases = {name: frozenset(ph) for name, ph in present_phases.items()}
+        # per species, whether it is present in phase k; the last entry is
+        # False and stands for every phase outside the table
+        self._present = {}
+        for name, ph in self._phases.items():
+            table = np.zeros(max(ph, default=-1) + 2, dtype=bool)
+            table[[k for k in ph if k >= 0]] = True
+            self._present[name] = table
 
     def input_species(self) -> tuple[str, ...]:
         return tuple(self._phases)
@@ -108,14 +115,14 @@ class InputSignal:
     def concentration(self, name: str, t):
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros_like(t_arr)
-        phases = self._phases.get(name)
-        if phases:
+        if self._phases.get(name):
             tau = self.spec.tau
             k = np.floor_divide(t_arr, tau).astype(int)
-            mask = np.isin(k, list(phases)) & (t_arr >= 0)
-            if np.any(mask):
-                local = t_arr[mask] / tau - k[mask]
-                out[mask] = _trapezoid(local)
+            present = self._present[name]
+            on = present[np.minimum(np.maximum(k, -1), len(present) - 1)] & (t_arr >= 0)
+            if on.any():
+                local = t_arr[on] / tau - k[on]
+                out[on] = _trapezoid(local)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def scalar_evaluator(self, name: str):
@@ -273,66 +280,111 @@ class AdmissibilityReport:
         return "\n".join(lines)
 
 
+def _scheduled(k: int, spec: SignalSpec) -> tuple[int, str]:
+    """The condition that requires a species in input phase k, and that species."""
+    i, role = divmod(k, 3)
+    if role == 1:
+        return 6, input_species_name(spec.word[i])
+    return (5, RESET_SPECIES) if role == 0 else (7, COPY_SPECIES)
+
+
+def _phase_violations(signal, spec: SignalSpec, names: Sequence[str], k: int,
+                      grid: np.ndarray, mid: np.ndarray) -> list[Violation]:
+    """The violations of phase k, sampled on its grid (``mid``: the middle third)."""
+    eps, tau = spec.epsilon, spec.tau
+    t0, t1 = k * tau, (k + 1) * tau
+    violations: list[Violation] = []
+    peaks: list[tuple[str, float, float]] = []  # species present, time and value of its peak
+    for name in names:
+        vals = np.asarray(signal.concentration(name, grid), dtype=float)
+        hi = int(np.argmax(vals))
+        if vals[hi] >= 1 + eps:
+            violations.append(Violation(1, k, name, float(grid[hi]), float(vals[hi])))
+        if vals[0] >= eps:
+            violations.append(Violation(2, k, name, float(t0), float(vals[0])))
+        if k == 3 * spec.length and vals[-1] >= eps:
+            violations.append(Violation(2, k + 1, name, float(t1), float(vals[-1])))
+        if vals[hi] >= eps:
+            peaks.append((name, float(grid[hi]), float(vals[hi])))
+            lo = int(np.argmin(np.where(mid, vals, np.inf)))
+            if vals[lo] <= 1 - eps:
+                violations.append(Violation(4, k, name, float(grid[lo]), float(vals[lo])))
+    for name, t_peak, v_peak in peaks[1:]:
+        violations.append(Violation(3, k, name, t_peak, v_peak))
+    if k < 3 * spec.length:
+        cond, needed = _scheduled(k, spec)
+        if needed not in [name for name, _, _ in peaks]:
+            violations.append(Violation(cond, k, needed, float(t0 + tau / 2),
+                                        float(signal.concentration(needed, t0 + tau / 2))))
+    else:
+        for name, _, v_peak in peaks:
+            violations.append(Violation(8, k, name, float(t0 + tau / 2), v_peak))
+    return violations
+
+
 def validate(signal, spec: SignalSpec, *, species: Iterable[str] | None = None,
              samples_per_phase: int = 1000) -> AdmissibilityReport:
     """Check the eight admissibility conditions by dense sampling.
 
     The grid per phase is ``samples_per_phase`` uniform points plus the phase
     and third boundaries plus any signal-declared critical times, so
-    closed-form waveform extrema are always sampled exactly.  Violations are
-    report content, not errors.
+    closed-form waveform extrema are always sampled exactly.  All phase grids
+    are built at once and each species is evaluated once over all of them;
+    per-phase extrema come from one reduction, and only the phases that
+    fail are sampled again to name their violations.  Violations are report
+    content, not errors.
     """
     eps, tau, n = spec.epsilon, spec.tau, spec.length
     if species is None:
         species = signal.input_species()
     names = list(dict.fromkeys([*species, RESET_SPECIES, COPY_SPECIES]))
-
+    row = {name: j for j, name in enumerate(names)}
     critical = np.asarray(signal.critical_times(), dtype=float) if hasattr(signal, "critical_times") else np.array([])
-    violations: list[Violation] = []
-    schedule = {0: (5, RESET_SPECIES), 2: (7, COPY_SPECIES)}
-
     last_phase = 3 * n  # one silent phase is checked for condition (8)
-    for k in range(last_phase + 1):
-        t0, t1 = k * tau, (k + 1) * tau
-        grid = np.linspace(t0, t1, samples_per_phase + 1)
-        extra = [t0 + tau / 3, t0 + 2 * tau / 3]
-        if critical.size:
-            extra.extend(critical[(critical >= t0) & (critical <= t1)])
-        grid = np.unique(np.concatenate([grid, np.asarray(extra)]))
-        mid = (grid >= t0 + tau / 3) & (grid <= t0 + 2 * tau / 3)
 
-        present: list[str] = []
-        for name in names:
-            vals = np.asarray(signal.concentration(name, grid), dtype=float)
-            hi = int(np.argmax(vals))
-            if vals[hi] >= 1 + eps:
-                violations.append(Violation(1, k, name, float(grid[hi]), float(vals[hi])))
-            if vals[0] >= eps:
-                violations.append(Violation(2, k, name, float(t0), float(vals[0])))
-            if k == last_phase and vals[-1] >= eps:
-                violations.append(Violation(2, k + 1, name, float(t1), float(vals[-1])))
-            if vals[hi] >= eps:
-                present.append(name)
-                lo = int(np.argmin(np.where(mid, vals, np.inf)))
-                if vals[lo] <= 1 - eps:
-                    violations.append(Violation(4, k, name, float(grid[lo]), float(vals[lo])))
-        if len(present) > 1:
-            for name in present[1:]:
-                peak_t = float(grid[int(np.argmax(np.asarray(signal.concentration(name, grid))))])
-                violations.append(Violation(3, k, name, peak_t, float(np.max(signal.concentration(name, grid)))))
-        if k < 3 * n:
-            i, role = divmod(k, 3)
-            if role == 1:
-                needed_cond, needed = 6, input_species_name(spec.word[i])
-            else:
-                needed_cond, needed = schedule[role]
-            if needed not in present:
-                violations.append(Violation(needed_cond, k, needed, float(t0 + tau / 2),
-                                            float(signal.concentration(needed, t0 + tau / 2))))
-        else:
-            for name in present:
-                violations.append(Violation(8, k, name, float(t0 + tau / 2),
-                                            float(np.max(signal.concentration(name, grid)))))
+    # every phase's grid as one row: the uniform samples, the thirds and the
+    # signal's corners inside the phase, padded with copies of the phase
+    # start; sorted and flattened without repeats, phase k owns
+    # grid[bounds[k]:bounds[k + 1]], from k tau to (k + 1) tau
+    k = np.arange(last_phase + 1)
+    t0, t1 = k * tau, (k + 1) * tau
+    owner, c = np.nonzero((critical >= t0[:, None]) & (critical <= t1[:, None]))
+    slot = np.arange(len(owner)) - np.searchsorted(owner, owner)  # a corner's place among its phase's
+    extra = np.repeat(t0[:, None], 2 + (slot.max() + 1 if len(slot) else 0), axis=1)
+    extra[:, 0], extra[:, 1] = t0 + tau / 3, t0 + 2 * tau / 3
+    extra[owner, 2 + slot] = critical[c]
+    rows = np.concatenate([np.linspace(t0, t1, samples_per_phase + 1, axis=1), extra], axis=1)
+    rows.sort(axis=1)
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    grid = rows[keep]
+    mid = ((rows >= (t0 + tau / 3)[:, None]) & (rows <= (t0 + 2 * tau / 3)[:, None]))[keep]
+    bounds = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    starts = bounds[:-1]
+    mid_starts = np.searchsorted(np.flatnonzero(mid), starts)  # every phase has its thirds in mid
+    del rows, keep
+
+    # per species and phase: the peak, the lowest middle-third value, and the value at the start
+    peak, mid_low, first = (np.empty((len(names), last_phase + 1)) for _ in range(3))
+    end = np.empty(len(names))
+    for j, name in enumerate(names):
+        vals = np.asarray(signal.concentration(name, grid), dtype=float)
+        peak[j] = np.maximum.reduceat(vals, starts)
+        mid_low[j] = np.minimum.reduceat(vals[mid], mid_starts)
+        first[j] = vals[starts]
+        end[j] = vals[-1]
+    present = peak >= eps
+    failing = ((peak >= 1 + eps) | (first >= eps) | (present & (mid_low <= 1 - eps))).any(axis=0)
+    failing |= present.sum(axis=0) > 1
+    failing[last_phase] |= present[:, last_phase].any() or (end >= eps).any()
+    for p in range(last_phase):
+        needed = _scheduled(p, spec)[1]
+        failing[p] |= needed not in row or not present[row[needed], p]
+
+    violations: list[Violation] = []
+    for p in np.flatnonzero(failing).tolist():
+        violations += _phase_violations(signal, spec, names, p, grid[bounds[p]:bounds[p + 1]],
+                                        mid[bounds[p]:bounds[p + 1]])
 
     return AdmissibilityReport(
         admissible=not violations,

@@ -3,20 +3,24 @@
 Input species are held to the signal rather than integrated: they appear only
 as catalysts, so their own drift is identically zero and clamping eliminates
 accumulation error.  The remaining species integrate under an adaptive
-explicit Runge-Kutta 5(4) scheme with dense output; paired species (a value
-and its dual) have exactly opposite drifts at every state, so their sums are
-conserved to rounding by construction.
+explicit Runge-Kutta 5(4) scheme; paired species (a value and its dual) have
+exactly opposite drifts at every state, so their sums are conserved to
+rounding by construction.  A run's dense output is a table of the solver's
+steps (``DenseTable``): the sample grid, the decision and the block-boundary
+checks each read any set of times with one search and one vectorised quartic
+per symbol block.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .brn import Brn, ConcState, ConstantRate, OffsetRate, PiecewiseLinearRate, SinusoidRate
 from .nfa import Nfa, extended_transition
@@ -27,6 +31,7 @@ from .translate import state_species_name
 __all__ = [
     "SimConfig",
     "Trace",
+    "DenseTable",
     "BlockPath",
     "Decision",
     "IntegratorFault",
@@ -75,25 +80,32 @@ class _CompiledNetwork:
         names = brn.species_names
         n = len(names)
         index = {nm: i for i, nm in enumerate(names)}
+        self.signal = signal
         self.driven_names = [s.name for s in brn.species if s.is_input]
         self.driven_idx = np.array([index[nm] for nm in self.driven_names], dtype=int)
         self.driven_fns = _driven_evaluators(signal, self.driven_names)
         driven_set = set(self.driven_idx.tolist())
         self.free_idx = np.array([i for i in range(n) if i not in driven_set], dtype=int)
         self.n_species = n
+        # drift buffer: the free species, then the inputs, then a 1.0 that pads
+        # monomials of fewer than ``width`` factors
+        n_free = len(self.free_idx)
+        buffer_pos = {sp: b for b, sp in enumerate([*self.free_idx.tolist(), *self.driven_idx.tolist()])}
         self._x = np.empty(n + 1)
-        self._x[-1] = 1.0
-        self._driven = list(zip(self.driven_idx.tolist(), self.driven_fns))
+        self._x[n] = 1.0
+        self._n_free = n_free
+        self._driven = [(n_free + k, fn) for k, fn in enumerate(self.driven_fns)]
 
         width = max((sum(r.reactants.values()) for r in brn.reactions), default=1)
-        slots = np.full((len(brn.reactions), max(width, 1)), n, dtype=int)  # n = sentinel slot holding 1.0
+        slots = np.full((max(width, 1), len(brn.reactions)), n, dtype=int)
         for j, rxn in enumerate(brn.reactions):
             pos = 0
             for nm, count in rxn.reactants.items():
                 for _ in range(count):
-                    slots[j, pos] = index[nm]
+                    slots[pos, j] = buffer_pos[index[nm]]
                     pos += 1
-        self.slots = slots
+        # a monomial is its first factor times the next ones, in order
+        self._first_factor, *self._next_factors = slots
 
         free_pos = {sp: k for k, sp in enumerate(self.free_idx.tolist())}
         stoich = np.zeros((len(self.free_idx), len(brn.reactions)))
@@ -133,13 +145,13 @@ class _CompiledNetwork:
         self.sin_omega = np.array(sin_omega)
         self.sin_phase = np.array(sin_phase)
         # rows sharing one knot grid take one search and one lerp per evaluation;
-        # the lerp is np.interp's formula, so the rates are the same to the bit
+        # the lerp is np.interp's formula, so the rates are the same to the bit;
+        # offsets have one row per knot, slopes one per knot interval
         self.pwl_groups = []
         for times, members in pwl_by_grid.items():
-            knots = np.asarray(times)
-            offsets = np.array([off for _, off in members])
-            slopes = np.diff(offsets, axis=1) / np.diff(knots)
-            self.pwl_groups.append((np.array([j for j, _ in members]), knots, offsets, slopes))
+            offsets = np.array([off for _, off in members]).T
+            slopes = np.diff(offsets, axis=0) / np.diff(times)[:, None]
+            self.pwl_groups.append((np.array([j for j, _ in members]), list(times), offsets, slopes))
         self.generic = generic
         self.k_static = not (len(sin_rows) or pwl_by_grid or generic)
 
@@ -150,13 +162,13 @@ class _CompiledNetwork:
         if self.sin_rows.size:
             k[self.sin_rows] += self.sin_amp * np.sin(self.sin_omega * t + self.sin_phase)
         for rows, knots, offsets, slopes in self.pwl_groups:
-            i = int(np.searchsorted(knots, t, side="right")) - 1
+            i = bisect_right(knots, t) - 1
             if i < 0:
-                k[rows] += offsets[:, 0]
+                k[rows] += offsets[0]
             elif i >= len(knots) - 1:
-                k[rows] += offsets[:, -1]
+                k[rows] += offsets[-1]
             else:
-                k[rows] += slopes[:, i] * (t - knots[i]) + offsets[:, i]
+                k[rows] += slopes[i] * (t - knots[i]) + offsets[i]
         for j, law in self.generic:
             k[j] = law.value(t)
         return k
@@ -164,17 +176,25 @@ class _CompiledNetwork:
     def drift(self, t: float, y: np.ndarray) -> np.ndarray:
         """Mass-action drift of the free species at time t, inputs read from the signal."""
         x = self._x
-        x[self.free_idx] = y
+        x[:self._n_free] = y
         for pos, fn in self._driven:
             x[pos] = fn(t)
-        return self.stoich @ (self.rates_at(t) * x[self.slots].prod(axis=1))
+        monomials = x[self._first_factor]
+        for slots in self._next_factors:
+            monomials *= x[slots]
+        monomials *= self.rates_at(t)
+        return self.stoich @ monomials
 
-    def sampled_values(self, signal, t_grid: np.ndarray, free_vals: np.ndarray) -> np.ndarray:
-        """Full sample table: free species from the integrator, inputs from the signal."""
-        values = np.empty((len(t_grid), self.n_species))
+    def states(self, t: np.ndarray, free_vals: np.ndarray) -> np.ndarray:
+        """Full states at the times t, one row per time: free species given, inputs from the signal."""
+        values = np.empty((len(t), self.n_species))
         values[:, self.free_idx] = free_vals
+        if len(t) == 1:
+            # one time: the drift's scalar evaluators, which give the same values cheaper
+            values[0, self.driven_idx] = [fn(t[0]) for fn in self.driven_fns]
+            return values
         for pos, nm in zip(self.driven_idx, self.driven_names):
-            values[:, pos] = np.asarray(signal.concentration(nm, t_grid), dtype=float)
+            values[:, pos] = np.asarray(self.signal.concentration(nm, t), dtype=float)
         return values
 
 
@@ -192,20 +212,17 @@ def _driven_evaluators(signal, names: Sequence[str]):
 class Trace:
     """Integrated concentrations with a dense evaluator.
 
-    ``values`` holds the sampled grid (rows: times, columns: species);
-    ``value``/``state_at`` evaluate anywhere inside the integrated range with
-    the solver's dense interpolant, with inputs reproduced from the signal.
+    ``values`` holds the sampled grid (rows: times, columns: species).
+    ``_dense`` maps a 1-D array of times inside ``[0, t_end]`` to the states
+    there, one row per time (the solver's ``DenseTable`` for ``integrate``);
+    ``value``/``state_at`` read through it with one call per request.
     """
 
     names: tuple[str, ...]
     times: np.ndarray
     values: np.ndarray
     t_end: float
-
-    _free_idx: np.ndarray = None
-    _driven_idx: np.ndarray = None
-    _dense = None
-    _driven_fns: list = None
+    _dense: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         self._index = {nm: i for i, nm in enumerate(self.names)}
@@ -213,21 +230,19 @@ class Trace:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self._index[name]]
 
+    def _states(self, t) -> np.ndarray:
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        outside = ~((t >= 0) & (t <= self.t_end + 1e-12))
+        if outside.any():
+            raise ValueError(f"t={t[outside][0]} outside trace range [0, {self.t_end}]")
+        return self._dense(np.minimum(t, self.t_end))
+
     def state_at(self, t: float) -> np.ndarray:
-        if not 0 <= t <= self.t_end + 1e-12:
-            raise ValueError(f"t={t} outside trace range [0, {self.t_end}]")
-        out = np.empty(len(self.names))
-        free_vals = np.maximum(self._dense(min(t, self.t_end)), 0.0)
-        out[self._free_idx] = free_vals
-        for pos, fn in zip(self._driven_idx, self._driven_fns):
-            out[pos] = fn(min(t, self.t_end))
-        return out
+        return self._states(t)[0]
 
     def value(self, name: str, t) -> float | np.ndarray:
-        i = self._index[name]
-        if np.isscalar(t):
-            return float(self.state_at(float(t))[i])
-        return np.array([self.state_at(float(tt))[i] for tt in np.asarray(t, dtype=float)])
+        col = self._states(t)[:, self._index[name]]
+        return float(col[0]) if np.isscalar(t) else col
 
     def write_csv(self, fileobj) -> None:
         writer = csv.writer(fileobj)
@@ -257,14 +272,62 @@ def trace_from_csv(fileobj) -> Trace:
     times, values = data[:, 0], data[:, 1:]
     from scipy.interpolate import interp1d
 
-    dense = interp1d(times, values.T, kind="linear", bounds_error=False,
-                     fill_value=(values[0], values[-1]))
-    trace = Trace(names=tuple(header[1:]), times=times, values=values, t_end=float(times[-1]))
-    trace._free_idx = np.arange(len(header) - 1)
-    trace._driven_idx = np.array([], dtype=int)
-    trace._dense = dense
-    trace._driven_fns = []
-    return trace
+    rows_at = interp1d(times, values, axis=0, kind="linear", bounds_error=False,
+                       fill_value=(values[0], values[-1]))
+    return Trace(names=tuple(header[1:]), times=times, values=values, t_end=float(times[-1]),
+                 _dense=lambda t: np.maximum(rows_at(t), 0.0))
+
+
+# a run of solver steps, packed: their end times, start states and quartic coefficients
+_Steps = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _packed(pieces: Sequence[_Steps]) -> _Steps:
+    """Consecutive pieces joined into one run of steps."""
+    return tuple(np.concatenate(part) for part in zip(*pieces))
+
+
+class DenseTable:
+    """A run's dense output: its RK 5(4) steps packed into arrays.
+
+    Step ``i`` runs from ``ts[i]`` to ``ts[i + 1]``; its interpolant is
+    scipy's quartic ``y_old + h (Q @ [x, x^2, x^3, x^4])`` with ``h`` the
+    step length and ``x = (t - ts[i]) / h``.  A time on a step boundary
+    reads the step ending there, and a time outside ``[ts[0], ts[-1]]`` the
+    first or last step, as with scipy's ``OdeSolution``.  The step
+    boundaries form one array, so any set of times finds its steps with one
+    search.  ``y_old`` and ``Q`` stay in the segments they were packed in
+    (one per symbol block, and the tail), so a run never holds its steps
+    twice; each segment a set of times touches takes one vectorised
+    quartic.  Calling the table gives full states: integrated species
+    clamped at zero, inputs filled in by ``fill(t, free_values)``.
+    """
+
+    def __init__(self, segments: Sequence[_Steps], fill):
+        self.ts = np.concatenate([[0.0], *(ends for ends, _, _ in segments)])
+        self._segments = segments
+        self._first_step = np.cumsum([0, *(len(ends) for ends, _, _ in segments)])
+        self._fill = fill
+
+    def free(self, t: np.ndarray) -> np.ndarray:
+        """The integrated species at the times t, one row per time, as the solver left them."""
+        i = np.minimum(np.maximum(np.searchsorted(self.ts, t, side="left") - 1, 0), len(self.ts) - 2)
+        t_old = self.ts[i]
+        h = self.ts[i + 1] - t_old
+        x = (t - t_old) / h
+        _, y_old, Q = self._segments[0]
+        powers = np.cumprod(np.repeat(x[:, None], Q.shape[2], axis=1), axis=1)
+        segment = np.searchsorted(self._first_step, i, side="right") - 1
+        out = np.empty((len(t), y_old.shape[1]))
+        for s in range(segment.min(), segment.max() + 1):
+            rows = segment == s
+            _, y_old, Q = self._segments[s]
+            k = i[rows] - self._first_step[s]
+            out[rows] = h[rows, None] * np.einsum("kij,kj->ki", Q[k], powers[rows]) + y_old[k]
+        return out
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        return self._fill(t, np.maximum(self.free(t), 0.0))
 
 
 class BlockPath:
@@ -274,7 +337,7 @@ class BlockPath:
     each, so up to ``3k tau`` a run's trajectory depends only on the network
     and its rate laws, the initial state, the tolerances, ``tau`` and the
     first ``k`` symbols.  ``integrate`` keeps here, for block ``i`` of the
-    run it last integrated, the dense-output segments over
+    run it last integrated, the packed solver steps over
     ``[3i tau, 3(i+1) tau]`` and the state at the block's end.  A later run
     with the same context starts from the last block boundary its word shares
     with that run; the blocks past it are dropped.  A stored block is exactly
@@ -283,9 +346,9 @@ class BlockPath:
 
     def __init__(self):
         self._context = None
-        self._blocks: list[tuple[str, list, list, np.ndarray]] = []
+        self._blocks: list[tuple[str, _Steps, np.ndarray]] = []
 
-    def resume(self, context: tuple, word: Sequence[str]) -> list[tuple[str, list, list, np.ndarray]]:
+    def resume(self, context: tuple, word: Sequence[str]) -> list[tuple[str, _Steps, np.ndarray]]:
         """The stored blocks that a run with this context and word begins with."""
         if context != self._context:
             self._context = context
@@ -296,9 +359,9 @@ class BlockPath:
         del self._blocks[k:]
         return list(self._blocks)
 
-    def extend(self, symbol: str, ts: list, interpolants: list, y_end: np.ndarray) -> None:
-        """Store the next block of the branch: its segments and its end state."""
-        self._blocks.append((symbol, ts, interpolants, y_end))
+    def extend(self, symbol: str, steps: _Steps, y_end: np.ndarray) -> None:
+        """Store the next block of the branch: its packed steps and its end state."""
+        self._blocks.append((symbol, steps, y_end))
 
 
 def integrate(brn: Brn, x0: ConcState, signal, config: SimConfig, *,
@@ -309,7 +372,10 @@ def integrate(brn: Brn, x0: ConcState, signal, config: SimConfig, *,
     entries in x0 are ignored); everything else follows the mass-action
     drift.  The solver restarts at every corner of the signal
     (``critical_times()``), so no step straddles a kink and each piece picks
-    a fresh step size; the pieces' dense outputs are stitched into one.
+    a fresh step size.  Each piece's steps are packed into arrays right
+    after its solve, and scipy's per-step interpolants are dropped; the
+    pieces of each symbol block, and of the tail, are joined as it ends,
+    and together they form the run's ``DenseTable``.
     Given a ``block_path`` and a word signal, whole symbol blocks already
     integrated for an earlier word with the same prefix are reused, and the
     new ones are stored.  Raises IntegratorFault on solver failure or on a
@@ -324,22 +390,22 @@ def integrate(brn: Brn, x0: ConcState, signal, config: SimConfig, *,
         max_step = tau / 3.0 if tau else np.inf
     y = np.asarray(x0.values, dtype=float)[net.free_idx]
 
-    ts: list[float] = [0.0]
-    interpolants: list = []
+    segments: list[_Steps] = []  # one per symbol block, then the tail
+    pieces: list[_Steps] = []  # the solver pieces of the segment being integrated
     t = 0.0
+    # only blocks that end within [0, t_end] are blocks; the rest is the tail
+    word = () if spec is None else \
+        spec.word[:sum(3 * i * tau <= config.t_end for i in range(1, spec.length + 1))]
+    n_blocks = 0
     shared = block_path is not None and spec is not None
     if shared:
-        # only blocks that end within [0, t_end] are shared
-        word = spec.word[:sum(3 * i * tau <= config.t_end for i in range(1, spec.length + 1))]
         context = (brn, y.tobytes(), config.rel_tol, config.abs_tol, max_step, tau)
         blocks = block_path.resume(context, word)
-        for _symbol, block_ts, block_interpolants, y_end in blocks:
-            ts.extend(block_ts)
-            interpolants.extend(block_interpolants)
+        for _symbol, steps, y_end in blocks:
+            segments.append(steps)
             y = y_end
         n_blocks = len(blocks)
         t = 3 * n_blocks * tau
-        block_start = len(interpolants)
 
     corners = np.asarray(signal.critical_times(), dtype=float)
     for t_next in [*corners[(corners > t) & (corners < config.t_end)].tolist(), config.t_end]:
@@ -358,27 +424,25 @@ def integrate(brn: Brn, x0: ConcState, signal, config: SimConfig, *,
                 f"negative concentration {floor:.3e} beyond fault threshold",
                 time=float(sol.t[j[1]]), state=sol.y[:, j[1]].copy(),
             )
-        ts.extend(sol.sol.ts[1:].tolist())
-        interpolants.extend(sol.sol.interpolants)
+        # the step ends and start states are sol's own; only Q lives in the interpolants
+        pieces.append((sol.t[1:], sol.y[:, :-1].T, np.array([step.Q for step in sol.sol.interpolants])))
         y = sol.y[:, -1]
         t = t_next
-        if shared and n_blocks < len(word) and t == 3 * (n_blocks + 1) * tau:
-            block_path.extend(word[n_blocks], ts[block_start + 1:], interpolants[block_start:], y)
+        if n_blocks < len(word) and t == 3 * (n_blocks + 1) * tau:
+            segments.append(_packed(pieces))
+            pieces = []
+            if shared:
+                block_path.extend(word[n_blocks], segments[-1], y)
             n_blocks += 1
-            block_start = len(interpolants)
-    dense = OdeSolution(ts, interpolants)
+    if pieces:
+        segments.append(_packed(pieces))
+    dense = DenseTable(segments, net.states)
 
     stride = config.sample_stride if config.sample_stride else config.t_end / 400.0
     n_samples = max(int(round(config.t_end / stride)), 1)
     t_grid = np.linspace(0.0, config.t_end, n_samples + 1)
-    values = net.sampled_values(signal, t_grid, np.maximum(dense(t_grid).T, 0.0))
-
-    trace = Trace(names=brn.species_names, times=t_grid, values=values, t_end=config.t_end)
-    trace._free_idx = net.free_idx
-    trace._driven_idx = net.driven_idx
-    trace._dense = dense
-    trace._driven_fns = net.driven_fns
-    return trace
+    return Trace(names=brn.species_names, times=t_grid, values=dense(t_grid),
+                 t_end=config.t_end, _dense=dense)
 
 
 def integrate_fixed_step(brn: Brn, x0: ConcState, signal, config: SimConfig,
@@ -409,18 +473,12 @@ def integrate_fixed_step(brn: Brn, x0: ConcState, signal, config: SimConfig,
 
     t_grid = np.asarray(ts)
     free_vals = np.maximum(np.asarray(ys), 0.0)
-    values = net.sampled_values(signal, t_grid, free_vals)
-
     from scipy.interpolate import interp1d
 
-    dense = interp1d(t_grid, free_vals.T, kind="cubic" if len(t_grid) > 3 else "linear",
-                     bounds_error=False, fill_value=(free_vals[0], free_vals[-1]))
-    trace = Trace(names=brn.species_names, times=t_grid, values=values, t_end=config.t_end)
-    trace._free_idx = net.free_idx
-    trace._driven_idx = net.driven_idx
-    trace._dense = dense
-    trace._driven_fns = net.driven_fns
-    return trace
+    free_at = interp1d(t_grid, free_vals, axis=0, kind="cubic" if len(t_grid) > 3 else "linear",
+                       bounds_error=False, fill_value=(free_vals[0], free_vals[-1]))
+    return Trace(names=brn.species_names, times=t_grid, values=net.states(t_grid, free_vals),
+                 t_end=config.t_end, _dense=lambda t: net.states(t, np.maximum(free_at(t), 0.0)))
 
 
 @dataclass
@@ -465,8 +523,7 @@ def decide(trace: Trace, nfa: Nfa, spec: SignalSpec, scheme: ObservationScheme,
     if t_dec > trace.t_end + 1e-9:
         raise ValueError(f"decision time {t_dec} beyond trace end {trace.t_end}")
 
-    raw = np.array([trace.value(state_species_name(q), t_dec) for q in nfa.states])
-    hat = np.atleast_1d(observe(raw, scheme))
+    hat = np.atleast_1d(observe(_levels(trace, nfa, t_dec), scheme))
     verdicts: dict[str, str] = {}
     observed: dict[str, float] = {}
     for q, v in zip(nfa.states, hat):
@@ -493,9 +550,7 @@ def check_phi(trace: Trace, nfa: Nfa, prefix: Sequence[str], gamma: float,
     if not 0 < gamma < 0.5:
         raise ValueError("gamma must lie in (0, 1/2)")
     target = extended_transition(nfa, nfa.initial, tuple(prefix))
-    t = 3 * len(prefix) * tau
-    for q in nfa.states:
-        y = trace.value(state_species_name(q), t)
+    for q, y in zip(nfa.states, _levels(trace, nfa, 3 * len(prefix) * tau)):
         if q in target:
             if y < 1 - gamma:
                 return False
@@ -504,9 +559,14 @@ def check_phi(trace: Trace, nfa: Nfa, prefix: Sequence[str], gamma: float,
     return True
 
 
+def _levels(trace: Trace, nfa: Nfa, t: float) -> np.ndarray:
+    """Raw state-species levels at time t, in the automaton's state order, from one evaluation."""
+    return trace.state_at(t)[[trace._index[state_species_name(q)] for q in nfa.states]]
+
+
 def state_levels(trace: Trace, nfa: Nfa, t: float) -> dict[str, float]:
     """Raw (unobserved) state-species levels at time t."""
-    return {q: float(trace.value(state_species_name(q), t)) for q in nfa.states}
+    return {q: float(y) for q, y in zip(nfa.states, _levels(trace, nfa, t))}
 
 
 def conservation_deviation(trace: Trace, x0: ConcState, pairs: Sequence[tuple[str, str]]):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
 
 from nfa2crn import simulate
 from nfa2crn.brn import Brn, ConcState, PiecewiseLinearRate, Reaction, Species
@@ -11,6 +12,7 @@ from nfa2crn.signals import SignalSpec, encode
 from nfa2crn.simulate import (
     BlockPath,
     SimConfig,
+    Trace,
     check_phi,
     conservation_deviation,
     decide,
@@ -121,6 +123,82 @@ def test_block_path_reuses_shared_prefix_exactly(example_nfa, planned, monkeypat
                                                  tau=planned.tau)), config, block_path=block_path)
     assert min(t0 for t0, _ in spans) == 0.0
     assert not np.array_equal(trace.values, alone.values)
+
+
+def test_dense_table_matches_ode_solution(example_nfa, planned, monkeypatch):
+    out = translate(example_nfa, planned.rates)
+    brn = perturb_rates(out.brn, PerturbationProfile(delta=planned.delta, mode="sinusoid",
+                                                     omega=2 * math.pi / planned.tau, seed=4))
+    spec = SignalSpec(("1", "0", "1"), epsilon=planned.epsilon, tau=planned.tau)
+    config = SimConfig(t_end=spec.decision_time + planned.tau)
+    sols = []
+    real_solve_ivp = simulate.solve_ivp
+
+    def recording_solve_ivp(*args, **kwargs):
+        sols.append(real_solve_ivp(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(simulate, "solve_ivp", recording_solve_ivp)
+    trace = integrate(brn, out.initial, encode(spec), config)
+    reference = OdeSolution(np.concatenate([[0.0], *(sol.t[1:] for sol in sols)]),
+                            [step for sol in sols for step in sol.sol.interpolants])
+    table = trace._dense
+    assert np.array_equal(table.ts, reference.ts)
+    blocks = 3 * planned.tau * np.arange(spec.length + 1)
+    for t in (trace.times, blocks, table.ts):
+        assert np.allclose(table.free(t), reference(t).T, rtol=1e-14, atol=1e-15)
+    free = [i for i, name in enumerate(trace.names) if not name.startswith("X_")]
+    assert np.allclose(trace.values[:, free], np.maximum(reference(trace.times).T, 0.0),
+                       rtol=1e-14, atol=1e-15)
+
+
+def test_dense_table_reads_a_boundary_from_the_step_ending_there():
+    # two segments of one step each, which disagree at t = 1: the step ending
+    # there reads 1, the step starting there 5; outside [0, 2] the end steps extrapolate
+    rise = np.array([[[1.0, 0.0, 0.0, 0.0]]])
+    table = simulate.DenseTable([(np.array([1.0]), np.array([[0.0]]), rise),
+                                 (np.array([2.0]), np.array([[5.0]]), np.zeros((1, 1, 4)))],
+                                fill=lambda t, free: free)
+    t = np.array([1.0, 0.0, 0.5, 1.5, 2.0, -1.0, 3.0])
+    assert np.array_equal(table.free(t)[:, 0], [1.0, 0.0, 0.5, 5.0, 5.0, -1.0, 5.0])
+    assert np.array_equal(table(t)[:, 0], [1.0, 0.0, 0.5, 5.0, 5.0, 0.0, 5.0])
+
+
+def test_trace_value_on_times_makes_one_evaluator_call():
+    calls = []
+
+    def evaluator(t):
+        calls.append(len(t))
+        return np.stack([t, 2 * t], axis=1)
+
+    trace = Trace(("a", "b"), np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, 2.0]]), 1.0, evaluator)
+    assert np.array_equal(trace.value("b", np.linspace(0, 1, 5)), 2 * np.linspace(0, 1, 5))
+    assert trace.value("a", 0.5) == 0.5
+    assert calls == [5, 1]
+    with pytest.raises(ValueError, match="outside trace range"):
+        trace.value("a", [0.5, 1.5])
+
+
+def test_drift_matches_the_monomial_products_to_the_bit(example_nfa, planned):
+    out = translate(example_nfa, planned.rates)
+    brn = perturb_rates(out.brn, PerturbationProfile(delta=planned.delta, mode="sinusoid",
+                                                     omega=2 * math.pi / planned.tau, seed=2))
+    signal = encode(SignalSpec(("1", "0"), epsilon=planned.epsilon, tau=planned.tau))
+    net = simulate._CompiledNetwork(brn, signal)
+    rng = np.random.default_rng(0)
+    for t in rng.uniform(0.0, 7.0, 50):
+        x = np.empty(net.n_species)
+        x[net.free_idx] = rng.uniform(0.0, 1.0, len(net.free_idx))
+        x[net.driven_idx] = [signal.concentration(name, t) for name in net.driven_names]
+        # each monomial multiplied out left to right over its reactants
+        monomials = np.ones(len(brn.reactions))
+        for j, rxn in enumerate(brn.reactions):
+            factors = [x[brn.species_names.index(name)]
+                       for name, count in rxn.reactants.items() for _ in range(count)]
+            for k, f in enumerate(factors):
+                monomials[j] = f if k == 0 else monomials[j] * f
+        expected = net.stoich @ (net.rates_at(t) * monomials)
+        assert np.array_equal(net.drift(t, x[net.free_idx]), expected)
 
 
 def test_piecewise_rates_match_the_rate_laws(example_nfa, planned):
