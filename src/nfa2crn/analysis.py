@@ -29,6 +29,8 @@ __all__ = [
     "ConstraintReport",
     "PlanResult",
     "PHASES",
+    "HIGH_THRESHOLD",
+    "LOW_THRESHOLD",
     "am_drift_coefficients",
     "am_drift",
     "am_equilibria",
@@ -44,6 +46,9 @@ __all__ = [
 VARIANTS = ("decay", "growth")
 PHASES = ("reset", "compute-high", "compute-low", "copy-high", "copy-low", "am-high", "am-low")
 COPY_RATE_CHOICES = ("actual", "printed")
+# the readout: a state is in the set above the upper threshold, out below the lower
+HIGH_THRESHOLD = 2.0 / 3.0
+LOW_THRESHOLD = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -549,9 +554,9 @@ def check_constraints(params: ParameterSet, *, p_policy: str = "upper",
     add("base-case", gamma - eps, "gamma >= epsilon (initial levels within gamma)")
     add("gamma-star-window", min(gstar - eps, gamma - gstar),
         "epsilon < gamma* < gamma", strict=True)
-    add("decision-high", (1 - gamma) - (2.0 / 3.0 + eta),
+    add("decision-high", (1 - gamma) - (HIGH_THRESHOLD + eta),
         "1 - gamma >= 2/3 + eta (high readings clear the upper threshold)")
-    add("decision-low", (1.0 / 3.0 - eta) - gamma,
+    add("decision-low", (LOW_THRESHOLD - eta) - gamma,
         "gamma <= 1/3 - eta (low readings stay under the lower threshold)")
 
     if not rates_ok or not 0 < eps < 0.5:
@@ -698,7 +703,7 @@ def plan_parameters(d: int, epsilon: float, eta: float, delta: float,
         return PlanResult(False, None, None, f"eta={eta} outside (0, 1/2)", "eta-range")
     if delta < 0:
         return PlanResult(False, None, None, f"delta={delta} negative", "delta-range")
-    gamma_cap = 1.0 / 3.0 - eta
+    gamma_cap = LOW_THRESHOLD - eta
     if gamma_cap <= epsilon:
         return PlanResult(
             False, None, None,

@@ -9,6 +9,7 @@ induced ODE system is the rate-weighted sum of net-effect vectors.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,6 +29,7 @@ __all__ = [
     "ConcState",
     "net_effect",
     "catalysts",
+    "MassActionKernel",
     "reaction_rate",
     "vector_field",
     "input_species_catalytic",
@@ -158,10 +160,6 @@ class PiecewiseLinearRate(RateLaw):
     def value(self, t):
         return self.nominal + np.interp(t, self.times, self.offsets)
 
-    @property
-    def is_constant(self) -> bool:
-        return False
-
     def to_json_dict(self) -> dict:
         return {
             "type": "piecewise",
@@ -221,9 +219,6 @@ class Reaction:
     def species_names(self) -> set[str]:
         return set(self.reactants) | set(self.products)
 
-    def k(self, t=0.0) -> float:
-        return float(self.rate.value(t))
-
     def pretty(self, rate_label: str | None = None) -> str:
         def side(counts: Mapping[str, int]) -> str:
             if not counts:
@@ -249,12 +244,10 @@ class Reaction:
 
 def net_effect(rxn: Reaction) -> dict[str, int]:
     """Product counts minus reactant counts, as a sparse map (zero entries dropped)."""
-    out: dict[str, int] = {}
-    for name in rxn.species_names:
-        d = rxn.products.get(name, 0) - rxn.reactants.get(name, 0)
-        if d:
-            out[name] = d
-    return out
+    out = dict(rxn.products)
+    for name, count in rxn.reactants.items():
+        out[name] = out.get(name, 0) - count
+    return {name: d for name, d in out.items() if d}
 
 
 def catalysts(rxn: Reaction) -> set[str]:
@@ -362,24 +355,115 @@ class ConcState:
         return {n: float(v) for n, v in zip(self.names, self.values)}
 
 
+class MassActionKernel:
+    """A network's mass-action drift as arrays: the one place it is computed.
+
+    A state buffer holds the species in ``order`` (default: the network's),
+    then a 1.0 that pads monomials shorter than the longest; see ``buffer``.  ``stoich`` has one row per buffer species and one column per
+    reaction, its net effect.  ``fluxes(t, x)`` gives each reaction's rate at
+    time t times its monomial, so the drift is ``stoich @ fluxes(t, x)``, and
+    the fluxes of an all-ones buffer are the rates.  Constant and offset
+    rates are folded into ``k_base``; sinusoid rates add
+    ``amp * sin(omega t + phase)``, with zeros on the other rows; piecewise
+    rates sharing one knot grid take one search and one lerp per evaluation.
+    A rate law of another kind raises ``TypeError``.
+    """
+
+    def __init__(self, brn: Brn, order: Sequence[str] | None = None):
+        order = brn.species_names if order is None else tuple(order)
+        pos = {nm: b for b, nm in enumerate(order)}
+        n, n_rxn = len(order), len(brn.reactions)
+        self.n_species = n
+
+        width = max([sum(r.reactants.values()) for r in brn.reactions], default=1)
+        slots = np.full((max(width, 1), n_rxn), n, dtype=int)
+        self.stoich = np.zeros((n, n_rxn))
+        for j, rxn in enumerate(brn.reactions):
+            k = 0
+            for nm, count in rxn.reactants.items():
+                for _ in range(count):
+                    slots[k, j] = pos[nm]
+                    k += 1
+            for nm, d in net_effect(rxn).items():
+                self.stoich[pos[nm], j] = d
+        # a monomial is its first factor times the next ones, in order
+        self._first_factor, *self._next_factors = slots
+
+        self.k_base = np.empty(n_rxn)
+        self.amp, self.omega, self.phase = np.zeros(n_rxn), np.zeros(n_rxn), np.zeros(n_rxn)
+        pwl_by_grid: dict[tuple[float, ...], list[tuple[int, tuple[float, ...]]]] = {}
+        self._sinusoid = False
+        for j, rxn in enumerate(brn.reactions):
+            law = rxn.rate
+            if isinstance(law, ConstantRate):
+                self.k_base[j] = law.nominal
+            elif isinstance(law, OffsetRate):
+                self.k_base[j] = law.nominal + law.offset
+            elif isinstance(law, SinusoidRate):
+                self.k_base[j] = law.nominal
+                self.amp[j], self.omega[j], self.phase[j] = law.amplitude, law.omega, law.phase
+                self._sinusoid = True
+            elif isinstance(law, PiecewiseLinearRate):
+                self.k_base[j] = law.nominal
+                pwl_by_grid.setdefault(law.times, []).append((j, law.offsets))
+            else:
+                raise TypeError(f"no mass-action kernel for rate law {type(law).__name__}")
+        # the lerp is np.interp's formula, so the rates are the same to the bit;
+        # offsets have one row per knot, slopes one per knot interval
+        self._pwl_groups = []
+        for times, members in pwl_by_grid.items():
+            offsets = np.array([off for _, off in members]).T
+            slopes = np.diff(offsets, axis=0) / np.diff(times)[:, None]
+            self._pwl_groups.append((np.array([j for j, _ in members]), list(times),
+                                     len(times) - 1, offsets, slopes))
+        self.k_static = not (self._sinusoid or self._pwl_groups)
+
+    def buffer(self, values=None) -> np.ndarray:
+        """A state buffer: ``values`` in buffer order (uninitialised if None), then the 1.0 pad."""
+        x = np.empty(self.n_species + 1)
+        if values is not None:
+            x[:-1] = values
+        x[-1] = 1.0
+        return x
+
+    def fluxes(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Each reaction's rate at time t times its monomial over the buffer x."""
+        flux = x[self._first_factor]
+        for slots in self._next_factors:
+            flux *= x[slots]
+        if self.k_static:
+            flux *= self.k_base
+            return flux
+        if self._sinusoid:
+            k = self.k_base + self.amp * np.sin(self.omega * t + self.phase)
+        else:
+            k = self.k_base.copy()
+        for rows, knots, last, offsets, slopes in self._pwl_groups:
+            i = bisect_right(knots, t) - 1
+            if i < 0:
+                k[rows] += offsets[0]
+            elif i >= last:
+                k[rows] += offsets[-1]
+            else:
+                k[rows] += slopes[i] * (t - knots[i]) + offsets[i]
+        flux *= k
+        return flux
+
+
+def _buffer(kernel: MassActionKernel, state) -> np.ndarray:
+    return kernel.buffer(state.values if isinstance(state, ConcState) else state)
+
+
 def reaction_rate(brn: Brn, rxn: Reaction, state, t: float = 0.0) -> float:
     """Mass-action rate: coefficient times the product of reactant powers."""
-    x = state.values if isinstance(state, ConcState) else np.asarray(state, dtype=float)
-    prod = 1.0
-    for name, count in rxn.reactants.items():
-        prod *= float(x[brn.index_of(name)]) ** count
-    return float(rxn.rate.value(t)) * prod
+    kernel = MassActionKernel(brn)
+    return float(kernel.fluxes(t, _buffer(kernel, state))[brn.reactions.index(rxn)])
 
 
 def vector_field(brn: Brn, state, t: float = 0.0) -> np.ndarray:
     """Drift of the mass-action ODE system at the given state and time."""
-    x = state.values if isinstance(state, ConcState) else np.asarray(state, dtype=float)
-    out = np.zeros(len(brn.species))
-    for rxn in brn.reactions:
-        r = reaction_rate(brn, rxn, x, t)
-        for name, d in net_effect(rxn).items():
-            out[brn.index_of(name)] += r * d
-    return out
+    kernel = MassActionKernel(brn)
+    return kernel.stoich @ kernel.fluxes(t, _buffer(kernel, state))
 
 
 def input_species_catalytic(brn: Brn) -> bool:

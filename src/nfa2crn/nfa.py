@@ -90,9 +90,6 @@ class Nfa:
         """One-step transition relation as a set map."""
         return self._succ.get((state, symbol), frozenset())
 
-    def state_index(self, state: str) -> int:
-        return self.states.index(state)
-
     def sorted_transitions(self) -> list[tuple[str, str, str]]:
         """Transitions in (source, symbol, target) declaration-index order."""
         s_idx = {q: i for i, q in enumerate(self.states)}

@@ -15,6 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .analysis import HIGH_THRESHOLD, LOW_THRESHOLD
 from .brn import (
     Brn,
     ConcState,
@@ -36,8 +37,6 @@ __all__ = [
 
 ADVERSARY_MODES = ("none", "offset", "sinusoid", "piecewise")
 OBSERVATION_MODES = ("none", "worst-case", "uniform")
-
-DECISION_THRESHOLDS = (1.0 / 3.0, 2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -174,9 +173,8 @@ def observe(values, scheme: ObservationScheme):
         rng = np.random.default_rng(scheme.seed)
         out = arr + rng.uniform(-scheme.eta, scheme.eta, size=arr.shape)
     else:
-        lo, hi = DECISION_THRESHOLDS
-        toward_low = np.abs(arr - lo) <= np.abs(arr - hi)
-        target = np.where(toward_low, lo, hi)
+        toward_low = np.abs(arr - LOW_THRESHOLD) <= np.abs(arr - HIGH_THRESHOLD)
+        target = np.where(toward_low, LOW_THRESHOLD, HIGH_THRESHOLD)
         out = arr + np.sign(target - arr) * scheme.eta
         out = np.where(target == arr, arr - scheme.eta, out)
     out = np.maximum(out, 0.0)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import ParameterSet, check_constraints
+from .analysis import HIGH_THRESHOLD, LOW_THRESHOLD, ParameterSet, check_constraints
 from .nfa import Nfa, accepts, extended_transition
 from .perturb import ObservationScheme, PerturbationProfile, perturb_initial, perturb_rates
 from .signals import SignalSpec, encode, validate
@@ -198,9 +198,9 @@ def run_end_to_end(manifest: RunManifest, *, block_path: BlockPath | None = None
     for q in nfa.states:
         col = trace.column(state_species_name(q))[window]
         if q in target:
-            high_margin = min(high_margin, float(np.min(col) - (2.0 / 3.0 + params.eta)))
+            high_margin = min(high_margin, float(np.min(col) - (HIGH_THRESHOLD + params.eta)))
         else:
-            low_margin = min(low_margin, float((1.0 / 3.0 - params.eta) - np.max(col)))
+            low_margin = min(low_margin, float((LOW_THRESHOLD - params.eta) - np.max(col)))
     maintenance_ok = (high_margin == math.inf or high_margin > 0) and \
                      (low_margin == math.inf or low_margin > 0)
 

@@ -22,7 +22,6 @@ __all__ = [
     "SignalSpec",
     "InputSignal",
     "MappingSignal",
-    "SampledSignal",
     "Violation",
     "AdmissibilityReport",
     "encode",
@@ -56,10 +55,6 @@ class SignalSpec:
     @property
     def num_phases(self) -> int:
         return 3 * len(self.word)
-
-    @property
-    def input_duration(self) -> float:
-        return self.num_phases * self.tau
 
     @property
     def decision_time(self) -> float:
@@ -153,10 +148,6 @@ class InputSignal:
                 pts.update((k * tau, k * tau + tau / 3, k * tau + 2 * tau / 3, (k + 1) * tau))
         return np.array(sorted(pts))
 
-    def sample(self, times) -> dict[str, np.ndarray]:
-        times = np.asarray(times, dtype=float)
-        return {name: self.concentration(name, times) for name in self._phases}
-
     def write_csv(self, fileobj, times) -> None:
         times = np.asarray(times, dtype=float)
         names = list(self._phases)
@@ -210,41 +201,6 @@ class MappingSignal:
 
     def critical_times(self) -> np.ndarray:
         return self._critical
-
-
-class SampledSignal:
-    """Signal reloaded from a sampled table; linear interpolation between rows."""
-
-    def __init__(self, times: Sequence[float], columns: Mapping[str, Sequence[float]]):
-        self.times = np.asarray(times, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        self.columns = {n: np.asarray(v, dtype=float) for n, v in columns.items()}
-
-    @classmethod
-    def from_csv(cls, fileobj) -> "SampledSignal":
-        reader = csv.reader(fileobj)
-        header = next(reader)
-        if not header or header[0] != "t":
-            raise ValueError("signal CSV must start with a 't' column")
-        rows = [[float(v) for v in row] for row in reader if row]
-        data = np.asarray(rows)
-        return cls(data[:, 0], {n: data[:, j + 1] for j, n in enumerate(header[1:])})
-
-    def input_species(self) -> tuple[str, ...]:
-        return tuple(self.columns)
-
-    def concentration(self, name: str, t):
-        col = self.columns.get(name)
-        t_arr = np.asarray(t, dtype=float)
-        if col is None:
-            out = np.zeros_like(t_arr)
-        else:
-            out = np.interp(t_arr, self.times, col, left=0.0, right=0.0)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-    def critical_times(self) -> np.ndarray:
-        return self.times
 
 
 @dataclass(frozen=True)
@@ -339,7 +295,7 @@ def validate(signal, spec: SignalSpec, *, species: Iterable[str] | None = None,
         species = signal.input_species()
     names = list(dict.fromkeys([*species, RESET_SPECIES, COPY_SPECIES]))
     row = {name: j for j, name in enumerate(names)}
-    critical = np.asarray(signal.critical_times(), dtype=float) if hasattr(signal, "critical_times") else np.array([])
+    critical = np.asarray(signal.critical_times(), dtype=float)
     last_phase = 3 * n  # one silent phase is checked for condition (8)
 
     # every phase's grid as one row: the uniform samples, the thirds and the

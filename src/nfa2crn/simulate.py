@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .brn import Brn, ConcState, ConstantRate, OffsetRate, PiecewiseLinearRate, SinusoidRate
+from .analysis import HIGH_THRESHOLD, LOW_THRESHOLD
+from .brn import Brn, ConcState, MassActionKernel
 from .nfa import Nfa, extended_transition
 from .perturb import ObservationScheme, observe
 from .signals import SignalSpec
@@ -39,12 +39,11 @@ __all__ = [
     "integrate_fixed_step",
     "decide",
     "check_phi",
-    "state_levels",
     "conservation_deviation",
 ]
 
-HIGH_THRESHOLD = 2.0 / 3.0
-LOW_THRESHOLD = 1.0 / 3.0
+# a run's sample grid: t_end split into this many equal intervals
+SAMPLE_INTERVALS = 400
 
 
 class IntegratorFault(RuntimeError):
@@ -58,13 +57,11 @@ class IntegratorFault(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integrator tolerances and output layout for one run."""
+    """Integration horizon and tolerances for one run."""
 
     t_end: float
     rel_tol: float = 1e-7
     abs_tol: float = 1e-10
-    max_step: float | None = None
-    sample_stride: float | None = None
 
     def __post_init__(self):
         if not self.t_end > 0:
@@ -74,104 +71,29 @@ class SimConfig:
 
 
 class _CompiledNetwork:
-    """Index arrays for fast mass-action drift, with inputs clamped to a signal."""
+    """The network's ``MassActionKernel`` with its inputs clamped to a signal.
+
+    The kernel's buffer holds the free species first, then the inputs, so a
+    drift copies the state in with one slice and fills the inputs from the
+    signal's scalar evaluators; the free species' drift is the first rows of
+    the kernel's stoichiometry times its fluxes.
+    """
 
     def __init__(self, brn: Brn, signal):
         names = brn.species_names
-        n = len(names)
         index = {nm: i for i, nm in enumerate(names)}
         self.signal = signal
         self.driven_names = [s.name for s in brn.species if s.is_input]
         self.driven_idx = np.array([index[nm] for nm in self.driven_names], dtype=int)
         self.driven_fns = _driven_evaluators(signal, self.driven_names)
         driven_set = set(self.driven_idx.tolist())
-        self.free_idx = np.array([i for i in range(n) if i not in driven_set], dtype=int)
-        self.n_species = n
-        # drift buffer: the free species, then the inputs, then a 1.0 that pads
-        # monomials of fewer than ``width`` factors
-        n_free = len(self.free_idx)
-        buffer_pos = {sp: b for b, sp in enumerate([*self.free_idx.tolist(), *self.driven_idx.tolist()])}
-        self._x = np.empty(n + 1)
-        self._x[n] = 1.0
-        self._n_free = n_free
+        self.free_idx = np.array([i for i in range(len(names)) if i not in driven_set], dtype=int)
+        self.n_species = len(names)
+        self._n_free = n_free = len(self.free_idx)
+        self.kernel = MassActionKernel(brn, [names[i] for i in self.free_idx.tolist()] + self.driven_names)
+        self._x = self.kernel.buffer()
         self._driven = [(n_free + k, fn) for k, fn in enumerate(self.driven_fns)]
-
-        width = max((sum(r.reactants.values()) for r in brn.reactions), default=1)
-        slots = np.full((max(width, 1), len(brn.reactions)), n, dtype=int)
-        for j, rxn in enumerate(brn.reactions):
-            pos = 0
-            for nm, count in rxn.reactants.items():
-                for _ in range(count):
-                    slots[pos, j] = buffer_pos[index[nm]]
-                    pos += 1
-        # a monomial is its first factor times the next ones, in order
-        self._first_factor, *self._next_factors = slots
-
-        free_pos = {sp: k for k, sp in enumerate(self.free_idx.tolist())}
-        stoich = np.zeros((len(self.free_idx), len(brn.reactions)))
-        for j, rxn in enumerate(brn.reactions):
-            for nm in rxn.species_names:
-                d = rxn.products.get(nm, 0) - rxn.reactants.get(nm, 0)
-                i = index[nm]
-                if d and i in free_pos:
-                    stoich[free_pos[i], j] = d
-        self.stoich = stoich
-
-        base = np.empty(len(brn.reactions))
-        sin_rows, sin_amp, sin_omega, sin_phase = [], [], [], []
-        pwl_by_grid: dict[tuple[float, ...], list[tuple[int, tuple[float, ...]]]] = {}
-        generic: list[tuple[int, object]] = []
-        for j, rxn in enumerate(brn.reactions):
-            law = rxn.rate
-            if isinstance(law, ConstantRate):
-                base[j] = law.nominal
-            elif isinstance(law, OffsetRate):
-                base[j] = law.nominal + law.offset
-            elif isinstance(law, SinusoidRate):
-                base[j] = law.nominal
-                sin_rows.append(j)
-                sin_amp.append(law.amplitude)
-                sin_omega.append(law.omega)
-                sin_phase.append(law.phase)
-            elif isinstance(law, PiecewiseLinearRate):
-                base[j] = law.nominal
-                pwl_by_grid.setdefault(law.times, []).append((j, law.offsets))
-            else:
-                base[j] = 0.0
-                generic.append((j, law))
-        self.k_base = base
-        self.sin_rows = np.array(sin_rows, dtype=int)
-        self.sin_amp = np.array(sin_amp)
-        self.sin_omega = np.array(sin_omega)
-        self.sin_phase = np.array(sin_phase)
-        # rows sharing one knot grid take one search and one lerp per evaluation;
-        # the lerp is np.interp's formula, so the rates are the same to the bit;
-        # offsets have one row per knot, slopes one per knot interval
-        self.pwl_groups = []
-        for times, members in pwl_by_grid.items():
-            offsets = np.array([off for _, off in members]).T
-            slopes = np.diff(offsets, axis=0) / np.diff(times)[:, None]
-            self.pwl_groups.append((np.array([j for j, _ in members]), list(times), offsets, slopes))
-        self.generic = generic
-        self.k_static = not (len(sin_rows) or pwl_by_grid or generic)
-
-    def rates_at(self, t: float) -> np.ndarray:
-        if self.k_static:
-            return self.k_base
-        k = self.k_base.copy()
-        if self.sin_rows.size:
-            k[self.sin_rows] += self.sin_amp * np.sin(self.sin_omega * t + self.sin_phase)
-        for rows, knots, offsets, slopes in self.pwl_groups:
-            i = bisect_right(knots, t) - 1
-            if i < 0:
-                k[rows] += offsets[0]
-            elif i >= len(knots) - 1:
-                k[rows] += offsets[-1]
-            else:
-                k[rows] += slopes[i] * (t - knots[i]) + offsets[i]
-        for j, law in self.generic:
-            k[j] = law.value(t)
-        return k
+        self.stoich = self.kernel.stoich[:n_free]
 
     def drift(self, t: float, y: np.ndarray) -> np.ndarray:
         """Mass-action drift of the free species at time t, inputs read from the signal."""
@@ -179,11 +101,7 @@ class _CompiledNetwork:
         x[:self._n_free] = y
         for pos, fn in self._driven:
             x[pos] = fn(t)
-        monomials = x[self._first_factor]
-        for slots in self._next_factors:
-            monomials *= x[slots]
-        monomials *= self.rates_at(t)
-        return self.stoich @ monomials
+        return self.stoich @ self.kernel.fluxes(t, x)
 
     def states(self, t: np.ndarray, free_vals: np.ndarray) -> np.ndarray:
         """Full states at the times t, one row per time: free species given, inputs from the signal."""
@@ -319,7 +237,7 @@ class DenseTable:
         powers = np.cumprod(np.repeat(x[:, None], Q.shape[2], axis=1), axis=1)
         segment = np.searchsorted(self._first_step, i, side="right") - 1
         out = np.empty((len(t), y_old.shape[1]))
-        for s in range(segment.min(), segment.max() + 1):
+        for s in set(segment.tolist()):
             rows = segment == s
             _, y_old, Q = self._segments[s]
             k = i[rows] - self._first_step[s]
@@ -376,6 +294,8 @@ def integrate(brn: Brn, x0: ConcState, signal, config: SimConfig, *,
     after its solve, and scipy's per-step interpolants are dropped; the
     pieces of each symbol block, and of the tail, are joined as it ends,
     and together they form the run's ``DenseTable``.
+    A step is at most ``tau/3`` long when the signal has a spec, and the
+    trace samples ``SAMPLE_INTERVALS + 1`` evenly spaced times.
     Given a ``block_path`` and a word signal, whole symbol blocks already
     integrated for an earlier word with the same prefix are reused, and the
     new ones are stored.  Raises IntegratorFault on solver failure or on a
@@ -385,9 +305,7 @@ def integrate(brn: Brn, x0: ConcState, signal, config: SimConfig, *,
     net = _CompiledNetwork(brn, signal)
     spec = getattr(signal, "spec", None)
     tau = getattr(spec, "tau", None)
-    max_step = config.max_step
-    if max_step is None:
-        max_step = tau / 3.0 if tau else np.inf
+    max_step = tau / 3.0 if tau else np.inf
     y = np.asarray(x0.values, dtype=float)[net.free_idx]
 
     segments: list[_Steps] = []  # one per symbol block, then the tail
@@ -399,7 +317,7 @@ def integrate(brn: Brn, x0: ConcState, signal, config: SimConfig, *,
     n_blocks = 0
     shared = block_path is not None and spec is not None
     if shared:
-        context = (brn, y.tobytes(), config.rel_tol, config.abs_tol, max_step, tau)
+        context = (brn, y.tobytes(), config.rel_tol, config.abs_tol, tau)
         blocks = block_path.resume(context, word)
         for _symbol, steps, y_end in blocks:
             segments.append(steps)
@@ -438,9 +356,7 @@ def integrate(brn: Brn, x0: ConcState, signal, config: SimConfig, *,
         segments.append(_packed(pieces))
     dense = DenseTable(segments, net.states)
 
-    stride = config.sample_stride if config.sample_stride else config.t_end / 400.0
-    n_samples = max(int(round(config.t_end / stride)), 1)
-    t_grid = np.linspace(0.0, config.t_end, n_samples + 1)
+    t_grid = np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1)
     return Trace(names=brn.species_names, times=t_grid, values=dense(t_grid),
                  t_end=config.t_end, _dense=dense)
 
@@ -453,7 +369,7 @@ def integrate_fixed_step(brn: Brn, x0: ConcState, signal, config: SimConfig,
 
     n_steps = max(int(math.ceil(config.t_end / h)), 1)
     h = config.t_end / n_steps
-    stride = config.sample_stride if config.sample_stride else config.t_end / 400.0
+    stride = config.t_end / SAMPLE_INTERVALS
     keep_every = max(int(round(stride / h)), 1)
 
     y = np.asarray(x0.values, dtype=float)[net.free_idx]
@@ -520,8 +436,6 @@ def decide(trace: Trace, nfa: Nfa, spec: SignalSpec, scheme: ObservationScheme,
     t_dec = horizon if t is None else float(t)
     if t_dec < horizon - 1e-9:
         raise ValueError(f"decision time {t_dec} is before the horizon {horizon}")
-    if t_dec > trace.t_end + 1e-9:
-        raise ValueError(f"decision time {t_dec} beyond trace end {trace.t_end}")
 
     hat = np.atleast_1d(observe(_levels(trace, nfa, t_dec), scheme))
     verdicts: dict[str, str] = {}
@@ -562,11 +476,6 @@ def check_phi(trace: Trace, nfa: Nfa, prefix: Sequence[str], gamma: float,
 def _levels(trace: Trace, nfa: Nfa, t: float) -> np.ndarray:
     """Raw state-species levels at time t, in the automaton's state order, from one evaluation."""
     return trace.state_at(t)[[trace._index[state_species_name(q)] for q in nfa.states]]
-
-
-def state_levels(trace: Trace, nfa: Nfa, t: float) -> dict[str, float]:
-    """Raw (unobserved) state-species levels at time t."""
-    return {q: float(y) for q, y in zip(nfa.states, _levels(trace, nfa, t))}
 
 
 def conservation_deviation(trace: Trace, x0: ConcState, pairs: Sequence[tuple[str, str]]):

@@ -6,8 +6,10 @@ from nfa2crn.brn import (
     Brn,
     ConcState,
     ConstantRate,
+    MassActionKernel,
     OffsetRate,
     PiecewiseLinearRate,
+    RateLaw,
     Reaction,
     SinusoidRate,
     Species,
@@ -201,6 +203,20 @@ def test_time_varying_rate_laws():
     assert pwl.value(5.0) == pytest.approx(1.05)
     with pytest.raises(ValueError, match="positive"):
         SinusoidRate(0.4, 0.5, omega=1.0)
+
+
+def test_kernel_rejects_an_unknown_rate_law():
+    class Doubling(RateLaw):
+        nominal = 1.0
+
+        def value(self, t):
+            return 2.0 * t
+
+    brn = Brn((Species("A"), Species("B")), (Reaction({"A": 1}, {"B": 1}, Doubling()),))
+    with pytest.raises(TypeError, match="Doubling"):
+        MassActionKernel(brn)
+    with pytest.raises(TypeError, match="Doubling"):
+        vector_field(brn, [1.0, 0.0])
 
 
 def test_json_roundtrip(example_nfa):

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -9,7 +10,6 @@ from nfa2crn.signals import (
     AdmissibilityReport,
     InputSignal,
     MappingSignal,
-    SampledSignal,
     SignalSpec,
     Violation,
     encode,
@@ -279,8 +279,9 @@ def test_csv_and_json_roundtrip():
     times = np.linspace(0, 7, 200)
     sig.write_csv(buf, times)
     buf.seek(0)
-    sampled = SampledSignal.from_csv(buf)
-    for name in sig.input_species():
-        assert np.allclose(sampled.concentration(name, times), sig.concentration(name, times))
-    report = _checked_validate(sampled, spec, samples_per_phase=150)
-    assert report.admissible, str(report)
+    header, *rows = csv.reader(buf)
+    table = np.array(rows, dtype=float)
+    assert header == ["t", *sig.input_species()]
+    assert np.array_equal(table[:, 0], times)
+    for j, name in enumerate(sig.input_species()):
+        assert np.array_equal(table[:, j + 1], sig.concentration(name, times))

@@ -6,7 +6,17 @@ import pytest
 from scipy.integrate import OdeSolution
 
 from nfa2crn import simulate
-from nfa2crn.brn import Brn, ConcState, PiecewiseLinearRate, Reaction, Species
+from nfa2crn.brn import (
+    Brn,
+    ConcState,
+    ConstantRate,
+    OffsetRate,
+    PiecewiseLinearRate,
+    Reaction,
+    SinusoidRate,
+    Species,
+    vector_field,
+)
 from nfa2crn.perturb import ObservationScheme, PerturbationProfile, perturb_rates
 from nfa2crn.signals import SignalSpec, encode
 from nfa2crn.simulate import (
@@ -18,7 +28,6 @@ from nfa2crn.simulate import (
     decide,
     integrate,
     integrate_fixed_step,
-    state_levels,
     trace_from_csv,
 )
 from nfa2crn.translate import translate
@@ -162,6 +171,10 @@ def test_dense_table_reads_a_boundary_from_the_step_ending_there():
     t = np.array([1.0, 0.0, 0.5, 1.5, 2.0, -1.0, 3.0])
     assert np.array_equal(table.free(t)[:, 0], [1.0, 0.0, 0.5, 5.0, 5.0, -1.0, 5.0])
     assert np.array_equal(table(t)[:, 0], [1.0, 0.0, 0.5, 5.0, 5.0, 0.0, 5.0])
+    # no times: no rows, from the table and through a trace
+    assert table.free(np.array([])).shape == (0, 1)
+    trace = Trace(("a",), np.array([0.0, 2.0]), np.array([[0.0], [5.0]]), 2.0, table)
+    assert trace.value("a", []).shape == (0,)
 
 
 def test_trace_value_on_times_makes_one_evaluator_call():
@@ -177,6 +190,11 @@ def test_trace_value_on_times_makes_one_evaluator_call():
     assert calls == [5, 1]
     with pytest.raises(ValueError, match="outside trace range"):
         trace.value("a", [0.5, 1.5])
+
+
+def _rates(net, t):
+    """The kernel's rates at time t: the fluxes of an all-ones buffer, where every monomial is 1.0."""
+    return net.kernel.fluxes(t, np.ones(net.n_species + 1))
 
 
 def test_drift_matches_the_monomial_products_to_the_bit(example_nfa, planned):
@@ -197,7 +215,7 @@ def test_drift_matches_the_monomial_products_to_the_bit(example_nfa, planned):
                        for name, count in rxn.reactants.items() for _ in range(count)]
             for k, f in enumerate(factors):
                 monomials[j] = f if k == 0 else monomials[j] * f
-        expected = net.stoich @ (net.rates_at(t) * monomials)
+        expected = net.stoich @ (_rates(net, t) * monomials)
         assert np.array_equal(net.drift(t, x[net.free_idx]), expected)
 
 
@@ -209,11 +227,33 @@ def test_piecewise_rates_match_the_rate_laws(example_nfa, planned):
     first = brn.reactions[0]
     other = PiecewiseLinearRate(first.rate.nominal, (0.5, 1.25, 3.0), (1e-4, -2e-4, 5e-4))
     brn = Brn(brn.species, (Reaction(first.reactants, first.products, other), *brn.reactions[1:]))
-    net = simulate._CompiledNetwork(brn, _zero_signal())
+    # and a network that mixes all four rate families
+    laws = [ConstantRate(2.0), OffsetRate(3.0, -1e-3), SinusoidRate(4.0, 1e-3, 2.5, 0.3),
+            PiecewiseLinearRate(5.0, (0.0, 2.0, 4.0), (1e-3, -1e-3, 2e-3))]
+    mixed = Brn(out.brn.species, tuple(Reaction(rxn.reactants, rxn.products, laws[j % 4])
+                                       for j, rxn in enumerate(out.brn.reactions)))
     times = np.concatenate([np.linspace(-1.0, 5.0, 97), [0.5, 1.25, 3.0, 4.0]])
-    for t in times:
-        expected = np.array([rxn.rate.value(t) for rxn in brn.reactions])
-        assert np.array_equal(net.rates_at(float(t)), expected)
+    for network in (brn, mixed):
+        net = simulate._CompiledNetwork(network, _zero_signal())
+        for t in times:
+            expected = np.array([rxn.rate.value(t) for rxn in network.reactions])
+            assert np.array_equal(_rates(net, float(t)), expected)
+
+
+@pytest.mark.parametrize("mode", ["none", "sinusoid", "piecewise"])
+def test_drift_is_the_vector_field_of_the_clamped_state(example_nfa, planned, mode):
+    out = translate(example_nfa, planned.rates)
+    profile = PerturbationProfile(delta=planned.delta, mode=mode,
+                                  omega=2 * math.pi / planned.tau, seed=6)
+    brn = perturb_rates(out.brn, profile, t_end=7.0)
+    signal = encode(SignalSpec(("1", "0"), epsilon=planned.epsilon, tau=planned.tau))
+    net = simulate._CompiledNetwork(brn, signal)
+    rng = np.random.default_rng(1)
+    for t in rng.uniform(0.0, 7.0, 100):
+        y = rng.uniform(0.0, 1.2, len(net.free_idx))
+        x = net.states(np.array([t]), y)[0]
+        assert np.array_equal(x[net.driven_idx], [signal.concentration(nm, t) for nm in net.driven_names])
+        assert np.array_equal(net.drift(t, y), vector_field(brn, x, t)[net.free_idx])
 
 
 def test_fixed_step_cross_check(example_nfa, planned):
@@ -233,7 +273,7 @@ def test_time_dependent_rates_integrate(example_nfa, planned):
     brn = perturb_rates(out.brn, profile)
     spec = SignalSpec(("1",), epsilon=planned.epsilon, tau=planned.tau)
     trace = integrate(brn, out.initial, encode(spec), SimConfig(t_end=spec.decision_time))
-    levels = state_levels(trace, example_nfa, spec.decision_time)
+    levels = {q: trace.value(f"Y_{q}", spec.decision_time) for q in example_nfa.states}
     assert levels["A"] > 0.9 and levels["B"] > 0.9 and levels["C"] < 0.1
 
 
@@ -280,6 +320,14 @@ class TestDecide:
         trace = integrate(out.brn, out.initial, encode(spec), SimConfig(t_end=spec.decision_time))
         with pytest.raises(ValueError, match="before the horizon"):
             decide(trace, example_nfa, spec, ObservationScheme(), t=2.0)
+
+    def test_decision_past_the_trace_end_rejected_by_the_trace(self, example_nfa, planned):
+        out = translate(example_nfa, planned.rates)
+        spec = SignalSpec(("1",), epsilon=planned.epsilon, tau=planned.tau)
+        trace = integrate(out.brn, out.initial, encode(spec), SimConfig(t_end=spec.decision_time))
+        for past in (5e-10, 2e-9):
+            with pytest.raises(ValueError, match="outside trace range"):
+                decide(trace, example_nfa, spec, ObservationScheme(), t=trace.t_end + past)
 
 
 class TestPhi:
