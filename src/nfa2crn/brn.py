@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -359,14 +359,22 @@ class MassActionKernel:
     """A network's mass-action drift as arrays: the one place it is computed.
 
     A state buffer holds the species in ``order`` (default: the network's),
-    then a 1.0 that pads monomials shorter than the longest; see ``buffer``.  ``stoich`` has one row per buffer species and one column per
-    reaction, its net effect.  ``fluxes(t, x)`` gives each reaction's rate at
-    time t times its monomial, so the drift is ``stoich @ fluxes(t, x)``, and
-    the fluxes of an all-ones buffer are the rates.  Constant and offset
-    rates are folded into ``k_base``; sinusoid rates add
+    then a 1.0 that pads monomials shorter than the longest; see ``buffer``.
+    ``stoich`` has one row per buffer species and one column per reaction,
+    its net effect.  ``fluxes(t, x)`` gives each reaction's rate at time t
+    times its monomial; the fluxes of an all-ones buffer are the rates.
+    ``drift(rows)`` compiles the net rate of change of the first ``rows``
+    buffer species, each summed over its reactions in reaction order.
+
+    Both also take columns: a ``(B, n + 1)`` buffer with a ``(B,)`` array of
+    times gives one row of fluxes, or of rates of change, per column.  Every
+    sum has the same order in every column, so a column's result does not
+    depend on B or on its position (a BLAS product's summation order
+    does); one buffer gives the same bits as one column.  Constant and
+    offset rates are folded into ``k_base``; sinusoid rates add
     ``amp * sin(omega t + phase)``, with zeros on the other rows; piecewise
-    rates sharing one knot grid take one search and one lerp per evaluation.
-    A rate law of another kind raises ``TypeError``.
+    rates sharing one knot grid take one search and one lerp per
+    evaluation.  A rate law of another kind raises ``TypeError``.
     """
 
     def __init__(self, brn: Brn, order: Sequence[str] | None = None):
@@ -374,6 +382,7 @@ class MassActionKernel:
         pos = {nm: b for b, nm in enumerate(order)}
         n, n_rxn = len(order), len(brn.reactions)
         self.n_species = n
+        self.n_reactions = n_rxn
 
         width = max([sum(r.reactants.values()) for r in brn.reactions], default=1)
         slots = np.full((max(width, 1), n_rxn), n, dtype=int)
@@ -387,7 +396,10 @@ class MassActionKernel:
             for nm, d in net_effect(rxn).items():
                 self.stoich[pos[nm], j] = d
         # a monomial is its first factor times the next ones, in order
-        self._first_factor, *self._next_factors = slots
+        self._slots = slots
+        # the stoichiometry's nonzero entries in reaction order: reaction, species row
+        self._entries = np.nonzero(self.stoich.T)
+        self._compiled: dict[tuple, Callable] = {}  # fluxes and drifts by layout
 
         self.k_base = np.empty(n_rxn)
         self.amp, self.omega, self.phase = np.zeros(n_rxn), np.zeros(n_rxn), np.zeros(n_rxn)
@@ -409,13 +421,21 @@ class MassActionKernel:
             else:
                 raise TypeError(f"no mass-action kernel for rate law {type(law).__name__}")
         # the lerp is np.interp's formula, so the rates are the same to the bit;
-        # offsets have one row per knot, slopes one per knot interval
+        # offsets have one row per knot, slopes one per knot interval.  For
+        # columns, the tables gain a flat first and last row (slope 0), so
+        # that times before the first knot and past the last index them too
         self._pwl_groups = []
         for times, members in pwl_by_grid.items():
             offsets = np.array([off for _, off in members]).T
             slopes = np.diff(offsets, axis=0) / np.diff(times)[:, None]
-            self._pwl_groups.append((np.array([j for j, _ in members]), list(times),
-                                     len(times) - 1, offsets, slopes))
+            flat = np.zeros((1, len(members)))
+            rows = [j for j, _ in members]
+            self._pwl_groups.append((
+                None if rows == list(range(n_rxn)) else np.array(rows), list(times), len(times) - 1,
+                offsets, slopes,
+                (np.array(times), np.array([times[0], *times[:-1], times[-1]]),
+                 np.concatenate([flat, slopes, flat]),
+                 np.concatenate([offsets[:1], offsets[:-1], offsets[-1:]]))))
         self.k_static = not (self._sinusoid or self._pwl_groups)
 
     def buffer(self, values=None) -> np.ndarray:
@@ -426,28 +446,96 @@ class MassActionKernel:
         x[-1] = 1.0
         return x
 
-    def fluxes(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Each reaction's rate at time t times its monomial over the buffer x."""
-        flux = x[self._first_factor]
-        for slots in self._next_factors:
-            flux *= x[slots]
-        if self.k_static:
-            flux *= self.k_base
-            return flux
+    def fluxes(self, t, x: np.ndarray) -> np.ndarray:
+        """Each reaction's rate at time t times its monomial over the buffer x (or one row per column)."""
+        return self._fluxes(len(x) if x.ndim == 2 else None)(t, x)
+
+    def drift(self, rows: int | None = None, columns: int | None = None) -> Callable:
+        """The drift as one function ``f(t, x)``: the rates of change of the first ``rows`` species.
+
+        ``x`` is one buffer and t a time (``columns`` None), or ``columns``
+        stacked buffers and one time per column.  Each species' rate of
+        change is its row of ``stoich`` times ``fluxes(t, x)``, summed over
+        its reactions in reaction order.
+        """
+        rows = self.n_species if rows is None else rows
+        if ("drift", rows, columns) not in self._compiled:
+            n = 1 if columns is None else columns
+            reaction, species = self._entries
+            keep = species < rows
+            reaction, species = reaction[keep], species[keep]
+            offsets = np.arange(n)[:, None]
+            entries = (reaction[None, :] + self.n_reactions * offsets).ravel()
+            coef = np.tile(self.stoich[species, reaction], n)
+            bins = (species[None, :] + rows * offsets).ravel()
+            fluxes, length, shape = self._fluxes(columns), n * rows, (n, rows)
+
+            def f(t, x):
+                weights = fluxes(t, x).ravel()[entries]
+                weights *= coef
+                # bincount adds each bin's weights in the order given: reaction order
+                out = np.bincount(bins, weights, minlength=length)
+                return out if columns is None else out.reshape(shape)
+            self._compiled["drift", rows, columns] = f
+        return self._compiled["drift", rows, columns]
+
+    def _fluxes(self, columns: int | None) -> Callable:
+        """``fluxes`` for one buffer (``columns`` None) or that many stacked buffers."""
+        if ("fluxes", columns) not in self._compiled:
+            n = 1 if columns is None else columns
+            # each factor's flat index in the stacked buffers: one row per factor
+            gathers = (self._slots[:, None, :] + (self.n_species + 1) * np.arange(n)[None, :, None]
+                       ).reshape(len(self._slots), -1)
+            first, rest = gathers[0], gathers[1:]
+            shape = (self.n_reactions,) if columns is None else (n, self.n_reactions)
+            k_base = self.k_base
+            rates = None if self.k_static else self._rates if columns is None else self._column_rates
+
+            def f(t, x):
+                flat = x.ravel()
+                flux = flat[first]
+                for slots in rest:
+                    flux *= flat[slots]
+                if columns is not None:
+                    flux = flux.reshape(shape)
+                flux *= k_base if rates is None else rates(t)
+                return flux
+            self._compiled["fluxes", columns] = f
+        return self._compiled["fluxes", columns]
+
+    def _rates(self, t: float) -> np.ndarray:
+        """The rates at time t."""
         if self._sinusoid:
             k = self.k_base + self.amp * np.sin(self.omega * t + self.phase)
         else:
-            k = self.k_base.copy()
-        for rows, knots, last, offsets, slopes in self._pwl_groups:
+            k = self.k_base
+        for rows, knots, last, offsets, slopes, _ in self._pwl_groups:
             i = bisect_right(knots, t) - 1
             if i < 0:
-                k[rows] += offsets[0]
+                offset = offsets[0]
             elif i >= last:
-                k[rows] += offsets[-1]
+                offset = offsets[-1]
             else:
-                k[rows] += slopes[i] * (t - knots[i]) + offsets[i]
-        flux *= k
-        return flux
+                offset = slopes[i] * (t - knots[i]) + offsets[i]
+            if rows is None:
+                k = k + offset
+            else:
+                k = k.copy() if k is self.k_base else k
+                k[rows] += offset
+        return k
+
+    def _column_rates(self, t: np.ndarray) -> np.ndarray:
+        """The rates at each column's time, one row per column, with ``_rates``'s arithmetic."""
+        t = np.asarray(t, dtype=float)
+        if self._sinusoid:
+            k = self.k_base + self.amp * np.sin(self.omega * t[:, None] + self.phase)
+        else:
+            k = np.repeat(self.k_base[None, :], len(t), axis=0)
+        for rows, _, _, _, _, (knots, lefts, slopes, offsets) in self._pwl_groups:
+            i = knots.searchsorted(t, side="right")
+            offset = slopes[i] * (t - lefts[i])[:, None] + offsets[i]
+            k[:, slice(None) if rows is None else rows] += offset
+        return k
 
 
 def _buffer(kernel: MassActionKernel, state) -> np.ndarray:
@@ -463,7 +551,7 @@ def reaction_rate(brn: Brn, rxn: Reaction, state, t: float = 0.0) -> float:
 def vector_field(brn: Brn, state, t: float = 0.0) -> np.ndarray:
     """Drift of the mass-action ODE system at the given state and time."""
     kernel = MassActionKernel(brn)
-    return kernel.stoich @ kernel.fluxes(t, _buffer(kernel, state))
+    return kernel.drift()(t, _buffer(kernel, state))
 
 
 def input_species_catalytic(brn: Brn) -> bool:

@@ -2,13 +2,27 @@
 
 Input species are held to the signal rather than integrated: they appear only
 as catalysts, so their own drift is identically zero and clamping eliminates
-accumulation error.  The remaining species integrate under an adaptive
-explicit Runge-Kutta 5(4) scheme; paired species (a value and its dual) have
-exactly opposite drifts at every state, so their sums are conserved to
-rounding by construction.  A run's dense output is a table of the solver's
-steps (``DenseTable``): the sample grid, the decision and the block-boundary
-checks each read any set of times with one search and one vectorised quartic
-per symbol block.
+accumulation error.  The remaining species integrate under ``solve_ivp``, a
+Dormand-Prince 5(4) pair with scipy's RK45 tableau, error norm and step-size
+controller, written for columns: it advances B independent problems in
+lockstep, each with its own time, step size and accept/reject decision.
+Every sum it forms (stage sums, the stoichiometry's accumulate, the error
+norm) has a fixed order, so a column's result is the same to the bit
+whatever B is and wherever the column sits in the batch.  Paired species (a
+value and its dual) have exactly opposite drifts at every state, so their
+sums are conserved to rounding by construction.
+
+The solver restarts at every corner of the signal, so no step straddles a
+kink, and at most ``tau/3`` is taken at once.  Between two corners an encoded
+input is linear in t, so each piece's drift is compiled once: constant inputs
+are written once per piece and a ramp takes one vector operation per drift.
+``integrate`` takes one run or many.  A word's input is a chain of symbol
+blocks of ``3 tau``, so runs on one network with the same tolerances and
+``tau`` integrate their word trie level by level: every distinct block of
+level k in one batch, then every tail in one batch.  A run's dense output is
+a table of its solver steps (``DenseTable``): the sample grid, the decision
+and the block-boundary checks each read any set of times with one search and
+one vectorised quartic per symbol block.
 """
 
 from __future__ import annotations
@@ -16,25 +30,27 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .analysis import HIGH_THRESHOLD, LOW_THRESHOLD
 from .brn import Brn, ConcState, MassActionKernel
 from .nfa import Nfa, extended_transition
 from .perturb import ObservationScheme, observe
-from .signals import SignalSpec
+from .signals import InputSignal, SignalSpec
 from .translate import state_species_name
 
 __all__ = [
     "SimConfig",
     "Trace",
+    "SolverStats",
     "DenseTable",
-    "BlockPath",
+    "Solution",
     "Decision",
     "IntegratorFault",
+    "solve_ivp",
     "integrate",
     "integrate_fixed_step",
     "decide",
@@ -45,9 +61,38 @@ __all__ = [
 # a run's sample grid: t_end split into this many equal intervals
 SAMPLE_INTERVALS = 400
 
+# Dormand-Prince 5(4), as in scipy's RK45: nodes, stage weights (row s
+# combines stages 0..s-1), the fifth-order weights, the error weights and
+# the quartic dense-output matrix
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = ((),
+      (1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5
+# A step's sums run over a stack of its start state and stages 0 to 6.  Rows
+# 0-4 of the table weigh the stack for the states of stages 1-5, row 5 for
+# the new state and row 6 for the error estimate; row 7 holds the stages'
+# nodes.  Scaled by the step h, the state's own weight goes back to 1.
+_TABLE = np.array([[0.0, *w, *[0.0] * (7 - len(w))] for w in [*_A[1:], _B, _E, _C[1:] + (1.0,)]])
+_NO_TIMES = (None,) * 6
+
 
 class IntegratorFault(RuntimeError):
-    """Integration failed (step-size underflow or negative excursion)."""
+    """Integration failed: step-size underflow, a non-finite state or error norm, or a negative excursion."""
 
     def __init__(self, message: str, time: float | None = None, state=None):
         super().__init__(message)
@@ -70,16 +115,210 @@ class SimConfig:
             raise ValueError("tolerances must be positive")
 
 
+# a run of solver steps, packed: their end times, start states and quartic coefficients
+_Steps = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The sum of ``weights[j] * stack[j]`` over the first ``len(weights)`` entries, in order.
+
+    The weights have shape (entries, columns, 1).  A reduction over the
+    outer axis adds the terms one after another, the order the short sums
+    are written out in.
+    """
+    terms = stack[:len(weights)] * weights
+    if len(terms) == 2:
+        return terms[0] + terms[1]
+    return np.add.reduce(terms, axis=0)
+
+
+@dataclass
+class Solution:
+    """What one ``solve_ivp`` call integrated.
+
+    ``steps[b]`` holds column b's accepted steps, packed: their end times,
+    start states and quartic coefficients; ``y_end[b]`` is its end state and
+    ``rejected[b]`` counts its rejected steps.  ``nfev`` counts six drift
+    evaluations per attempted column-step plus the two start-up calls, which
+    evaluate every column at once; so ``(nfev - 2) // 6 - (len(t) - 1)`` is
+    the number of rejected column-steps, as for one scipy RK45 solve.
+    """
+
+    t0: np.ndarray
+    steps: list[_Steps]
+    y_end: np.ndarray
+    rejected: np.ndarray
+    nfev: int
+
+    @property
+    def t(self) -> np.ndarray:
+        """The first column's start, then every accepted step's end, column after column."""
+        return np.concatenate([self.t0[:1], *(ends for ends, _, _ in self.steps)])
+
+
+def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = np.inf) -> Solution:
+    """Integrate B columns, column b from ``t0[b]`` to ``t1[b]`` starting at ``y0[b]``.
+
+    ``drift.select(columns)`` returns the drift of those columns (an index
+    array into the batch) as ``f(t, y)``, with one row of ``y`` and one time
+    per column; ``t`` is None when ``drift.needs_t`` is false.  Each column
+    starts with scipy's initial-step rule and then follows RK45's controller
+    on its own, in Python floats: a step is at most ``max_step`` long and
+    ends exactly at its column's ``t1``; once a column arrives, it leaves the
+    batch.  The stages, the drift and the error norm are array operations
+    over the columns still running.  Raises IntegratorFault, with the time
+    and state, on step-size underflow, a non-finite state or error norm, or
+    a state below ``-10 * atol``.
+    """
+    y = np.array(y0, dtype=float)
+    n_cols, n = y.shape
+    t, t_bound = np.asarray(t0, dtype=float).tolist(), np.asarray(t1, dtype=float).tolist()
+    if not np.isfinite(y).all():
+        b = int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0])
+        raise IntegratorFault("non-finite state", time=t[b], state=y[b].copy())
+    needs_t = drift.needs_t
+    cols = list(range(n_cols))  # the columns still running, in batch order
+    log = []  # per lockstep iteration: the columns, step ends and stacks of its accepted steps
+    rejections = np.zeros(n_cols, dtype=int)
+    y_end = np.empty((n_cols, n))
+    attempts = 0
+    with np.errstate(all="ignore"):  # every non-finite result is raised as a fault below
+        fun = drift.select(np.array(cols))
+        f = fun(np.array(t) if needs_t else None, y)
+        h_abs = _initial_step(fun, needs_t, t, t_bound, y, f, rtol, atol, max_step)
+        rejected = [False] * n_cols  # the column's current step was rejected before
+        while cols:
+            t_new, h = [], []
+            for i, ti in enumerate(t):
+                min_step = 10 * (math.nextafter(ti, math.inf) - ti)
+                if rejected[i] and h_abs[i] < min_step:
+                    raise IntegratorFault(f"step size {h_abs[i]:.3e} below the spacing of times",
+                                          time=ti, state=y[i].copy())
+                t_new.append(min(ti + min(max(h_abs[i], min_step), max_step), t_bound[i]))
+                h.append(t_new[i] - ti)
+            # the table times each column's step: (row, stack entry, column, 1)
+            weights = np.multiply.outer(_TABLE, np.array(h))[..., None]
+            weights[:6, 0] = 1.0
+            # stage s is at t + c_s h; the last one at t + h
+            times = np.array(t) + weights[7, 1:7, :, 0] if needs_t else _NO_TIMES
+            stack = np.empty((8, len(cols), n))
+            stack[0] = y
+            stack[1] = f
+            for s in range(1, 6):
+                stack[s + 1] = fun(times[s - 1], _weighted_sum(weights[s - 1, :s + 1], stack))
+            y_new = _weighted_sum(weights[5, :7], stack)
+            stack[7] = fun(times[5], y_new)
+            err = _weighted_sum(weights[6, 1:], stack[1:])
+            scale = np.maximum(np.abs(y), np.abs(y_new))
+            scale *= rtol
+            scale += atol
+            err /= scale
+            attempts += len(cols)
+            accepted, done = [], []
+            for i, square_sum in enumerate(_square_sums(err)):
+                norm = math.sqrt(square_sum / n)
+                if not norm < math.inf:
+                    state = y[i] if not np.isfinite(y[i]).all() else y_new[i]
+                    kind = "state" if not np.isfinite(state).all() else "error norm"
+                    raise IntegratorFault(f"non-finite {kind}", time=t[i], state=state.copy())
+                grow = SAFETY * norm ** _ERROR_EXPONENT if norm else math.inf
+                if norm < 1:
+                    # after a rejection, a step may not grow
+                    h_abs[i] = h[i] * min(1.0 if rejected[i] else MAX_FACTOR, grow)
+                    rejected[i] = False
+                    t[i] = t_new[i]
+                    accepted.append(i)
+                    if t_new[i] == t_bound[i]:
+                        done.append(i)
+                else:
+                    h_abs[i] = h[i] * max(MIN_FACTOR, grow)
+                    rejected[i] = True
+                    rejections[cols[i]] += 1
+            if len(accepted) == len(cols):
+                log.append((cols, t_new, stack))
+                y, f = y_new, stack[7]
+            elif accepted:
+                k = np.array(accepted)
+                log.append(([cols[i] for i in accepted], [t_new[i] for i in accepted], stack[:, k]))
+                # f is a row of a logged stack, so it is replaced, not written into
+                f = f.copy()
+                y[k], f[k] = y_new[k], stack[7, k]
+            if done:
+                y_end[[cols[i] for i in done]] = y[done]
+                keep = [i for i in range(len(cols)) if i not in set(done)]
+                y, f = y[keep], f[keep]
+                cols, t, t_bound, h_abs, rejected = (
+                    [v[i] for i in keep] for v in (cols, t, t_bound, h_abs, rejected))
+                if cols:
+                    fun = drift.select(np.array(cols))
+    if not np.isfinite(y_end).all():
+        b = int(np.flatnonzero(~np.isfinite(y_end).all(axis=1))[0])
+        raise IntegratorFault("non-finite state", time=float(t1[b]), state=y_end[b].copy())
+    steps = _pack(log, n_cols)
+    floor = min(min(float(y_old.min()) for _, y_old, _ in steps), float(y_end.min()))
+    if floor < -10.0 * atol:
+        for b, (ends, y_old, _) in enumerate(steps):
+            states = np.concatenate([y_old, y_end[b:b + 1]])
+            if states.min() == floor:
+                i = int(np.argmin(states.min(axis=1)))
+                raise IntegratorFault(f"negative concentration {floor:.3e} beyond fault threshold",
+                                      time=float(np.concatenate([[t0[b]], ends])[i]),
+                                      state=states[i].copy())
+    return Solution(t0=np.array(t0, dtype=float), steps=steps, y_end=y_end,
+                    rejected=rejections, nfev=2 + 6 * attempts)
+
+
+def _initial_step(fun, needs_t, t0: list, t_bound: list, y0, f0, rtol, atol, max_step) -> list:
+    """scipy's ``select_initial_step`` for every column (one more drift evaluation for all)."""
+    n = y0.shape[1]
+    scale = atol + np.abs(y0) * rtol
+    h0, d1 = [], []
+    for i, (y_sum, f_sum) in enumerate(zip(_square_sums(y0 / scale), _square_sums(f0 / scale))):
+        d0, d1_i = math.sqrt(y_sum / n), math.sqrt(f_sum / n)
+        h0.append(min(1e-6 if d0 < 1e-5 or d1_i < 1e-5 else 0.01 * d0 / d1_i, t_bound[i] - t0[i]))
+        d1.append(d1_i)
+    h0_col = np.array(h0)[:, None]
+    f1 = fun(np.array(t0) + h0_col[:, 0] if needs_t else None, y0 + h0_col * f0)
+    h_abs = []
+    for i, diff_sum in enumerate(_square_sums((f1 - f0) / scale)):
+        d2 = math.sqrt(diff_sum / n) / h0[i]
+        if d1[i] <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0[i] * 1e-3)
+        else:
+            h1 = (0.01 / max(d1[i], d2)) ** (1 / 5)
+        h_abs.append(min(100 * h0[i], h1, t_bound[i] - t0[i], max_step))
+    return h_abs
+
+
+def _square_sums(x: np.ndarray) -> list[float]:
+    """Each row's sum of squares."""
+    return np.add.reduce(x * x, axis=1).tolist()
+
+
+def _pack(log, n_cols: int) -> list[_Steps]:
+    """Each column's accepted steps from the iteration log, with their quartic coefficients."""
+    ends = np.fromiter(chain.from_iterable(e for _, e, _ in log), dtype=float)
+    stacks = np.concatenate([stack for _, _, stack in log], axis=1)
+    # scipy's Q = K.T @ P, summed in stage order
+    Q = np.add.reduce(stacks[1:, :, :, None] * _P[:, None, None, :], axis=0)
+    if n_cols == 1:
+        return [(ends, stacks[0].copy(), Q)]
+    cols = np.fromiter(chain.from_iterable(c for c, _, _ in log), dtype=int)
+    order = np.argsort(cols, kind="stable")
+    bounds = np.cumsum(np.bincount(cols, minlength=n_cols))[:-1]
+    return list(zip(*(np.split(a[order], bounds) for a in (ends, stacks[0], Q))))
+
+
 class _CompiledNetwork:
     """The network's ``MassActionKernel`` with its inputs clamped to a signal.
 
-    The kernel's buffer holds the free species first, then the inputs, so a
-    drift copies the state in with one slice and fills the inputs from the
-    signal's scalar evaluators; the free species' drift is the first rows of
-    the kernel's stoichiometry times its fluxes.
+    The kernel's buffer holds the free species first, then the inputs, then
+    the 1.0 pad.  ``drift`` is one column's drift with the inputs read from
+    the signal's scalar evaluators (the fixed-step integrator's); a
+    ``_Piece`` is the drift of many columns between two corners.
     """
 
-    def __init__(self, brn: Brn, signal):
+    def __init__(self, brn: Brn, signal, kernel: MassActionKernel | None = None):
         names = brn.species_names
         index = {nm: i for i, nm in enumerate(names)}
         self.signal = signal
@@ -90,10 +329,11 @@ class _CompiledNetwork:
         self.free_idx = np.array([i for i in range(len(names)) if i not in driven_set], dtype=int)
         self.n_species = len(names)
         self._n_free = n_free = len(self.free_idx)
-        self.kernel = MassActionKernel(brn, [names[i] for i in self.free_idx.tolist()] + self.driven_names)
+        self.kernel = kernel or MassActionKernel(
+            brn, [names[i] for i in self.free_idx.tolist()] + self.driven_names)
         self._x = self.kernel.buffer()
         self._driven = [(n_free + k, fn) for k, fn in enumerate(self.driven_fns)]
-        self.stoich = self.kernel.stoich[:n_free]
+        self._drift = self.kernel.drift(n_free)
 
     def drift(self, t: float, y: np.ndarray) -> np.ndarray:
         """Mass-action drift of the free species at time t, inputs read from the signal."""
@@ -101,7 +341,7 @@ class _CompiledNetwork:
         x[:self._n_free] = y
         for pos, fn in self._driven:
             x[pos] = fn(t)
-        return self.stoich @ self.kernel.fluxes(t, x)
+        return self._drift(t, x)
 
     def states(self, t: np.ndarray, free_vals: np.ndarray) -> np.ndarray:
         """Full states at the times t, one row per time: free species given, inputs from the signal."""
@@ -116,6 +356,81 @@ class _CompiledNetwork:
         return values
 
 
+class _Piece:
+    """The drift of B columns over one piece each, for ``solve_ivp``.
+
+    Column c runs over ``[a[c], b[c]]``, with no corner of its signal inside;
+    ``ends`` holds an encoded column's inputs at a and b, shape (B, 2, inputs).
+
+    An encoded input is linear between two corners: ``u(t) = u(a) + slope (t - a)``.
+    A piece with no ramp writes its inputs once per selection of columns; a
+    ramp takes one vector operation per drift.  Another kind of signal runs
+    alone and evaluates its species at every drift.
+    """
+
+    def __init__(self, net: _CompiledNetwork, signals, a, b, ends):
+        self.net = net
+        self.a = np.asarray(a, dtype=float)
+        if ends is None:
+            self.signals = list(signals)
+            self.ramp = False
+        else:
+            self.signals = None
+            self.u0 = ends[:, 0]
+            self.slope = (ends[:, 1] - ends[:, 0]) / (np.asarray(b, dtype=float) - self.a)[:, None]
+            self.ramp = bool(self.slope.any())
+        self.needs_t = self.ramp or self.signals is not None or not net.kernel.k_static
+
+    def select(self, cols: np.ndarray) -> Callable:
+        """The drift of the columns ``cols``: ``f(t, y)`` with one row of y (and one time) per column.
+
+        One column runs on 1-D arrays and Python floats, with the same
+        arithmetic, and returns a 1-D drift.
+        """
+        net = self.net
+        nf, n = net._n_free, net.n_species
+        if len(cols) == 1:
+            return self._one(int(cols[0]))
+        drift = net.kernel.drift(nf, len(cols))
+        x = np.empty((len(cols), n + 1))
+        x[:, n] = 1.0
+        inputs = x[:, nf:n]
+        u0, slope, a = self.u0[cols], self.slope[cols], self.a[cols]
+        inputs[...] = u0
+
+        def fun(t, y):
+            x[:, :nf] = y
+            if self.ramp:
+                np.multiply(slope, (t - a)[:, None], out=inputs)
+                np.add(inputs, u0, out=inputs)
+            return drift(t, x)
+        return fun
+
+    def _one(self, c: int) -> Callable:
+        net = self.net
+        nf = net._n_free
+        drift = net.kernel.drift(nf)
+        x = net.kernel.buffer()
+        if self.signals is not None:
+            driven = [(nf + j, fn) for j, fn in
+                      enumerate(_driven_evaluators(self.signals[c], net.driven_names))]
+        else:
+            x[nf:net.n_species] = self.u0[c]
+            a = float(self.a[c])
+            # only a ramping input changes: u(a) + slope (t - a), as the columns compute it
+            driven = [(nf + j, lambda t, s=s, u=u: s * (t - a) + u)
+                      for j, (s, u) in enumerate(zip(self.slope[c].tolist(), self.u0[c].tolist())) if s]
+
+        def fun(t, y):
+            x[:nf] = y[0]
+            if t is not None:
+                t = float(t[0])
+            for pos, fn in driven:
+                x[pos] = fn(t)
+            return drift(t, x)
+        return fun
+
+
 def _driven_evaluators(signal, names: Sequence[str]):
     fns = []
     for nm in names:
@@ -126,6 +441,28 @@ def _driven_evaluators(signal, names: Sequence[str]):
     return fns
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """What integrating one run cost: solver pieces, drift evaluations, steps, and the smallest step.
+
+    A run integrated in a batch counts the pieces and steps of its own
+    trajectory, including blocks it shares with other runs, and for each
+    piece the two start-up evaluations; so the counts are those of the run
+    alone.
+    """
+
+    pieces: int = 0
+    nfev: int = 0
+    accepted: int = 0
+    rejected: int = 0
+    min_step: float = math.inf
+
+    def __add__(self, other: "SolverStats") -> "SolverStats":
+        return SolverStats(self.pieces + other.pieces, self.nfev + other.nfev,
+                           self.accepted + other.accepted, self.rejected + other.rejected,
+                           min(self.min_step, other.min_step))
+
+
 @dataclass
 class Trace:
     """Integrated concentrations with a dense evaluator.
@@ -134,6 +471,7 @@ class Trace:
     ``_dense`` maps a 1-D array of times inside ``[0, t_end]`` to the states
     there, one row per time (the solver's ``DenseTable`` for ``integrate``);
     ``value``/``state_at`` read through it with one call per request.
+    ``stats`` is the adaptive solver's cost (None for other traces).
     """
 
     names: tuple[str, ...]
@@ -141,6 +479,7 @@ class Trace:
     values: np.ndarray
     t_end: float
     _dense: Callable[[np.ndarray], np.ndarray]
+    stats: SolverStats | None = None
 
     def __post_init__(self):
         self._index = {nm: i for i, nm in enumerate(self.names)}
@@ -196,12 +535,10 @@ def trace_from_csv(fileobj) -> Trace:
                  _dense=lambda t: np.maximum(rows_at(t), 0.0))
 
 
-# a run of solver steps, packed: their end times, start states and quartic coefficients
-_Steps = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 def _packed(pieces: Sequence[_Steps]) -> _Steps:
     """Consecutive pieces joined into one run of steps."""
+    if len(pieces) == 1:
+        return pieces[0]
     return tuple(np.concatenate(part) for part in zip(*pieces))
 
 
@@ -216,9 +553,10 @@ class DenseTable:
     boundaries form one array, so any set of times finds its steps with one
     search.  ``y_old`` and ``Q`` stay in the segments they were packed in
     (one per symbol block, and the tail), so a run never holds its steps
-    twice; each segment a set of times touches takes one vectorised
-    quartic.  Calling the table gives full states: integrated species
-    clamped at zero, inputs filled in by ``fill(t, free_values)``.
+    twice and runs share the blocks they have in common; each segment a set
+    of times touches takes one vectorised quartic.  Calling the table gives
+    full states: integrated species clamped at zero, inputs filled in by
+    ``fill(t, free_values)``.
     """
 
     def __init__(self, segments: Sequence[_Steps], fill):
@@ -248,117 +586,166 @@ class DenseTable:
         return self._fill(t, np.maximum(self.free(t), 0.0))
 
 
-class BlockPath:
-    """Integrated symbol blocks along the current branch of a corpus's word trie.
+@dataclass
+class _Column:
+    """One column of a segment batch: its signal, start state and piece boundaries."""
 
-    A word's input is a sequence of reset/symbol/copy blocks of ``3 tau``
-    each, so up to ``3k tau`` a run's trajectory depends only on the network
-    and its rate laws, the initial state, the tolerances, ``tau`` and the
-    first ``k`` symbols.  ``integrate`` keeps here, for block ``i`` of the
-    run it last integrated, the packed solver steps over
-    ``[3i tau, 3(i+1) tau]`` and the state at the block's end.  A later run
-    with the same context starts from the last block boundary its word shares
-    with that run; the blocks past it are dropped.  A stored block is exactly
-    what the run would compute itself, so its report does not change.
+    signal: object
+    y0: np.ndarray
+    bounds: np.ndarray  # the segment's start, the signal's corners inside it, its end
+
+
+def _integrate_segments(net: _CompiledNetwork, columns: Sequence[_Column], rtol: float, atol: float,
+                        max_step: float) -> list[tuple[_Steps, np.ndarray, SolverStats]]:
+    """Integrate each column over its own pieces; round r takes every column's r-th piece in one call.
+
+    Returns, per column, its packed steps, its end state and what they cost.
     """
+    encoded = all(isinstance(col.signal, InputSignal) for col in columns)
+    inputs = []  # an encoded column's inputs at its piece boundaries: (boundaries, inputs)
+    for col in columns if encoded else ():
+        values = np.empty((len(col.bounds), len(net.driven_names)))
+        for j, nm in enumerate(net.driven_names):
+            values[:, j] = col.signal.concentration(nm, col.bounds)
+        inputs.append(values)
+    y = np.array([col.y0 for col in columns], dtype=float)
+    pieces: list[list[_Steps]] = [[] for _ in columns]
+    stats = [SolverStats() for _ in columns]
+    for r in range(max(len(col.bounds) for col in columns) - 1):
+        live = [c for c, col in enumerate(columns) if len(col.bounds) - 1 > r]
+        a = np.array([columns[c].bounds[r] for c in live])
+        b = np.array([columns[c].bounds[r + 1] for c in live])
+        ends = np.array([inputs[c][r:r + 2] for c in live]) if encoded else None
+        drift = _Piece(net, [columns[c].signal for c in live], a, b, ends)
+        sol = solve_ivp(drift, a, b, y[live], rtol=rtol, atol=atol, max_step=max_step)
+        y[live] = sol.y_end
+        for i, c in enumerate(live):
+            steps = sol.steps[i]
+            pieces[c].append(steps)
+            accepted, rejected = len(steps[0]), int(sol.rejected[i])
+            stats[c] += SolverStats(1, 2 + 6 * (accepted + rejected), accepted, rejected,
+                                    float(np.diff(steps[0], prepend=a[i]).min()))
+    return [(_packed(p), y[c], stats[c]) for c, p in enumerate(pieces)]
 
-    def __init__(self):
-        self._context = None
-        self._blocks: list[tuple[str, _Steps, np.ndarray]] = []
 
-    def resume(self, context: tuple, word: Sequence[str]) -> list[tuple[str, _Steps, np.ndarray]]:
-        """The stored blocks that a run with this context and word begins with."""
-        if context != self._context:
-            self._context = context
-            self._blocks = []
-        k = 0
-        while k < min(len(self._blocks), len(word)) and self._blocks[k][0] == word[k]:
-            k += 1
-        del self._blocks[k:]
-        return list(self._blocks)
-
-    def extend(self, symbol: str, steps: _Steps, y_end: np.ndarray) -> None:
-        """Store the next block of the branch: its packed steps and its end state."""
-        self._blocks.append((symbol, steps, y_end))
+def _bounds(corners: np.ndarray, a: float, b: float) -> np.ndarray:
+    """A segment's piece boundaries: its start, the corners strictly inside, its end."""
+    return np.concatenate([[a], corners[(corners > a) & (corners < b)], [b]])
 
 
-def integrate(brn: Brn, x0: ConcState, signal, config: SimConfig, *,
-              block_path: BlockPath | None = None) -> Trace:
-    """Integrate the driven system from x0 over [0, t_end].
+def integrate(brn, x0, signal, config):
+    """Integrate the driven system from x0 over [0, t_end], for one run or many.
+
+    Given a network, an initial state, a signal and a ``SimConfig``, returns
+    the run's ``Trace``.  Given four equally long lists instead (one entry
+    per run), integrates the runs together and returns their traces in
+    order; each is the one its run gives alone, to the bit.
 
     Species of input kind are clamped to the signal at all times (their
     entries in x0 are ignored); everything else follows the mass-action
     drift.  The solver restarts at every corner of the signal
     (``critical_times()``), so no step straddles a kink and each piece picks
-    a fresh step size.  Each piece's steps are packed into arrays right
-    after its solve, and scipy's per-step interpolants are dropped; the
-    pieces of each symbol block, and of the tail, are joined as it ends,
-    and together they form the run's ``DenseTable``.
-    A step is at most ``tau/3`` long when the signal has a spec, and the
-    trace samples ``SAMPLE_INTERVALS + 1`` evenly spaced times.
-    Given a ``block_path`` and a word signal, whole symbol blocks already
-    integrated for an earlier word with the same prefix are reused, and the
-    new ones are stored.  Raises IntegratorFault on solver failure or on a
-    negative excursion beyond ten times the absolute tolerance; smaller
-    excursions are clamped to zero in the outputs.
+    a fresh step size; a step is at most ``tau/3`` long when the signal has
+    a spec.  A run's trajectory is a chain of segments: the symbol blocks of
+    its word that end by ``t_end``, then the tail.  Runs on one network with
+    the same tolerances and ``tau`` share every block whose word prefix and
+    free initial state they share; each level of their word trie is one
+    batch of distinct blocks, and their distinct tails are one batch.  The
+    trace samples ``SAMPLE_INTERVALS + 1`` evenly spaced times.  Raises
+    IntegratorFault as ``solve_ivp`` does; negative excursions within ten
+    times the absolute tolerance are clamped to zero in the outputs.
     """
-    net = _CompiledNetwork(brn, signal)
-    spec = getattr(signal, "spec", None)
-    tau = getattr(spec, "tau", None)
-    max_step = tau / 3.0 if tau else np.inf
-    y = np.asarray(x0.values, dtype=float)[net.free_idx]
+    if isinstance(config, SimConfig):
+        return _integrate_runs([(brn, x0, signal, config)])[0]
+    return _integrate_runs(list(zip(brn, x0, signal, config, strict=True)))
 
-    segments: list[_Steps] = []  # one per symbol block, then the tail
-    pieces: list[_Steps] = []  # the solver pieces of the segment being integrated
-    t = 0.0
-    # only blocks that end within [0, t_end] are blocks; the rest is the tail
-    word = () if spec is None else \
-        spec.word[:sum(3 * i * tau <= config.t_end for i in range(1, spec.length + 1))]
-    n_blocks = 0
-    shared = block_path is not None and spec is not None
-    if shared:
-        context = (brn, y.tobytes(), config.rel_tol, config.abs_tol, tau)
-        blocks = block_path.resume(context, word)
-        for _symbol, steps, y_end in blocks:
-            segments.append(steps)
-            y = y_end
-        n_blocks = len(blocks)
-        t = 3 * n_blocks * tau
 
-    corners = np.asarray(signal.critical_times(), dtype=float)
-    for t_next in [*corners[(corners > t) & (corners < config.t_end)].tolist(), config.t_end]:
-        sol = solve_ivp(
-            net.drift, (t, t_next), y, method="RK45",
-            rtol=config.rel_tol, atol=config.abs_tol,
-            max_step=max_step, dense_output=True,
-        )
-        if not sol.success:
-            raise IntegratorFault(f"integration failed: {sol.message}",
-                                  time=float(sol.t[-1]) if len(sol.t) else t)
-        floor = float(np.min(sol.y, initial=0.0))
-        if floor < -10.0 * config.abs_tol:
-            j = np.unravel_index(np.argmin(sol.y), sol.y.shape)
-            raise IntegratorFault(
-                f"negative concentration {floor:.3e} beyond fault threshold",
-                time=float(sol.t[j[1]]), state=sol.y[:, j[1]].copy(),
-            )
-        # the step ends and start states are sol's own; only Q lives in the interpolants
-        pieces.append((sol.t[1:], sol.y[:, :-1].T, np.array([step.Q for step in sol.sol.interpolants])))
-        y = sol.y[:, -1]
-        t = t_next
-        if n_blocks < len(word) and t == 3 * (n_blocks + 1) * tau:
-            segments.append(_packed(pieces))
-            pieces = []
-            if shared:
-                block_path.extend(word[n_blocks], segments[-1], y)
-            n_blocks += 1
-    if pieces:
-        segments.append(_packed(pieces))
-    dense = DenseTable(segments, net.states)
+@dataclass
+class _Plan:
+    """How one run's trajectory splits into segments: its symbol blocks, then its tail.
 
-    t_grid = np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1)
-    return Trace(names=brn.species_names, times=t_grid, values=dense(t_grid),
-                 t_end=config.t_end, _dense=dense)
+    A block's key is the run's origin (its batch and free initial state) and
+    the word prefix up to it; the tail's key adds what else the tail
+    depends on.  Runs share every segment whose key they share.
+    """
+
+    net: _CompiledNetwork
+    corners: np.ndarray
+    origin: tuple
+    y0: np.ndarray
+    blocks: tuple  # the symbols whose blocks end by t_end
+    tail: tuple | None  # the tail's key; None when the last block ends at t_end
+    tau: float | None
+    t_end: float
+
+    def segments(self) -> list[tuple]:
+        """Each segment's key, its parent's key (None for the first), start and end."""
+        out, parent = [], None
+        for k in range(1, len(self.blocks) + 1):
+            key = (self.origin, self.blocks[:k])
+            out.append((key, parent, 3 * (k - 1) * self.tau, 3 * k * self.tau))
+            parent = key
+        if self.tail is not None:
+            start = 3 * len(self.blocks) * self.tau if parent else 0.0
+            out.append((self.tail, parent, start, self.t_end))
+        return out
+
+
+def _integrate_runs(runs) -> list[Trace]:
+    kernels: list[tuple[Brn, MassActionKernel]] = []  # one per distinct network
+    plans: list[_Plan] = []
+    batches: dict[tuple, list[_Plan]] = {}  # network, tolerances and tau -> runs
+    for r, (brn, x0, signal, config) in enumerate(runs):
+        g = next((g for g, (other, _) in enumerate(kernels) if other == brn), len(kernels))
+        net = _CompiledNetwork(brn, signal, kernels[g][1] if g < len(kernels) else None)
+        if g == len(kernels):
+            kernels.append((brn, net.kernel))
+        spec = signal.spec if isinstance(signal, InputSignal) else None
+        tau = spec.tau if spec is not None else None
+        # only blocks that end within [0, t_end] are blocks; the rest is the tail
+        blocks = () if spec is None else \
+            spec.word[:sum(3 * i * tau <= config.t_end for i in range(1, spec.length + 1))]
+        y0 = np.asarray(x0.values, dtype=float)[net.free_idx]
+        # another kind of signal runs in a batch of its own
+        batch = (g, config.rel_tol, config.abs_tol, tau, None if spec is not None else r)
+        origin = (batch, y0.tobytes())
+        # a tail depends on the rest of the word too
+        tail = (origin, blocks, spec.word if spec is not None else None, config.t_end) \
+            if 3 * len(blocks) * (tau or 0.0) < config.t_end else None
+        plans.append(_Plan(net, np.asarray(signal.critical_times(), dtype=float), origin, y0,
+                           blocks, tail, tau, config.t_end))
+        batches.setdefault(batch, []).append(plans[-1])
+
+    segments: dict[tuple, tuple[_Steps, np.ndarray, SolverStats]] = {}
+    for (_, rtol, atol, tau, _), members in batches.items():
+        # the word trie level by level: the distinct blocks of level k, each
+        # from its parent's end state; then the distinct tails.  A batch maps
+        # a segment key to its first run, parent, start and end.
+        depth = max(len(plan.blocks) for plan in members)
+        levels: list[dict] = [{} for _ in range(depth + 1)]
+        for plan in members:
+            for key, parent, a, b in plan.segments():
+                k = len(key[1]) - 1 if len(key) == 2 else depth
+                levels[k].setdefault(key, (plan, parent, a, b))
+        for batch in levels:
+            if batch:
+                columns = [_Column(plan.net.signal, segments[parent][1] if parent else plan.y0,
+                                   _bounds(plan.corners, a, b))
+                           for plan, parent, a, b in batch.values()]
+                segments.update(zip(batch, _integrate_segments(
+                    members[0].net, columns, rtol, atol, tau / 3.0 if tau else np.inf)))
+
+    traces = []
+    for (brn, _, _, config), plan in zip(runs, plans):
+        parts = [segments[key] for key, _, _, _ in plan.segments()]
+        stats = SolverStats()
+        for _, _, cost in parts:
+            stats += cost
+        dense = DenseTable([steps for steps, _, _ in parts], plan.net.states)
+        t_grid = np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1)
+        traces.append(Trace(names=brn.species_names, times=t_grid, values=dense(t_grid),
+                            t_end=config.t_end, _dense=dense, stats=stats))
+    return traces
 
 
 def integrate_fixed_step(brn: Brn, x0: ConcState, signal, config: SimConfig,

@@ -195,6 +195,29 @@ def test_silence_required_after_input():
     assert 8 in report.conditions_violated()
 
 
+def test_corner_grid_catches_a_violation_at_a_declared_corner():
+    # a piecewise-linear spike on the symbol's species, peaking above 1 + eps
+    # at a declared corner that no uniform grid of the phase holds
+    spec = SignalSpec(("1",), epsilon=0.05, tau=1.0)
+    base = encode(spec)
+    peak, width = 1.0 + 0.37, 0.01
+    corners = np.concatenate([base.critical_times(), [peak - width, peak, peak + width]])
+
+    def spiked(t):
+        t = np.asarray(t, dtype=float)
+        spike = 3 * spec.epsilon * np.maximum(0.0, 1 - np.abs(t - peak) / width)
+        return base.concentration("X_1", t) + spike
+
+    funcs = {n: (lambda t, n=n: base.concentration(n, t)) for n in base.input_species()}
+    funcs["X_1"] = spiked
+    report = _checked_validate(MappingSignal(funcs, critical=corners), spec, samples_per_phase=1)
+    assert [(v.condition, v.phase, v.time) for v in report.violations] == [(1, 1, peak)]
+    assert report.violations[0].value == pytest.approx(1 + 3 * spec.epsilon)
+    # without the corner declared, the grid of phase ends and thirds misses it
+    undeclared = MappingSignal(funcs, critical=base.critical_times())
+    assert _checked_validate(undeclared, spec, samples_per_phase=1).admissible
+
+
 @given(st.lists(st.sampled_from(("0", "1")), max_size=8),
        st.floats(0.01, 0.45), st.floats(0.2, 4.0))
 @settings(max_examples=25, deadline=None)

@@ -1,9 +1,13 @@
 import io
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
+from hypothesis import given, settings, strategies as st
 
 from nfa2crn import simulate
 from nfa2crn.brn import (
@@ -20,7 +24,7 @@ from nfa2crn.brn import (
 from nfa2crn.perturb import ObservationScheme, PerturbationProfile, perturb_rates
 from nfa2crn.signals import SignalSpec, encode
 from nfa2crn.simulate import (
-    BlockPath,
+    IntegratorFault,
     SimConfig,
     Trace,
     check_phi,
@@ -95,43 +99,50 @@ def test_pieces_end_at_signal_corners(example_nfa, planned):
     assert set(signal.critical_times().tolist()) <= set(trace._dense.ts.tolist())
 
 
-def test_block_path_reuses_shared_prefix_exactly(example_nfa, planned, monkeypatch):
+def _recording(monkeypatch):
+    """Record every ``simulate.solve_ivp`` call: its start times, end times and solution."""
+    calls = []
+    real_solve_ivp = simulate.solve_ivp
+
+    def recording_solve_ivp(drift, t0, t1, y0, **kwargs):
+        sol = real_solve_ivp(drift, t0, t1, y0, **kwargs)
+        calls.append((np.array(t0, dtype=float), np.array(t1, dtype=float), sol))
+        return sol
+
+    monkeypatch.setattr(simulate, "solve_ivp", recording_solve_ivp)
+    return calls
+
+
+def test_batched_blocks_reuse_shared_prefix_exactly(example_nfa, planned, monkeypatch):
     out = translate(example_nfa, planned.rates)
     brn = perturb_rates(out.brn, PerturbationProfile(delta=planned.delta, mode="sinusoid",
                                                      omega=2 * math.pi / planned.tau, seed=3))
     config = SimConfig(t_end=9.0 * planned.tau)
-    spans = []
-    real_solve_ivp = simulate.solve_ivp
+    tau = planned.tau
 
-    def recording_solve_ivp(fun, t_span, *args, **kwargs):
-        spans.append(tuple(t_span))
-        return real_solve_ivp(fun, t_span, *args, **kwargs)
+    def signal(word):
+        return encode(SignalSpec(word, epsilon=planned.epsilon, tau=tau))
 
-    def run(word, block_path=None):
-        spans.clear()
-        signal = encode(SignalSpec(word, epsilon=planned.epsilon, tau=planned.tau))
-        trace = integrate(brn, out.initial, signal, config, block_path=block_path)
-        return trace, list(spans)
-
-    monkeypatch.setattr(simulate, "solve_ivp", recording_solve_ivp)
-    block_path = BlockPath()
-    run(("1", "0"), block_path)
-    shared, shared_spans = run(("1", "1"), block_path)
-    alone, alone_spans = run(("1", "1"))
-    # the first block (three phases) came from the store
-    assert min(t0 for t0, _ in shared_spans) == 3 * planned.tau
-    assert len(alone_spans) - len(shared_spans) == 9
-    assert np.array_equal(shared.values, alone.values)
-    assert np.array_equal(shared._dense.ts, alone._dense.ts)
-    # the same word again integrates only its tail; another initial state shares nothing
-    _, again_spans = run(("1", "1"), block_path)
-    assert again_spans == [(6 * planned.tau, config.t_end)]
+    calls = _recording(monkeypatch)
+    words = [("1", "0"), ("1", "1")]
+    together = integrate([brn] * 2, [out.initial] * 2, [signal(w) for w in words], [config] * 2)
+    # the shared first block is one column; the second level and the tails are batches of two
+    assert [len(t0) for t0, _, _ in calls] == [1] * 9 + [2] * 9 + [2]
+    assert all(t0.min() >= 3 * tau for t0, _, _ in calls[9:]) and calls[8][1][0] == 3 * tau
+    for word, trace in zip(words, together):
+        calls.clear()
+        alone = integrate(brn, out.initial, signal(word), config)
+        assert len(calls) == 19
+        assert np.array_equal(trace.values, alone.values)
+        assert np.array_equal(trace._dense.ts, alone._dense.ts)
+        assert trace.stats == alone.stats
+    # the same word twice integrates once; another initial state shares nothing
+    calls.clear()
     x0 = out.initial.replace(Y_A=0.99, Yb_A=0.01)
-    spans.clear()
-    trace = integrate(brn, x0, encode(SignalSpec(("1", "1"), epsilon=planned.epsilon,
-                                                 tau=planned.tau)), config, block_path=block_path)
-    assert min(t0 for t0, _ in spans) == 0.0
-    assert not np.array_equal(trace.values, alone.values)
+    twice = integrate([brn] * 3, [out.initial, out.initial, x0], [signal(("1", "1"))] * 3, [config] * 3)
+    assert [len(t0) for t0, _, _ in calls] == [2] * 18 + [2]
+    assert np.array_equal(twice[0].values, twice[1].values)
+    assert not np.array_equal(twice[0].values, twice[2].values)
 
 
 def test_dense_table_matches_ode_solution(example_nfa, planned, monkeypatch):
@@ -140,24 +151,30 @@ def test_dense_table_matches_ode_solution(example_nfa, planned, monkeypatch):
                                                      omega=2 * math.pi / planned.tau, seed=4))
     spec = SignalSpec(("1", "0", "1"), epsilon=planned.epsilon, tau=planned.tau)
     config = SimConfig(t_end=spec.decision_time + planned.tau)
-    sols = []
-    real_solve_ivp = simulate.solve_ivp
-
-    def recording_solve_ivp(*args, **kwargs):
-        sols.append(real_solve_ivp(*args, **kwargs))
-        return sols[-1]
-
-    monkeypatch.setattr(simulate, "solve_ivp", recording_solve_ivp)
+    calls = _recording(monkeypatch)
     trace = integrate(brn, out.initial, encode(spec), config)
-    reference = OdeSolution(np.concatenate([[0.0], *(sol.t[1:] for sol in sols)]),
-                            [step for sol in sols for step in sol.sol.interpolants])
+    steps = [step for _, _, sol in calls for step in zip(*sol.steps[0])]
+    ends = np.array([end for end, _, _ in steps])
     table = trace._dense
-    assert np.array_equal(table.ts, reference.ts)
+    assert np.array_equal(table.ts, np.concatenate([[0.0], ends]))
+
+    def reference(t):
+        # each time read from the step ending at or after it (the first step
+        # for t = 0): y_old + h (Q @ [x, x^2, x^3, x^4]), term by term
+        rows = []
+        for tt in t:
+            i = max(int(np.searchsorted(ends, tt, side="left")), 0)
+            end, y_old, Q = steps[i]
+            start = table.ts[i]
+            x = (tt - start) / (end - start)
+            rows.append(y_old + (end - start) * sum(Q[:, j] * x ** (j + 1) for j in range(4)))
+        return np.array(rows)
+
     blocks = 3 * planned.tau * np.arange(spec.length + 1)
     for t in (trace.times, blocks, table.ts):
-        assert np.allclose(table.free(t), reference(t).T, rtol=1e-14, atol=1e-15)
+        assert np.allclose(table.free(t), reference(t), rtol=1e-14, atol=1e-15)
     free = [i for i, name in enumerate(trace.names) if not name.startswith("X_")]
-    assert np.allclose(trace.values[:, free], np.maximum(reference(trace.times).T, 0.0),
+    assert np.allclose(trace.values[:, free], np.maximum(reference(trace.times), 0.0),
                        rtol=1e-14, atol=1e-15)
 
 
@@ -215,7 +232,12 @@ def test_drift_matches_the_monomial_products_to_the_bit(example_nfa, planned):
                        for name, count in rxn.reactants.items() for _ in range(count)]
             for k, f in enumerate(factors):
                 monomials[j] = f if k == 0 else monomials[j] * f
-        expected = net.stoich @ (_rates(net, t) * monomials)
+        flux = _rates(net, t) * monomials
+        # each species' drift summed over its reactions in reaction order
+        stoich = net.kernel.stoich[:len(net.free_idx)]
+        expected = np.zeros(len(net.free_idx))
+        for i, j in zip(*np.nonzero(stoich.T)[::-1]):
+            expected[i] += stoich[i, j] * flux[j]
         assert np.array_equal(net.drift(t, x[net.free_idx]), expected)
 
 
@@ -385,3 +407,159 @@ def test_nonnegative_samples(example_nfa, planned):
     spec = SignalSpec(("1", "1"), epsilon=planned.epsilon, tau=planned.tau)
     trace = integrate(out.brn, out.initial, encode(spec), SimConfig(t_end=spec.decision_time))
     assert np.all(trace.values >= 0.0)
+
+
+# -- the stepper ------------------------------------------------------------
+
+
+def _network(example_nfa, planned, mode):
+    """The example network under a rate adversary (piecewise knots over 9 tau)."""
+    out = translate(example_nfa, planned.rates)
+    profile = PerturbationProfile(delta=planned.delta, mode=mode, omega=2 * math.pi / planned.tau,
+                                  seed=11)
+    return out, perturb_rates(out.brn, profile, t_end=9 * planned.tau)
+
+
+@settings(max_examples=12, deadline=None)
+@given(mode=st.sampled_from(["none", "sinusoid", "piecewise"]), size=st.integers(2, 8),
+       data=st.data())
+def test_a_column_packs_the_same_bits_alone_and_anywhere_in_a_batch(example_nfa, planned, mode,
+                                                                     size, data):
+    out, brn = _network(example_nfa, planned, mode)
+    tau = planned.tau
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    net = simulate._CompiledNetwork(brn, _zero_signal())
+    columns = []
+    for _ in range(size):
+        # a symbol block of its own word, starting at its own time, from its own state
+        word = tuple(rng.choice(["0", "1"], 3).tolist())
+        k = int(rng.integers(0, 3))
+        signal = encode(SignalSpec(word, epsilon=planned.epsilon, tau=tau))
+        x0 = out.initial.values[net.free_idx] + rng.uniform(0, planned.epsilon, len(net.free_idx))
+        columns.append(simulate._Column(signal, x0, simulate._bounds(
+            signal.critical_times(), 3 * k * tau, 3 * (k + 1) * tau)))
+    target = data.draw(st.integers(0, size - 1))
+    alone = simulate._integrate_segments(net, [columns[target]], 1e-8, 1e-11, tau / 3)[0]
+    for position in range(size):
+        batch = columns[:target] + columns[target + 1:]
+        batch.insert(position, columns[target])
+        packed = simulate._integrate_segments(net, batch, 1e-8, 1e-11, tau / 3)[position]
+        for ours, reference in zip((*packed[0], packed[1]), (*alone[0], alone[1])):
+            assert np.array_equal(ours, reference)
+        assert packed[2] == alone[2]
+
+
+class _Drift:
+    """A drift for ``solve_ivp`` from ``f(call, t, y, columns)``; counts calls and columns evaluated."""
+
+    needs_t = True
+
+    def __init__(self, f):
+        self.f, self.calls, self.columns = f, 0, 0
+
+    def select(self, cols):
+        def fun(t, y):
+            self.calls += 1
+            self.columns += len(y)
+            return self.f(self.calls, t, y, cols)
+        return fun
+
+
+def test_nfev_of_a_batch_counts_its_rejected_column_steps():
+    # stiffer columns reject more of their steps
+    rates = np.array([[1.0], [40.0], [400.0]])
+    drift = _Drift(lambda call, t, y, cols: -rates[cols] * (y - 2 - np.sin(5 * t)[:, None]))
+    sol = simulate.solve_ivp(drift, [0.0, 0.5, 1.0], [2.0, 2.0, 2.0], np.ones((3, 1)),
+                             rtol=1e-6, atol=1e-9)
+    assert sol.rejected.sum() > 0
+    assert (sol.nfev - 2) // 6 - (len(sol.t) - 1) == sol.rejected.sum()
+    # two start-up calls evaluate all three columns; every attempted column-step six times
+    assert drift.columns == 2 * 3 + (sol.nfev - 2)
+    assert len(sol.t) - 1 == sum(len(ends) for ends, _, _ in sol.steps)
+
+
+def test_stepper_agrees_with_scipy_rk45(example_nfa, planned):
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    # bounds fixed before the comparison was first run: end states within
+    # 1e-12, accepted steps within 1 % of scipy's
+    out, brn = _network(example_nfa, planned, "sinusoid")
+    signal = encode(SignalSpec(("1", "0"), epsilon=planned.epsilon, tau=planned.tau))
+    config = SimConfig(t_end=8 * planned.tau, rel_tol=1e-8, abs_tol=1e-11)
+    trace = integrate(brn, out.initial, signal, config)
+    net = simulate._CompiledNetwork(brn, signal)
+    y, steps = out.initial.values[net.free_idx], 0
+    bounds = simulate._bounds(signal.critical_times(), 0.0, config.t_end)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        sol = scipy_solve_ivp(net.drift, (a, b), y, method="RK45", rtol=config.rel_tol,
+                              atol=config.abs_tol, max_step=planned.tau / 3)
+        y, steps = sol.y[:, -1], steps + len(sol.t) - 1
+    assert np.max(np.abs(trace._dense.free(np.array([config.t_end]))[0] - y)) <= 1e-12
+    assert abs(trace.stats.accepted - steps) <= 0.01 * steps
+
+
+def test_trace_stats_are_the_stepper_counts(example_nfa, planned, monkeypatch):
+    out, brn = _network(example_nfa, planned, "piecewise")
+    spec = SignalSpec(("0", "1"), epsilon=planned.epsilon, tau=planned.tau)
+    calls = _recording(monkeypatch)
+    trace = integrate(brn, out.initial, encode(spec), SimConfig(t_end=spec.decision_time))
+    sols = [sol for _, _, sol in calls]
+    assert trace.stats == simulate.SolverStats(
+        pieces=len(sols),
+        nfev=sum(sol.nfev for sol in sols),
+        accepted=sum(len(sol.t) - 1 for sol in sols),
+        rejected=sum((sol.nfev - 2) // 6 - (len(sol.t) - 1) for sol in sols),
+        min_step=min(float(np.diff(sol.t).min()) for sol in sols))
+    assert trace.stats.rejected == sum(int(sol.rejected.sum()) for sol in sols)
+
+
+def test_solver_stats_stay_out_of_the_report(example_nfa, planned):
+    from nfa2crn.pipeline import RunManifest, run_end_to_end
+
+    result = run_end_to_end(RunManifest(nfa=example_nfa, word=("1",), params=planned))
+    assert result.trace.stats.nfev > 0
+    assert not {"stats", "nfev", "pieces", "min_step"} & set(json.dumps(result.report).replace(
+        '"', " ").split())
+
+
+def _fault(f, y0, t1=2.0):
+    with pytest.raises(IntegratorFault) as caught:
+        simulate.solve_ivp(_Drift(f), [0.0], [t1], np.array([[y0]]), rtol=1e-6, atol=1e-9)
+    assert caught.value.time is not None and caught.value.state is not None
+    return caught.value
+
+
+def test_fault_on_step_size_underflow():
+    # y' = y^2 from 1 blows up at t = 1
+    fault = _fault(lambda call, t, y, cols: y * y, 1.0)
+    assert "below the spacing of times" in str(fault)
+    assert 0.999 < fault.time < 1.0 + 1e-6
+
+
+def test_fault_on_a_non_finite_state():
+    # the third stage of the first step is infinite, and so is the new state
+    fault = _fault(lambda call, t, y, cols: np.full_like(y, np.inf) if call == 5 else -y, 1.0)
+    assert str(fault) == "non-finite state"
+    assert not np.isfinite(fault.state).all()
+
+
+def test_fault_on_a_non_finite_error_norm():
+    # only the last stage (the new state's drift, used by the error estimate alone) is infinite
+    fault = _fault(lambda call, t, y, cols: np.full_like(y, np.inf) if call == 8 else -y, 1.0)
+    assert str(fault) == "non-finite error norm"
+    assert np.isfinite(fault.state).all()
+
+
+def test_fault_on_a_negative_excursion():
+    fault = _fault(lambda call, t, y, cols: -np.ones_like(y), 0.5, t1=1.0)
+    assert "negative concentration" in str(fault)
+    assert fault.state[0] < -10 * 1e-9
+
+
+def test_importing_the_cli_leaves_scipy_integrate_and_interpolate_unloaded():
+    src = Path(simulate.__file__).resolve().parent.parent
+    code = ("import sys, nfa2crn.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.interpolate'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
