@@ -669,7 +669,6 @@ _K3_TAU = (14.0, 18.0, 24.0, 30.0)
 _K1_TAU = (5.0, 7.0, 10.0, 14.0, 19.0)
 
 _LEAK_GUARD_FRACTION = 0.5
-_SLACK_MARGIN = 1e-9
 
 
 def _candidate_ok(params: ParameterSet) -> tuple[bool, ConstraintReport, str]:

@@ -420,22 +420,20 @@ class MassActionKernel:
                 pwl_by_grid.setdefault(law.times, []).append((j, law.offsets))
             else:
                 raise TypeError(f"no mass-action kernel for rate law {type(law).__name__}")
-        # the lerp is np.interp's formula, so the rates are the same to the bit;
-        # offsets have one row per knot, slopes one per knot interval.  For
-        # columns, the tables gain a flat first and last row (slope 0), so
-        # that times before the first knot and past the last index them too
+        # per knot grid, row i serves the times with i knots at or before them:
+        # its left knot, slope and offset.  The first and last rows are flat
+        # (slope 0); ``lefts[1:]`` are the knots.  The lerp is np.interp's
+        # formula, so the rates are the same to the bit
         self._pwl_groups = []
         for times, members in pwl_by_grid.items():
             offsets = np.array([off for _, off in members]).T
-            slopes = np.diff(offsets, axis=0) / np.diff(times)[:, None]
             flat = np.zeros((1, len(members)))
             rows = [j for j, _ in members]
             self._pwl_groups.append((
-                None if rows == list(range(n_rxn)) else np.array(rows), list(times), len(times) - 1,
-                offsets, slopes,
-                (np.array(times), np.array([times[0], *times[:-1], times[-1]]),
-                 np.concatenate([flat, slopes, flat]),
-                 np.concatenate([offsets[:1], offsets[:-1], offsets[-1:]]))))
+                None if rows == list(range(n_rxn)) else np.array(rows), times,
+                np.array([times[0], *times]),
+                np.concatenate([flat, np.diff(offsets, axis=0) / np.diff(times)[:, None], flat]),
+                np.concatenate([offsets[:1], offsets])))
         self.k_static = not (self._sinusoid or self._pwl_groups)
 
     def buffer(self, values=None) -> np.ndarray:
@@ -509,14 +507,9 @@ class MassActionKernel:
             k = self.k_base + self.amp * np.sin(self.omega * t + self.phase)
         else:
             k = self.k_base
-        for rows, knots, last, offsets, slopes, _ in self._pwl_groups:
-            i = bisect_right(knots, t) - 1
-            if i < 0:
-                offset = offsets[0]
-            elif i >= last:
-                offset = offsets[-1]
-            else:
-                offset = slopes[i] * (t - knots[i]) + offsets[i]
+        for rows, knots, lefts, slopes, offsets in self._pwl_groups:
+            i = bisect_right(knots, t)
+            offset = slopes[i] * (t - lefts[i]) + offsets[i]
             if rows is None:
                 k = k + offset
             else:
@@ -531,8 +524,8 @@ class MassActionKernel:
             k = self.k_base + self.amp * np.sin(self.omega * t[:, None] + self.phase)
         else:
             k = np.repeat(self.k_base[None, :], len(t), axis=0)
-        for rows, _, _, _, _, (knots, lefts, slopes, offsets) in self._pwl_groups:
-            i = knots.searchsorted(t, side="right")
+        for rows, _, lefts, slopes, offsets in self._pwl_groups:
+            i = lefts[1:].searchsorted(t, side="right")
             offset = slopes[i] * (t - lefts[i])[:, None] + offsets[i]
             k[:, slice(None) if rows is None else rows] += offset
         return k

@@ -328,13 +328,15 @@ def corpus_reports(manifests: Iterable[RunManifest], processes: int | None = Non
 
     Manifests that differ only in their word form a group, and each group
     is integrated in one ``integrate`` call: its word trie level by level,
-    every distinct symbol block once (see ``simulate.integrate``).  A pool
-    gives each worker one contiguous slice of the groups in order.  Every
-    report is the one ``run_end_to_end`` gives for its manifest alone.
+    every distinct symbol block once (see ``simulate.integrate``).  The
+    manifests are ordered by group, in input order within a group, so each
+    group is contiguous; a pool gives each worker one contiguous slice of
+    that order.  Every report is the one ``run_end_to_end`` gives for its
+    manifest alone.
     """
     manifests = list(manifests)
     groups: dict[RunManifest, int] = {}
-    keys = [(groups.setdefault(replace(m, word=()), len(groups)), m.word) for m in manifests]
+    keys = [groups.setdefault(replace(m, word=()), len(groups)) for m in manifests]
     order = sorted(range(len(manifests)), key=keys.__getitem__)
     ordered = [manifests[i] for i in order]
     if processes and processes > 1 and len(ordered) > 1:

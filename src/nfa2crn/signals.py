@@ -108,10 +108,21 @@ class InputSignal:
         return tuple(self._phases)
 
     def concentration(self, name: str, t):
+        """The species' level at t: a float for a float t (the same bits, cheaper), else an array."""
+        phases = self._phases.get(name)
+        tau = self.spec.tau
+        if isinstance(t, float):
+            if not (phases and t >= 0.0):
+                return 0.0
+            k = int(t // tau)
+            if k not in phases:
+                return 0.0
+            local = t / tau - k
+            v = min(3.0 * local, 3.0 * (1.0 - local), 1.0)
+            return v if v > 0.0 else 0.0
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros_like(t_arr)
-        if self._phases.get(name):
-            tau = self.spec.tau
+        if phases:
             k = np.floor_divide(t_arr, tau).astype(int)
             present = self._present[name]
             on = present[np.minimum(np.maximum(k, -1), len(present) - 1)] & (t_arr >= 0)
@@ -119,25 +130,6 @@ class InputSignal:
                 local = t_arr[on] / tau - k[on]
                 out[on] = _trapezoid(local)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-    def scalar_evaluator(self, name: str):
-        """Plain-float evaluator for one species (hot path for integrators)."""
-        phases = self._phases.get(name)
-        tau = self.spec.tau
-        if not phases:
-            return lambda t: 0.0
-
-        def value(t: float, tau: float = tau, ph: frozenset = phases) -> float:
-            if t < 0.0:
-                return 0.0
-            k = int(t // tau)
-            if k not in ph:
-                return 0.0
-            local = t / tau - k
-            v = min(3.0 * local, 3.0 * (1.0 - local), 1.0)
-            return v if v > 0.0 else 0.0
-
-        return value
 
     def critical_times(self) -> np.ndarray:
         """Corner points of the waveforms (includes all analytic extrema)."""

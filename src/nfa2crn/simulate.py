@@ -16,13 +16,15 @@ The solver restarts at every corner of the signal, so no step straddles a
 kink, and at most ``tau/3`` is taken at once.  Between two corners an encoded
 input is linear in t, so each piece's drift is compiled once: constant inputs
 are written once per piece and a ramp takes one vector operation per drift.
-``integrate`` takes one run or many.  A word's input is a chain of symbol
-blocks of ``3 tau``, so runs on one network with the same tolerances and
-``tau`` integrate their word trie level by level: every distinct block of
-level k in one batch, then every tail in one batch.  A run's dense output is
-a table of its solver steps (``DenseTable``): the sample grid, the decision
-and the block-boundary checks each read any set of times with one search and
-one vectorised quartic per symbol block.
+A signal is read only through its ``concentration``; every run on a network
+shares one layout of it and its kernel.  ``integrate`` takes one run or many.
+A word's input is a chain of symbol blocks of ``3 tau``, so runs on one
+network with the same tolerances and ``tau`` integrate their word trie level
+by level: every distinct block of level k in one batch, then every tail in
+one batch.  A run's dense output is a table of its solver steps
+(``DenseTable``): the sample grid, the decision and the block-boundary checks
+each read any set of times with one search and one vectorised quartic per
+symbol block.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -310,49 +313,32 @@ def _pack(log, n_cols: int) -> list[_Steps]:
 
 
 class _CompiledNetwork:
-    """The network's ``MassActionKernel`` with its inputs clamped to a signal.
+    """A network laid out for integration: free species first, then the inputs.
 
-    The kernel's buffer holds the free species first, then the inputs, then
-    the 1.0 pad.  ``drift`` is one column's drift with the inputs read from
-    the signal's scalar evaluators (the fixed-step integrator's); a
-    ``_Piece`` is the drift of many columns between two corners.
+    The kernel's buffer holds the free species, then the inputs, then the
+    1.0 pad.  The layout holds no signal, so every run on the network
+    shares it; a ``_Piece`` is the drift of many columns between two
+    corners.
     """
 
-    def __init__(self, brn: Brn, signal, kernel: MassActionKernel | None = None):
+    def __init__(self, brn: Brn):
         names = brn.species_names
-        index = {nm: i for i, nm in enumerate(names)}
-        self.signal = signal
         self.driven_names = [s.name for s in brn.species if s.is_input]
-        self.driven_idx = np.array([index[nm] for nm in self.driven_names], dtype=int)
-        self.driven_fns = _driven_evaluators(signal, self.driven_names)
+        self.driven_idx = np.array([brn.index_of(nm) for nm in self.driven_names], dtype=int)
         driven_set = set(self.driven_idx.tolist())
         self.free_idx = np.array([i for i in range(len(names)) if i not in driven_set], dtype=int)
         self.n_species = len(names)
-        self._n_free = n_free = len(self.free_idx)
-        self.kernel = kernel or MassActionKernel(
-            brn, [names[i] for i in self.free_idx.tolist()] + self.driven_names)
-        self._x = self.kernel.buffer()
-        self._driven = [(n_free + k, fn) for k, fn in enumerate(self.driven_fns)]
-        self._drift = self.kernel.drift(n_free)
+        self.n_free = len(self.free_idx)
+        self.kernel = MassActionKernel(brn, [names[i] for i in self.free_idx.tolist()] + self.driven_names)
 
-    def drift(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Mass-action drift of the free species at time t, inputs read from the signal."""
-        x = self._x
-        x[:self._n_free] = y
-        for pos, fn in self._driven:
-            x[pos] = fn(t)
-        return self._drift(t, x)
-
-    def states(self, t: np.ndarray, free_vals: np.ndarray) -> np.ndarray:
+    def states(self, signal, t: np.ndarray, free_vals: np.ndarray) -> np.ndarray:
         """Full states at the times t, one row per time: free species given, inputs from the signal."""
         values = np.empty((len(t), self.n_species))
         values[:, self.free_idx] = free_vals
-        if len(t) == 1:
-            # one time: the drift's scalar evaluators, which give the same values cheaper
-            values[0, self.driven_idx] = [fn(t[0]) for fn in self.driven_fns]
-            return values
+        # one time reads the signal's float path, which gives the same values cheaper
+        at = float(t[0]) if len(t) == 1 else t
         for pos, nm in zip(self.driven_idx, self.driven_names):
-            values[:, pos] = np.asarray(self.signal.concentration(nm, t), dtype=float)
+            values[:, pos] = signal.concentration(nm, at)
         return values
 
 
@@ -388,7 +374,7 @@ class _Piece:
         arithmetic, and returns a 1-D drift.
         """
         net = self.net
-        nf, n = net._n_free, net.n_species
+        nf, n = net.n_free, net.n_species
         if len(cols) == 1:
             return self._one(int(cols[0]))
         drift = net.kernel.drift(nf, len(cols))
@@ -408,12 +394,12 @@ class _Piece:
 
     def _one(self, c: int) -> Callable:
         net = self.net
-        nf = net._n_free
+        nf = net.n_free
         drift = net.kernel.drift(nf)
         x = net.kernel.buffer()
         if self.signals is not None:
-            driven = [(nf + j, fn) for j, fn in
-                      enumerate(_driven_evaluators(self.signals[c], net.driven_names))]
+            driven = [(nf + j, lambda t, nm=nm, signal=self.signals[c]: signal.concentration(nm, t))
+                      for j, nm in enumerate(net.driven_names)]
         else:
             x[nf:net.n_species] = self.u0[c]
             a = float(self.a[c])
@@ -429,16 +415,6 @@ class _Piece:
                 x[pos] = fn(t)
             return drift(t, x)
         return fun
-
-
-def _driven_evaluators(signal, names: Sequence[str]):
-    fns = []
-    for nm in names:
-        if hasattr(signal, "scalar_evaluator"):
-            fns.append(signal.scalar_evaluator(nm))
-        else:
-            fns.append(lambda t, nm=nm: float(signal.concentration(nm, t)))
-    return fns
 
 
 @dataclass(frozen=True)
@@ -670,6 +646,7 @@ class _Plan:
     """
 
     net: _CompiledNetwork
+    signal: object
     corners: np.ndarray
     origin: tuple
     y0: np.ndarray
@@ -692,14 +669,14 @@ class _Plan:
 
 
 def _integrate_runs(runs) -> list[Trace]:
-    kernels: list[tuple[Brn, MassActionKernel]] = []  # one per distinct network
+    nets: list[tuple[Brn, _CompiledNetwork]] = []  # one layout per distinct network
     plans: list[_Plan] = []
     batches: dict[tuple, list[_Plan]] = {}  # network, tolerances and tau -> runs
     for r, (brn, x0, signal, config) in enumerate(runs):
-        g = next((g for g, (other, _) in enumerate(kernels) if other == brn), len(kernels))
-        net = _CompiledNetwork(brn, signal, kernels[g][1] if g < len(kernels) else None)
-        if g == len(kernels):
-            kernels.append((brn, net.kernel))
+        g = next((g for g, (other, _) in enumerate(nets) if other == brn), len(nets))
+        if g == len(nets):
+            nets.append((brn, _CompiledNetwork(brn)))
+        net = nets[g][1]
         spec = signal.spec if isinstance(signal, InputSignal) else None
         tau = spec.tau if spec is not None else None
         # only blocks that end within [0, t_end] are blocks; the rest is the tail
@@ -712,8 +689,8 @@ def _integrate_runs(runs) -> list[Trace]:
         # a tail depends on the rest of the word too
         tail = (origin, blocks, spec.word if spec is not None else None, config.t_end) \
             if 3 * len(blocks) * (tau or 0.0) < config.t_end else None
-        plans.append(_Plan(net, np.asarray(signal.critical_times(), dtype=float), origin, y0,
-                           blocks, tail, tau, config.t_end))
+        plans.append(_Plan(net, signal, np.asarray(signal.critical_times(), dtype=float), origin,
+                           y0, blocks, tail, tau, config.t_end))
         batches.setdefault(batch, []).append(plans[-1])
 
     segments: dict[tuple, tuple[_Steps, np.ndarray, SolverStats]] = {}
@@ -729,7 +706,7 @@ def _integrate_runs(runs) -> list[Trace]:
                 levels[k].setdefault(key, (plan, parent, a, b))
         for batch in levels:
             if batch:
-                columns = [_Column(plan.net.signal, segments[parent][1] if parent else plan.y0,
+                columns = [_Column(plan.signal, segments[parent][1] if parent else plan.y0,
                                    _bounds(plan.corners, a, b))
                            for plan, parent, a, b in batch.values()]
                 segments.update(zip(batch, _integrate_segments(
@@ -741,7 +718,7 @@ def _integrate_runs(runs) -> list[Trace]:
         stats = SolverStats()
         for _, _, cost in parts:
             stats += cost
-        dense = DenseTable([steps for steps, _, _ in parts], plan.net.states)
+        dense = DenseTable([steps for steps, _, _ in parts], partial(plan.net.states, plan.signal))
         t_grid = np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1)
         traces.append(Trace(names=brn.species_names, times=t_grid, values=dense(t_grid),
                             t_end=config.t_end, _dense=dense, stats=stats))
@@ -751,8 +728,13 @@ def _integrate_runs(runs) -> list[Trace]:
 def integrate_fixed_step(brn: Brn, x0: ConcState, signal, config: SimConfig,
                          h: float) -> Trace:
     """Classical fixed-step fourth-order Runge-Kutta cross-check integrator."""
-    net = _CompiledNetwork(brn, signal)
-    rhs = net.drift
+    net = _CompiledNetwork(brn)
+    nf, drift, x = net.n_free, net.kernel.drift(net.n_free), net.kernel.buffer()
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        x[:nf] = y
+        x[nf:net.n_species] = [signal.concentration(nm, t) for nm in net.driven_names]
+        return drift(t, x)
 
     n_steps = max(int(math.ceil(config.t_end / h)), 1)
     h = config.t_end / n_steps
@@ -780,8 +762,8 @@ def integrate_fixed_step(brn: Brn, x0: ConcState, signal, config: SimConfig,
 
     free_at = interp1d(t_grid, free_vals, axis=0, kind="cubic" if len(t_grid) > 3 else "linear",
                        bounds_error=False, fill_value=(free_vals[0], free_vals[-1]))
-    return Trace(names=brn.species_names, times=t_grid, values=net.states(t_grid, free_vals),
-                 t_end=config.t_end, _dense=lambda t: net.states(t, np.maximum(free_at(t), 0.0)))
+    return Trace(names=brn.species_names, times=t_grid, values=net.states(signal, t_grid, free_vals),
+                 t_end=config.t_end, _dense=lambda t: net.states(signal, t, np.maximum(free_at(t), 0.0)))
 
 
 @dataclass

@@ -126,13 +126,20 @@ def test_empty_word_signal_is_zero_and_admissible():
     assert _checked_validate(sig, spec).admissible
 
 
-def test_scalar_evaluator_matches_vectorized():
+def test_a_float_time_reads_the_array_path_to_the_bit():
     spec = SignalSpec(("0", "1"), epsilon=0.1, tau=1.5)
     sig = encode(spec)
-    t = np.linspace(-0.5, 10, 400)
-    for name in sig.input_species():
-        fast = sig.scalar_evaluator(name)
-        assert np.allclose([fast(float(tt)) for tt in t], sig.concentration(name, t))
+    tau = spec.tau
+    # every phase boundary and third, a little either side of each, negative
+    # times, times past the word, and random times
+    marks = np.array([k * tau + j * tau / 3 for k in range(-2, 3 * spec.length + 3) for j in range(3)])
+    t = np.concatenate([marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
+                        np.linspace(-0.5, 12.0, 401),
+                        np.random.default_rng(0).uniform(-1.0, 12.0, 400)])
+    for name in (*sig.input_species(), "X_undeclared"):
+        floats = [sig.concentration(name, float(tt)) for tt in t]
+        assert all(type(v) is float for v in floats)
+        assert np.array(floats).tobytes() == sig.concentration(name, t).tobytes()
 
 
 def test_encode_validates_admissible_grid():

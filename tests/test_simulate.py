@@ -214,12 +214,24 @@ def _rates(net, t):
     return net.kernel.fluxes(t, np.ones(net.n_species + 1))
 
 
+def _clamped_drift(net, signal):
+    """The free species' drift ``f(t, y)`` at one time, inputs read from ``signal.concentration``."""
+    nf, drift, x = net.n_free, net.kernel.drift(net.n_free), net.kernel.buffer()
+
+    def f(t, y):
+        x[:nf] = y
+        x[nf:net.n_species] = [signal.concentration(nm, float(t)) for nm in net.driven_names]
+        return drift(t, x)
+    return f
+
+
 def test_drift_matches_the_monomial_products_to_the_bit(example_nfa, planned):
     out = translate(example_nfa, planned.rates)
     brn = perturb_rates(out.brn, PerturbationProfile(delta=planned.delta, mode="sinusoid",
                                                      omega=2 * math.pi / planned.tau, seed=2))
     signal = encode(SignalSpec(("1", "0"), epsilon=planned.epsilon, tau=planned.tau))
-    net = simulate._CompiledNetwork(brn, signal)
+    net = simulate._CompiledNetwork(brn)
+    drift = net.kernel.drift(net.n_free)
     rng = np.random.default_rng(0)
     for t in rng.uniform(0.0, 7.0, 50):
         x = np.empty(net.n_species)
@@ -234,11 +246,12 @@ def test_drift_matches_the_monomial_products_to_the_bit(example_nfa, planned):
                 monomials[j] = f if k == 0 else monomials[j] * f
         flux = _rates(net, t) * monomials
         # each species' drift summed over its reactions in reaction order
-        stoich = net.kernel.stoich[:len(net.free_idx)]
-        expected = np.zeros(len(net.free_idx))
+        stoich = net.kernel.stoich[:net.n_free]
+        expected = np.zeros(net.n_free)
         for i, j in zip(*np.nonzero(stoich.T)[::-1]):
             expected[i] += stoich[i, j] * flux[j]
-        assert np.array_equal(net.drift(t, x[net.free_idx]), expected)
+        buffer = net.kernel.buffer(np.concatenate([x[net.free_idx], x[net.driven_idx]]))
+        assert np.array_equal(drift(t, buffer), expected)
 
 
 def test_piecewise_rates_match_the_rate_laws(example_nfa, planned):
@@ -256,7 +269,7 @@ def test_piecewise_rates_match_the_rate_laws(example_nfa, planned):
                                        for j, rxn in enumerate(out.brn.reactions)))
     times = np.concatenate([np.linspace(-1.0, 5.0, 97), [0.5, 1.25, 3.0, 4.0]])
     for network in (brn, mixed):
-        net = simulate._CompiledNetwork(network, _zero_signal())
+        net = simulate._CompiledNetwork(network)
         for t in times:
             expected = np.array([rxn.rate.value(t) for rxn in network.reactions])
             assert np.array_equal(_rates(net, float(t)), expected)
@@ -269,13 +282,14 @@ def test_drift_is_the_vector_field_of_the_clamped_state(example_nfa, planned, mo
                                   omega=2 * math.pi / planned.tau, seed=6)
     brn = perturb_rates(out.brn, profile, t_end=7.0)
     signal = encode(SignalSpec(("1", "0"), epsilon=planned.epsilon, tau=planned.tau))
-    net = simulate._CompiledNetwork(brn, signal)
+    net = simulate._CompiledNetwork(brn)
+    drift = _clamped_drift(net, signal)
     rng = np.random.default_rng(1)
     for t in rng.uniform(0.0, 7.0, 100):
-        y = rng.uniform(0.0, 1.2, len(net.free_idx))
-        x = net.states(np.array([t]), y)[0]
+        y = rng.uniform(0.0, 1.2, net.n_free)
+        x = net.states(signal, np.array([t]), y)[0]
         assert np.array_equal(x[net.driven_idx], [signal.concentration(nm, t) for nm in net.driven_names])
-        assert np.array_equal(net.drift(t, y), vector_field(brn, x, t)[net.free_idx])
+        assert np.array_equal(drift(t, y), vector_field(brn, x, t)[net.free_idx])
 
 
 def test_fixed_step_cross_check(example_nfa, planned):
@@ -428,7 +442,7 @@ def test_a_column_packs_the_same_bits_alone_and_anywhere_in_a_batch(example_nfa,
     out, brn = _network(example_nfa, planned, mode)
     tau = planned.tau
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    net = simulate._CompiledNetwork(brn, _zero_signal())
+    net = simulate._CompiledNetwork(brn)
     columns = []
     for _ in range(size):
         # a symbol block of its own word, starting at its own time, from its own state
@@ -447,6 +461,34 @@ def test_a_column_packs_the_same_bits_alone_and_anywhere_in_a_batch(example_nfa,
         for ours, reference in zip((*packed[0], packed[1]), (*alone[0], alone[1])):
             assert np.array_equal(ours, reference)
         assert packed[2] == alone[2]
+
+
+@pytest.mark.parametrize("mode", ["none", "sinusoid", "piecewise"])
+@pytest.mark.parametrize("size", [1, 3])
+def test_piece_drift_matches_the_drift_read_from_the_signal(example_nfa, planned, mode, size):
+    # bound fixed before the first run: within 1e-12 of the largest entry's
+    # magnitude, since a ramp is u(a) + slope (t - a), not the trapezoid's
+    # closed form, and the two inputs differ by rounding
+    out, brn = _network(example_nfa, planned, mode)
+    tau = planned.tau
+    net = simulate._CompiledNetwork(brn)
+    signals = [encode(SignalSpec(word, epsilon=planned.epsilon, tau=tau))
+               for word in [("1", "0"), ("0", "1"), ("1", "1")][:size]]
+    # every piece of each word, and the silent tail after it
+    bounds = [simulate._bounds(signal.critical_times(), 0.0, 8 * tau) for signal in signals]
+    inputs = [np.array([signal.concentration(nm, b) for nm in net.driven_names]).T
+              for signal, b in zip(signals, bounds)]
+    rng = np.random.default_rng(size)
+    for r in range(len(bounds[0]) - 1):
+        a, b = np.array([bs[r] for bs in bounds]), np.array([bs[r + 1] for bs in bounds])
+        piece = simulate._Piece(net, signals, a, b, np.array([u[r:r + 2] for u in inputs]))
+        drift = piece.select(np.arange(size))
+        for _ in range(3):
+            t, y = rng.uniform(a, b), rng.uniform(0.0, 1.2, (size, net.n_free))
+            got = np.reshape(drift(t, y), (size, net.n_free))
+            for c, signal in enumerate(signals):
+                expected = _clamped_drift(net, signal)(t[c], y[c])
+                assert np.max(np.abs(got[c] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class _Drift:
@@ -487,11 +529,11 @@ def test_stepper_agrees_with_scipy_rk45(example_nfa, planned):
     signal = encode(SignalSpec(("1", "0"), epsilon=planned.epsilon, tau=planned.tau))
     config = SimConfig(t_end=8 * planned.tau, rel_tol=1e-8, abs_tol=1e-11)
     trace = integrate(brn, out.initial, signal, config)
-    net = simulate._CompiledNetwork(brn, signal)
+    net = simulate._CompiledNetwork(brn)
     y, steps = out.initial.values[net.free_idx], 0
     bounds = simulate._bounds(signal.critical_times(), 0.0, config.t_end)
     for a, b in zip(bounds[:-1], bounds[1:]):
-        sol = scipy_solve_ivp(net.drift, (a, b), y, method="RK45", rtol=config.rel_tol,
+        sol = scipy_solve_ivp(_clamped_drift(net, signal), (a, b), y, method="RK45", rtol=config.rel_tol,
                               atol=config.abs_tol, max_step=planned.tau / 3)
         y, steps = sol.y[:, -1], steps + len(sol.t) - 1
     assert np.max(np.abs(trace._dense.free(np.array([config.t_end]))[0] - y)) <= 1e-12
