@@ -633,7 +633,7 @@ def check_constraints(params: ParameterSet, *, p_policy: str = "upper",
     drain_ok = add("copy-low-drain", beta_lo, "emptied portal keeps the down-copy dominant",
                    strict=True, z0=z0_lo, alpha=alpha_lo, beta=beta_lo, z_gain=z_gain)
     if drain_ok:
-        bound = (2.0 / (alpha_lo + beta_lo)) * (beta_lo * math.exp(-(alpha_lo + beta_lo) * tau / 3) + alpha_lo)
+        bound = _copy_low_bound_value(params, z0_lo, copy_rate)
         add("copy-low-threshold", gamma - bound,
             "copy phase keeps an emptied portal's state species under gamma",
             alpha=alpha_lo, beta=beta_lo, bound=bound)

@@ -80,6 +80,14 @@ def phase_role(k: int, word_length: int) -> str:
     return ("reset", "symbol", "copy")[k % 3]
 
 
+def _scheduled(k: int, spec: SignalSpec) -> tuple[int, str]:
+    """The condition that requires a species in input phase k, and that species."""
+    i, role = divmod(k, 3)
+    if role == 1:
+        return 6, input_species_name(spec.word[i])
+    return (5, RESET_SPECIES) if role == 0 else (7, COPY_SPECIES)
+
+
 def _trapezoid(local: np.ndarray) -> np.ndarray:
     # unit trapezoid on [0,1): ramp up over the first third, hold 1, ramp down
     return np.clip(np.minimum(3.0 * local, 3.0 * (1.0 - local)), 0.0, 1.0)
@@ -88,43 +96,42 @@ def _trapezoid(local: np.ndarray) -> np.ndarray:
 class InputSignal:
     """Closed-form trapezoidal encoding of a word; pure and immutable.
 
-    Each species ramps 0 to 1 over the first third of each phase where it is
-    present, holds 1 over the middle third, and ramps back down.  Unknown
-    species evaluate to zero.
+    Phase k carries the one species ``_scheduled`` names for it: X_r, the
+    symbol's species and X_c in turn.  That species ramps 0 to 1 over the
+    first third of the phase, holds 1 over the middle third, and ramps back
+    down; every other species is zero, and unknown species are zero
+    throughout.
     """
 
-    def __init__(self, spec: SignalSpec, present_phases: Mapping[str, tuple[int, ...]]):
+    def __init__(self, spec: SignalSpec):
         self.spec = spec
-        self._phases = {name: frozenset(ph) for name, ph in present_phases.items()}
         # per species, whether it is present in phase k; the last entry is
         # False and stands for every phase outside the table
-        self._present = {}
-        for name, ph in self._phases.items():
-            table = np.zeros(max(ph, default=-1) + 2, dtype=bool)
-            table[[k for k in ph if k >= 0]] = True
-            self._present[name] = table
+        schedule = [_scheduled(k, spec)[1] for k in range(spec.num_phases)]
+        self._present = {name: np.array([*(s == name for s in schedule), False])
+                         for name in dict.fromkeys([RESET_SPECIES, COPY_SPECIES, *schedule])}
 
     def input_species(self) -> tuple[str, ...]:
-        return tuple(self._phases)
+        """X_r, X_c, then the symbols' species in order of first use."""
+        return tuple(self._present)
 
     def concentration(self, name: str, t):
         """The species' level at t: a float for a float t (the same bits, cheaper), else an array."""
-        phases = self._phases.get(name)
+        present = self._present.get(name)
         tau = self.spec.tau
         if isinstance(t, float):
-            if not (phases and t >= 0.0):
+            if present is None or not t >= 0.0:
                 return 0.0
             k = int(t // tau)
-            if k not in phases:
+            if k >= len(present) or not present[k]:
                 return 0.0
             local = t / tau - k
             v = min(3.0 * local, 3.0 * (1.0 - local), 1.0)
             return v if v > 0.0 else 0.0
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros_like(t_arr)
-        if phases:
+        if present is not None:
             k = np.floor_divide(t_arr, tau).astype(int)
-            present = self._present[name]
             on = present[np.minimum(np.maximum(k, -1), len(present) - 1)] & (t_arr >= 0)
             if on.any():
                 local = t_arr[on] / tau - k[on]
@@ -132,17 +139,14 @@ class InputSignal:
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def critical_times(self) -> np.ndarray:
-        """Corner points of the waveforms (includes all analytic extrema)."""
+        """Corner points of the waveforms (includes all analytic extrema): every phase's ends and thirds."""
         tau = self.spec.tau
-        pts = set()
-        for phases in self._phases.values():
-            for k in phases:
-                pts.update((k * tau, k * tau + tau / 3, k * tau + 2 * tau / 3, (k + 1) * tau))
-        return np.array(sorted(pts))
+        return np.array(sorted({t for k in range(self.spec.num_phases)
+                                for t in (k * tau, k * tau + tau / 3, k * tau + 2 * tau / 3, (k + 1) * tau)}))
 
     def write_csv(self, fileobj, times) -> None:
         times = np.asarray(times, dtype=float)
-        names = list(self._phases)
+        names = list(self._present)
         cols = [self.concentration(n, times) for n in names]
         writer = csv.writer(fileobj)
         writer.writerow(["t", *names])
@@ -158,17 +162,12 @@ class InputSignal:
 
 
 def encode(spec: SignalSpec) -> InputSignal:
-    """Build the trapezoidal encoding of a word.
+    """Build the trapezoidal encoding of a word: ``InputSignal(spec)``.
 
     The empty word yields an identically-zero (vacuously admissible) signal
     with no declared species beyond the reset/copy pair.
     """
-    phases: dict[str, list[int]] = {RESET_SPECIES: [], COPY_SPECIES: []}
-    for i, a in enumerate(spec.word):
-        phases[RESET_SPECIES].append(3 * i)
-        phases.setdefault(input_species_name(a), []).append(3 * i + 1)
-        phases[COPY_SPECIES].append(3 * i + 2)
-    return InputSignal(spec, {n: tuple(p) for n, p in phases.items()})
+    return InputSignal(spec)
 
 
 class MappingSignal:
@@ -228,48 +227,6 @@ class AdmissibilityReport:
         return "\n".join(lines)
 
 
-def _scheduled(k: int, spec: SignalSpec) -> tuple[int, str]:
-    """The condition that requires a species in input phase k, and that species."""
-    i, role = divmod(k, 3)
-    if role == 1:
-        return 6, input_species_name(spec.word[i])
-    return (5, RESET_SPECIES) if role == 0 else (7, COPY_SPECIES)
-
-
-def _phase_violations(signal, spec: SignalSpec, names: Sequence[str], k: int,
-                      grid: np.ndarray, mid: np.ndarray) -> list[Violation]:
-    """The violations of phase k, sampled on its grid (``mid``: the middle third)."""
-    eps, tau = spec.epsilon, spec.tau
-    t0, t1 = k * tau, (k + 1) * tau
-    violations: list[Violation] = []
-    peaks: list[tuple[str, float, float]] = []  # species present, time and value of its peak
-    for name in names:
-        vals = np.asarray(signal.concentration(name, grid), dtype=float)
-        hi = int(np.argmax(vals))
-        if vals[hi] >= 1 + eps:
-            violations.append(Violation(1, k, name, float(grid[hi]), float(vals[hi])))
-        if vals[0] >= eps:
-            violations.append(Violation(2, k, name, float(t0), float(vals[0])))
-        if k == 3 * spec.length and vals[-1] >= eps:
-            violations.append(Violation(2, k + 1, name, float(t1), float(vals[-1])))
-        if vals[hi] >= eps:
-            peaks.append((name, float(grid[hi]), float(vals[hi])))
-            lo = int(np.argmin(np.where(mid, vals, np.inf)))
-            if vals[lo] <= 1 - eps:
-                violations.append(Violation(4, k, name, float(grid[lo]), float(vals[lo])))
-    for name, t_peak, v_peak in peaks[1:]:
-        violations.append(Violation(3, k, name, t_peak, v_peak))
-    if k < 3 * spec.length:
-        cond, needed = _scheduled(k, spec)
-        if needed not in [name for name, _, _ in peaks]:
-            violations.append(Violation(cond, k, needed, float(t0 + tau / 2),
-                                        float(signal.concentration(needed, t0 + tau / 2))))
-    else:
-        for name, _, v_peak in peaks:
-            violations.append(Violation(8, k, name, float(t0 + tau / 2), v_peak))
-    return violations
-
-
 def validate(signal, spec: SignalSpec, *, species: Iterable[str] | None = None,
              samples_per_phase: int = 1000) -> AdmissibilityReport:
     """Check the eight admissibility conditions by dense sampling.
@@ -277,18 +234,18 @@ def validate(signal, spec: SignalSpec, *, species: Iterable[str] | None = None,
     The grid per phase is ``samples_per_phase`` uniform points plus the phase
     and third boundaries plus any signal-declared critical times, so
     closed-form waveform extrema are always sampled exactly.  All phase grids
-    are built at once and each species is evaluated once over all of them;
-    per-phase extrema come from one reduction, and only the phases that
-    fail are sampled again to name their violations.  Violations are report
-    content, not errors.
+    are built at once and each species is evaluated once over all of them.
+    Each condition is one mask over the per-(species, phase) reductions of
+    that sweep, and the violations are named from the same arrays: the time
+    of a peak or of a sag is looked up only in the phases that fail.
+    Violations are report content, not errors.
     """
-    eps, tau, n = spec.epsilon, spec.tau, spec.length
+    eps, tau = spec.epsilon, spec.tau
     if species is None:
         species = signal.input_species()
     names = list(dict.fromkeys([*species, RESET_SPECIES, COPY_SPECIES]))
-    row = {name: j for j, name in enumerate(names)}
     critical = np.asarray(signal.critical_times(), dtype=float)
-    last_phase = 3 * n  # one silent phase is checked for condition (8)
+    last_phase = spec.num_phases  # one silent phase is checked for condition (8)
 
     # every phase's grid as one row: the uniform samples, the thirds and the
     # signal's corners inside the phase, padded with copies of the phase
@@ -306,33 +263,60 @@ def validate(signal, spec: SignalSpec, *, species: Iterable[str] | None = None,
     keep = np.ones(rows.shape, dtype=bool)
     keep[:, 1:] = rows[:, 1:] != rows[:, :-1]
     grid = rows[keep]
-    mid = ((rows >= (t0 + tau / 3)[:, None]) & (rows <= (t0 + 2 * tau / 3)[:, None]))[keep]
+    mid = np.flatnonzero(((rows >= (t0 + tau / 3)[:, None]) & (rows <= (t0 + 2 * tau / 3)[:, None]))[keep])
     bounds = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    starts = bounds[:-1]
-    mid_starts = np.searchsorted(np.flatnonzero(mid), starts)  # every phase has its thirds in mid
+    # phase k's middle third is mid[mid_bounds[k]:mid_bounds[k + 1]], never empty: it holds the thirds
+    mid_bounds = np.searchsorted(mid, bounds)
     del rows, keep
 
-    # per species and phase: the peak, the lowest middle-third value, and the value at the start
-    peak, mid_low, first = (np.empty((len(names), last_phase + 1)) for _ in range(3))
-    end = np.empty(len(names))
+    # per species and phase: the peak, the lowest middle-third value, the value at the start
+    values = np.empty((len(names), len(grid)))
     for j, name in enumerate(names):
-        vals = np.asarray(signal.concentration(name, grid), dtype=float)
-        peak[j] = np.maximum.reduceat(vals, starts)
-        mid_low[j] = np.minimum.reduceat(vals[mid], mid_starts)
-        first[j] = vals[starts]
-        end[j] = vals[-1]
+        values[j] = signal.concentration(name, grid)
+    peak = np.maximum.reduceat(values, bounds[:-1], axis=1)
+    mid_low = np.minimum.reduceat(values[:, mid], mid_bounds[:-1], axis=1)
+    first = values[:, bounds[:-1]]
+
     present = peak >= eps
-    failing = ((peak >= 1 + eps) | (first >= eps) | (present & (mid_low <= 1 - eps))).any(axis=0)
-    failing |= present.sum(axis=0) > 1
-    failing[last_phase] |= present[:, last_phase].any() or (end >= eps).any()
-    for p in range(last_phase):
-        needed = _scheduled(p, spec)[1]
-        failing[p] |= needed not in row or not present[row[needed], p]
+    high = peak >= 1 + eps                                    # (1)
+    raised = first >= eps                                     # (2) at the phase start
+    late = values[:, -1] >= eps                               # (2) at the end of the last phase
+    crowded = present & (np.cumsum(present, axis=0) > 1)      # (3) each present species after the first
+    sags = present & (mid_low <= 1 - eps)                     # (4)
+    schedule = [_scheduled(p, spec) for p in range(last_phase)]
+    missing = np.array([needed not in names or not present[names.index(needed), p]
+                        for p, (_, needed) in enumerate(schedule)] + [False])  # (5)-(7)
+    stray = present[:, last_phase]                            # (8)
+    failing = (high | raised | crowded | sags).any(axis=0) | missing
+    failing[last_phase] |= late.any() or stray.any()
+
+    def time_of(pick, j: int, cells: np.ndarray) -> float:
+        """The grid time at which ``pick`` (argmax or argmin) finds species j's value among the cells."""
+        return float(grid[cells[pick(values[j, cells])]])
 
     violations: list[Violation] = []
     for p in np.flatnonzero(failing).tolist():
-        violations += _phase_violations(signal, spec, names, p, grid[bounds[p]:bounds[p + 1]],
-                                        mid[bounds[p]:bounds[p + 1]])
+        start, cells = p * tau, np.arange(bounds[p], bounds[p + 1])
+        mid_cells = mid[mid_bounds[p]:mid_bounds[p + 1]]
+        for j, name in enumerate(names):
+            if high[j, p]:
+                violations.append(Violation(1, p, name, time_of(np.argmax, j, cells), float(peak[j, p])))
+            if raised[j, p]:
+                violations.append(Violation(2, p, name, float(start), float(first[j, p])))
+            if p == last_phase and late[j]:
+                violations.append(Violation(2, p + 1, name, float((p + 1) * tau), float(values[j, -1])))
+            if sags[j, p]:
+                violations.append(Violation(4, p, name, time_of(np.argmin, j, mid_cells),
+                                            float(mid_low[j, p])))
+        for j in np.flatnonzero(crowded[:, p]).tolist():
+            violations.append(Violation(3, p, names[j], time_of(np.argmax, j, cells), float(peak[j, p])))
+        if missing[p]:
+            cond, needed = schedule[p]
+            violations.append(Violation(cond, p, needed, float(start + tau / 2),
+                                        float(signal.concentration(needed, start + tau / 2))))
+        if p == last_phase:
+            for j in np.flatnonzero(stray).tolist():
+                violations.append(Violation(8, p, names[j], float(start + tau / 2), float(peak[j, p])))
 
     return AdmissibilityReport(
         admissible=not violations,

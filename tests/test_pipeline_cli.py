@@ -261,6 +261,8 @@ class TestCli:
         assert main(["encode", "10", "--eps", str(params["epsilon"]),
                      "--tau", str(params["tau"]), "-o", str(tmp_path / "sig.csv"),
                      "--json", str(sig)]) == 0
+        assert main(["simulate", str(net), str(sig), "--t-end", "inf",
+                     "-o", str(trace)]) == 2
         assert main(["simulate", str(net), str(sig), "--t-end", "8.0",
                      "-o", str(trace)]) == 0
         assert main(["decide", str(trace), NFA_PATH, "--word", "10",

@@ -149,6 +149,10 @@ def test_encode_validates_admissible_grid():
                 spec = SignalSpec(word, epsilon=eps, tau=tau)
                 report = _checked_validate(encode(spec), spec)
                 assert report.admissible, str(report)
+                # the corners are every input phase's ends and thirds, to the bit
+                corners = sorted({t for k in range(spec.num_phases)
+                                  for t in (k * tau, k * tau + tau / 3, k * tau + 2 * tau / 3, (k + 1) * tau)})
+                assert encode(spec).critical_times().tobytes() == np.array(corners, dtype=float).tobytes()
 
 
 def test_violation_peak_too_high():
@@ -161,6 +165,27 @@ def test_violation_peak_too_high():
     report = _checked_validate(bad, spec)
     assert not report.admissible
     assert 1 in report.conditions_violated()
+
+
+def test_validate_evaluates_each_species_once():
+    # X_c scaled above 1 + eps fails condition (1) in both copy phases; naming
+    # those violations reads the one sweep again, not the signal
+    spec = SignalSpec(("1", "0"), epsilon=0.1, tau=1.0)
+    base = encode(spec)
+    calls = {n: 0 for n in base.input_species()}
+
+    def counted(name, scale):
+        def f(t):
+            if np.ndim(t):
+                calls[name] += 1
+            return scale * base.concentration(name, t)
+        return f
+
+    funcs = {n: counted(n, 1.3 if n == COPY_SPECIES else 1.0) for n in base.input_species()}
+    report = validate(MappingSignal(funcs, critical=base.critical_times()), spec)
+    assert [(v.condition, v.phase, v.species) for v in report.violations] == [
+        (1, 2, COPY_SPECIES), (1, 5, COPY_SPECIES)]
+    assert calls == {n: 1 for n in base.input_species()}
 
 
 def test_violation_two_species_present():

@@ -598,6 +598,12 @@ def test_fault_on_a_negative_excursion():
     assert fault.state[0] < -10 * 1e-9
 
 
+def test_an_infinite_horizon_is_refused():
+    # the stepper would step toward it a piece at a time and never end
+    with pytest.raises(ValueError, match="t_end"):
+        SimConfig(t_end=math.inf)
+
+
 def test_importing_the_cli_leaves_scipy_integrate_and_interpolate_unloaded():
     src = Path(simulate.__file__).resolve().parent.parent
     code = ("import sys, nfa2crn.cli; "
