@@ -6,9 +6,11 @@ equilibrium restores high values, and a "growth" variant (gain term +c*ub)
 whose lower basin restores low values.  Their equilibria and exact travel
 times between levels, together with linear-drive bounds for the reset,
 compute, and copy phases, combine into an inequality system over
-(epsilon, eta, delta, tau, gamma, gamma*, k1..k4).  The checker evaluates
-that system with full intermediates; the planner searches it for a feasible,
-comfortably slack point.
+(epsilon, eta, delta, tau, gamma, gamma*, k1..k4).  That system is written
+once, as a lazy walk over its inequalities in report order: the checker
+records every entry with its intermediates, and the planner screens each
+point of a fixed grid with the same walk, stopping at the point's first
+failing inequality, to find a feasible, comfortably slack point.
 """
 
 from __future__ import annotations
@@ -526,38 +528,33 @@ class ConstraintReport:
         }
 
 
-def check_constraints(params: ParameterSet, *, p_policy: str = "upper",
-                      copy_rate: str = "actual") -> ConstraintReport:
-    """Evaluate the full inequality system with intermediates and slacks.
+def _checks(params: ParameterSet, p_policy: str, copy_rate: str):
+    """The inequality system as one lazy walk, in report order.
 
-    Conserved totals are pinned to the admissible band edge selected by
-    ``p_policy`` ("upper" = 1+2eps, the default; "lower" = 1-eps).  Overall
-    pass means every inequality holds; each entry carries a signed slack
-    (nonnegative iff satisfied) so a planner can see what binds.
+    Yields ``(name, slack, description, strict, details)`` per inequality and
+    receives that entry's verdict back.  An entry whose expression needs an
+    earlier one to hold (rates and epsilon in range, a discriminant, a basin
+    window, a positive copy pump or portal drain) is yielded as skipped, with
+    slack -inf, when that verdict was false.  A caller that stops at the first
+    failing entry evaluates nothing past it.
     """
     eps, eta, dl, tau = params.epsilon, params.eta, params.delta, params.tau
     gamma, gstar = params.gamma, params.gamma_star
     p = _conc_cap(params, p_policy)
-    checks: list[ConstraintCheck] = []
+    skipped = float("-inf")
 
-    def add(name, slack, description, strict=False, **details):
-        ok = slack > 0 if strict else slack >= 0
-        checks.append(ConstraintCheck(name, bool(ok), float(slack), description,
-                                      {k: float(v) for k, v in details.items()}))
-        return ok
-
-    add("epsilon-range", min(eps, 0.5 - eps), "0 < epsilon < 1/2", strict=True)
-    add("eta-range", min(eta, 0.5 - eta), "0 < eta < 1/2", strict=True)
-    rates_ok = add("rates-exceed-delta", min(params.k1, params.k2, params.k3, params.k4) - dl,
-                   "every rate constant exceeds delta", strict=True)
-    add("gamma-range", 0.5 - gamma, "gamma < 1/2", strict=True)
-    add("base-case", gamma - eps, "gamma >= epsilon (initial levels within gamma)")
-    add("gamma-star-window", min(gstar - eps, gamma - gstar),
-        "epsilon < gamma* < gamma", strict=True)
-    add("decision-high", (1 - gamma) - (HIGH_THRESHOLD + eta),
-        "1 - gamma >= 2/3 + eta (high readings clear the upper threshold)")
-    add("decision-low", (LOW_THRESHOLD - eta) - gamma,
-        "gamma <= 1/3 - eta (low readings stay under the lower threshold)")
+    yield "epsilon-range", min(eps, 0.5 - eps), "0 < epsilon < 1/2", True, {}
+    yield "eta-range", min(eta, 0.5 - eta), "0 < eta < 1/2", True, {}
+    rates_ok = yield ("rates-exceed-delta", min(params.k1, params.k2, params.k3, params.k4) - dl,
+                      "every rate constant exceeds delta", True, {})
+    yield "gamma-range", 0.5 - gamma, "gamma < 1/2", True, {}
+    yield "base-case", gamma - eps, "gamma >= epsilon (initial levels within gamma)", False, {}
+    yield ("gamma-star-window", min(gstar - eps, gamma - gstar),
+           "epsilon < gamma* < gamma", True, {})
+    yield ("decision-high", (1 - gamma) - (HIGH_THRESHOLD + eta),
+           "1 - gamma >= 2/3 + eta (high readings clear the upper threshold)", False, {})
+    yield ("decision-low", (LOW_THRESHOLD - eta) - gamma,
+           "gamma <= 1/3 - eta (low readings stay under the lower threshold)", False, {})
 
     if not rates_ok or not 0 < eps < 0.5:
         for name in ("majority-discriminant-decay", "majority-discriminant-growth",
@@ -565,81 +562,114 @@ def check_constraints(params: ParameterSet, *, p_policy: str = "upper",
                      "restore-low-window", "restore-low-travel",
                      "portal-fill-level", "copy-high-pump", "copy-high-threshold",
                      "copy-low-drain", "copy-low-threshold"):
-            add(name, float("-inf"), "skipped: rates or epsilon out of range")
-        return ConstraintReport(params=params, checks=checks, p_policy=p_policy, copy_rate=copy_rate)
+            yield name, skipped, "skipped: rates or epsilon out of range", False, {}
+        return
 
     decay_decl = _decay_declarations(params, p)
     growth_decl = _growth_declarations(params, p)
     disc_decay = p * p * decay_decl.a ** 2 / (4 * (decay_decl.a + decay_decl.b)) - decay_decl.c
     disc_growth = p * p * growth_decl.b ** 2 / (4 * (growth_decl.a + growth_decl.b)) - growth_decl.c
-    decay_ok = add("majority-discriminant-decay", disc_decay,
-                   "copy leak below the decay-variant bifurcation level", strict=True,
-                   c=decay_decl.c)
-    growth_ok = add("majority-discriminant-growth", disc_growth,
-                    "copy leak below the growth-variant bifurcation level", strict=True,
-                    c=growth_decl.c)
+    decay_ok = yield ("majority-discriminant-decay", disc_decay,
+                      "copy leak below the decay-variant bifurcation level", True,
+                      {"c": decay_decl.c})
+    growth_ok = yield ("majority-discriminant-growth", disc_growth,
+                       "copy leak below the growth-variant bifurcation level", True,
+                       {"c": growth_decl.c})
 
     if decay_ok:
         eq = am_equilibria(decay_decl, "decay")
         u1, u2 = 1 - gamma, 1 - gstar
-        window = add("restore-high-window", min(u1 - eq.e2, eq.e3 - u2),
-                     "1-gamma and 1-gamma* inside the high basin (E2, E3)", strict=True,
-                     E2=eq.e2, E3=eq.e3)
+        window = yield ("restore-high-window", min(u1 - eq.e2, eq.e3 - u2),
+                        "1-gamma and 1-gamma* inside the high basin (E2, E3)", True,
+                        {"E2": eq.e2, "E3": eq.e3})
         if window:
             t_up = am_travel_time(eq, u1, u2)
-            add("restore-high-travel", tau - t_up,
-                "one phase restores a high state from 1-gamma to 1-gamma*",
-                travel_time=t_up)
+            yield ("restore-high-travel", tau - t_up,
+                   "one phase restores a high state from 1-gamma to 1-gamma*", False,
+                   {"travel_time": t_up})
         else:
-            add("restore-high-travel", float("-inf"), "skipped: window violated")
+            yield "restore-high-travel", skipped, "skipped: window violated", False, {}
     else:
-        add("restore-high-window", float("-inf"), "skipped: discriminant violated")
-        add("restore-high-travel", float("-inf"), "skipped: discriminant violated")
+        yield "restore-high-window", skipped, "skipped: discriminant violated", False, {}
+        yield "restore-high-travel", skipped, "skipped: discriminant violated", False, {}
 
     if growth_ok:
         eq = am_equilibria(growth_decl, "growth")
-        window = add("restore-low-window", min(gstar - eq.e1, eq.e2 - gamma),
-                     "gamma* and gamma inside the low basin (E1*, E2*)", strict=True,
-                     E1=eq.e1, E2=eq.e2)
+        window = yield ("restore-low-window", min(gstar - eq.e1, eq.e2 - gamma),
+                        "gamma* and gamma inside the low basin (E1*, E2*)", True,
+                        {"E1": eq.e1, "E2": eq.e2})
         if window:
             t_down = am_travel_time(eq, gamma, gstar)
-            add("restore-low-travel", tau - t_down,
-                "one phase restores a low state from gamma to gamma*",
-                travel_time=t_down)
+            yield ("restore-low-travel", tau - t_down,
+                   "one phase restores a low state from gamma to gamma*", False,
+                   {"travel_time": t_down})
         else:
-            add("restore-low-travel", float("-inf"), "skipped: window violated")
+            yield "restore-low-travel", skipped, "skipped: window violated", False, {}
     else:
-        add("restore-low-window", float("-inf"), "skipped: discriminant violated")
-        add("restore-low-travel", float("-inf"), "skipped: discriminant violated")
+        yield "restore-low-window", skipped, "skipped: discriminant violated", False, {}
+        yield "restore-low-travel", skipped, "skipped: discriminant violated", False, {}
 
     # high chain: compute fills the portal, then the copy phase must lift y past 1-gamma
     z0_hi = _compute_high_bound_value(params, 1 - gstar)
-    add("portal-fill-level", z0_hi, "compute phase leaves the target portal filled",
-        strict=True, z0=z0_hi)
+    yield ("portal-fill-level", z0_hi, "compute phase leaves the target portal filled",
+           True, {"z0": z0_hi})
     alpha_hi, beta_hi, z_loss = _copy_high_constants(params, z0_hi, copy_rate)
-    pump_ok = add("copy-high-pump", alpha_hi, "portal stays high enough to pump during copy",
-                  strict=True, alpha=alpha_hi, beta=beta_hi, z_loss=z_loss)
+    pump_ok = yield ("copy-high-pump", alpha_hi, "portal stays high enough to pump during copy",
+                     True, {"alpha": alpha_hi, "beta": beta_hi, "z_loss": z_loss})
     if pump_ok:
         rhs = beta_hi / (alpha_hi + beta_hi) + eps + math.exp(-(alpha_hi + beta_hi) * tau / 3)
-        add("copy-high-threshold", gamma - rhs,
-            "copy phase lifts a filled portal's state species to 1-gamma",
-            alpha=alpha_hi, beta=beta_hi, rhs=rhs)
+        yield ("copy-high-threshold", gamma - rhs,
+               "copy phase lifts a filled portal's state species to 1-gamma", False,
+               {"alpha": alpha_hi, "beta": beta_hi, "rhs": rhs})
     else:
-        add("copy-high-threshold", float("-inf"), "skipped: copy pump not positive")
+        yield "copy-high-threshold", skipped, "skipped: copy pump not positive", False, {}
 
     # low chain: reset empties the portal, then the copy phase must keep y under gamma
     z0_lo = _reset_bound_value(params)
     alpha_lo, beta_lo, z_gain = _copy_low_constants(params, z0_lo, copy_rate)
-    drain_ok = add("copy-low-drain", beta_lo, "emptied portal keeps the down-copy dominant",
-                   strict=True, z0=z0_lo, alpha=alpha_lo, beta=beta_lo, z_gain=z_gain)
+    drain_ok = yield ("copy-low-drain", beta_lo, "emptied portal keeps the down-copy dominant",
+                      True, {"z0": z0_lo, "alpha": alpha_lo, "beta": beta_lo, "z_gain": z_gain})
     if drain_ok:
         bound = _copy_low_bound_value(params, z0_lo, copy_rate)
-        add("copy-low-threshold", gamma - bound,
-            "copy phase keeps an emptied portal's state species under gamma",
-            alpha=alpha_lo, beta=beta_lo, bound=bound)
+        yield ("copy-low-threshold", gamma - bound,
+               "copy phase keeps an emptied portal's state species under gamma", False,
+               {"alpha": alpha_lo, "beta": beta_lo, "bound": bound})
     else:
-        add("copy-low-threshold", float("-inf"), "skipped: portal drain not positive")
+        yield "copy-low-threshold", skipped, "skipped: portal drain not positive", False, {}
 
+
+def _verdicts(params: ParameterSet, p_policy: str, copy_rate: str):
+    """Drive the walk: each entry with its verdict, which is sent back to the walk."""
+    walk = _checks(params, p_policy, copy_rate)
+    entry = next(walk)
+    while True:
+        _, slack, _, strict, _ = entry
+        ok = slack > 0 if strict else slack >= 0
+        yield entry, ok
+        try:
+            entry = walk.send(ok)
+        except StopIteration:
+            return
+
+
+def _holds(params: ParameterSet, p_policy: str) -> bool:
+    """Whether the whole system holds, stopping at the first failing entry."""
+    return all(ok for _, ok in _verdicts(params, p_policy, "actual"))
+
+
+def check_constraints(params: ParameterSet, *, p_policy: str = "upper",
+                      copy_rate: str = "actual") -> ConstraintReport:
+    """Evaluate the full inequality system with intermediates and slacks.
+
+    Conserved totals are pinned to the admissible band edge selected by
+    ``p_policy`` ("upper" = 1+2eps, the default; "lower" = 1-eps).  Overall
+    pass means every inequality holds; each entry carries a signed slack
+    (nonnegative iff satisfied) so a planner can see what binds.  The report
+    records every entry of the same walk the planner's screen stops early on.
+    """
+    checks = [ConstraintCheck(name, bool(ok), float(slack), description,
+                              {k: float(v) for k, v in details.items()})
+              for (name, slack, description, _, details), ok in _verdicts(params, p_policy, copy_rate)]
     return ConstraintReport(params=params, checks=checks, p_policy=p_policy, copy_rate=copy_rate)
 
 
@@ -671,19 +701,22 @@ _K1_TAU = (5.0, 7.0, 10.0, 14.0, 19.0)
 _LEAK_GUARD_FRACTION = 0.5
 
 
-def _candidate_ok(params: ParameterSet) -> tuple[bool, ConstraintReport, str]:
-    rep_hi = check_constraints(params, p_policy="upper")
-    if not rep_hi.passed:
-        return False, rep_hi, rep_hi.binding().name
-    rep_lo = check_constraints(params, p_policy="lower")
-    if not rep_lo.passed:
-        return False, rep_lo, rep_lo.binding().name
+def _leak_ok(params: ParameterSet) -> bool:
     # trace-safety guard: while a low state feeds a compute phase, the portal
     # gain before the majority dynamics drain the source must stay small
     leak = params.d * (params.k1 + params.delta) * params.gamma_star / (params.k4 - params.delta)
-    if leak > _LEAK_GUARD_FRACTION * params.gamma:
-        return False, rep_hi, "compute-leak-guard"
-    return True, rep_hi, ""
+    return leak <= _LEAK_GUARD_FRACTION * params.gamma
+
+
+def _diagnosis(params: ParameterSet) -> tuple[ConstraintReport, str]:
+    """A failing candidate's full report and the name of the constraint it fails on."""
+    rep_hi = check_constraints(params, p_policy="upper")
+    if not rep_hi.passed:
+        return rep_hi, rep_hi.binding().name
+    rep_lo = check_constraints(params, p_policy="lower")
+    if not rep_lo.passed:
+        return rep_lo, rep_lo.binding().name
+    return rep_hi, "compute-leak-guard"
 
 
 def plan_parameters(d: int, epsilon: float, eta: float, delta: float,
@@ -692,9 +725,13 @@ def plan_parameters(d: int, epsilon: float, eta: float, delta: float,
 
     gamma is pinned just under 1/3 - eta; gamma* and the four rate constants
     are scanned over a fixed grid of dimensionless products (rates scale as
-    1/tau, so tau defaults to 1 or to the given budget).  The first passing
-    candidate in deterministic grid order wins.  Infeasible inputs produce a
-    report naming the binding constraint instead of a guess.
+    1/tau, so tau defaults to 1 or to the given budget, which must be
+    positive).  The first candidate in deterministic grid order that passes
+    the leak guard and the system at both band edges wins; the constraint
+    walk stops each candidate at its first failing inequality, and only the
+    winner gets a full report.  Infeasible inputs, an empty grid included,
+    produce a result naming the binding constraint instead of a guess, with
+    the report of the candidate of largest minimum slack when there is one.
     """
     if not 0 < epsilon < 0.5:
         return PlanResult(False, None, None, f"epsilon={epsilon} outside (0, 1/2)", "epsilon-range")
@@ -702,6 +739,8 @@ def plan_parameters(d: int, epsilon: float, eta: float, delta: float,
         return PlanResult(False, None, None, f"eta={eta} outside (0, 1/2)", "eta-range")
     if delta < 0:
         return PlanResult(False, None, None, f"delta={delta} negative", "delta-range")
+    if tau_budget is not None and not tau_budget > 0:
+        return PlanResult(False, None, None, f"tau budget={tau_budget} not positive", "tau-range")
     gamma_cap = LOW_THRESHOLD - eta
     if gamma_cap <= epsilon:
         return PlanResult(
@@ -711,40 +750,52 @@ def plan_parameters(d: int, epsilon: float, eta: float, delta: float,
         )
     gamma = gamma_cap - min(3e-3, (gamma_cap - epsilon) / 10)
 
-    taus = [min(1.0, tau_budget) if tau_budget else 1.0]
-    taus += [taus[0] / 5, taus[0] / 25]
+    gstars = [frac * gamma for frac in _G_STAR_FRACTIONS if frac * gamma > 1.5 * epsilon]
+    if not gstars:
+        return PlanResult(
+            False, None, None,
+            f"no gamma* on the search grid exceeds 1.5 epsilon = {1.5 * epsilon:.6g}",
+            "gamma-star-window",
+        )
+    tau0 = min(1.0, tau_budget) if tau_budget is not None else 1.0
+    k4s_by_tau = [(tau, [k4t / tau for k4t in _K4_TAU if k4t / tau > 2 * delta])
+                  for tau in (tau0, tau0 / 5, tau0 / 25)]
+    if not any(k4s for _, k4s in k4s_by_tau):
+        return PlanResult(
+            False, None, None,
+            f"no k4 on the search grid exceeds 2 delta = {2 * delta:.6g}",
+            "rates-exceed-delta",
+        )
 
-    best: tuple[float, ConstraintReport] | None = None
-    best_binding = "majority-discriminant-decay"
-    for tau in taus:
-        for frac in _G_STAR_FRACTIONS:
-            gstar = frac * gamma
-            if gstar <= 1.5 * epsilon:
-                continue
-            for k4t in _K4_TAU:
-                k4 = k4t / tau
-                if k4 <= 2 * delta:
-                    continue
-                for ratio in _K2_OVER_K4:
-                    for k3t in _K3_TAU:
-                        for k1t in _K1_TAU:
-                            params = ParameterSet(
-                                epsilon=epsilon, eta=eta, delta=delta, tau=tau,
-                                gamma=gamma, gamma_star=gstar,
-                                k1=k1t / tau, k2=ratio * k4, k3=k3t / tau, k4=k4, d=d,
-                            )
-                            ok, rep, binding = _candidate_ok(params)
-                            if ok:
-                                return PlanResult(True, params, rep,
-                                                  "feasible parameter set found", None)
-                            score = rep.min_slack
-                            if best is None or score > best[0]:
-                                best = (score, rep)
-                                best_binding = binding or rep.binding().name
-    assert best is not None
+    def grid():
+        for tau, k4s in k4s_by_tau:
+            for gstar in gstars:
+                for k4 in k4s:
+                    for ratio in _K2_OVER_K4:
+                        for k3t in _K3_TAU:
+                            for k1t in _K1_TAU:
+                                yield ParameterSet(
+                                    epsilon=epsilon, eta=eta, delta=delta, tau=tau,
+                                    gamma=gamma, gamma_star=gstar,
+                                    k1=k1t / tau, k2=ratio * k4, k3=k3t / tau, k4=k4, d=d,
+                                )
+
+    # feasibility is a conjunction of pure predicates: cheapest first
+    for params in grid():
+        if _leak_ok(params) and _holds(params, "upper") and _holds(params, "lower"):
+            return PlanResult(True, params, check_constraints(params, p_policy="upper"),
+                              "feasible parameter set found", None)
+
+    # every candidate fails: rank them by full reports to name the closest one's binding constraint
+    best: tuple[float, ConstraintReport, str] | None = None
+    for params in grid():
+        rep, binding = _diagnosis(params)
+        if best is None or rep.min_slack > best[0]:
+            best = (rep.min_slack, rep, binding)
+    _, report, binding = best
     return PlanResult(
-        False, None, best[1],
+        False, None, report,
         "no feasible parameter set on the search grid; "
-        f"closest candidate fails at constraint {best_binding!r}",
-        best_binding,
+        f"closest candidate fails at constraint {binding!r}",
+        binding,
     )

@@ -302,8 +302,10 @@ def _pack(log, n_cols: int) -> list[_Steps]:
     """Each column's accepted steps from the iteration log, with their quartic coefficients."""
     ends = np.fromiter(chain.from_iterable(e for _, e, _ in log), dtype=float)
     stacks = np.concatenate([stack for _, _, stack in log], axis=1)
-    # scipy's Q = K.T @ P, summed in stage order
-    Q = np.add.reduce(stacks[1:, :, :, None] * _P[:, None, None, :], axis=0)
+    # scipy's Q = K.T @ P, summed in stage order into one array
+    Q = stacks[1, :, :, None] * _P[0]
+    for s in range(1, len(_P)):
+        Q += stacks[s + 1, :, :, None] * _P[s]
     if n_cols == 1:
         return [(ends, stacks[0].copy(), Q)]
     cols = np.fromiter(chain.from_iterable(c for c, _, _ in log), dtype=int)

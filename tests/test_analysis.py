@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from nfa2crn import analysis
 from nfa2crn.analysis import (
     AmParams,
     ParameterSet,
@@ -39,6 +40,75 @@ def _ode_travel(params, variant, u1, u2):
                     events=hit, rtol=1e-11, atol=1e-13)
     assert sol.t_events[0].size, "threshold never reached"
     return float(sol.t_events[0][0])
+
+
+# the report's entries, in report order
+REPORT_NAMES = (
+    "epsilon-range", "eta-range", "rates-exceed-delta", "gamma-range", "base-case",
+    "gamma-star-window", "decision-high", "decision-low",
+    "majority-discriminant-decay", "majority-discriminant-growth",
+    "restore-high-window", "restore-high-travel", "restore-low-window", "restore-low-travel",
+    "portal-fill-level", "copy-high-pump", "copy-high-threshold",
+    "copy-low-drain", "copy-low-threshold",
+)
+
+# one parameter set per skip branch of the constraint walk, keyed by its skipped entries' description
+_SKIP_BASE = dict(epsilon=1e-4, eta=0.05, delta=1e-3, tau=1.0, gamma=0.28, gamma_star=0.014,
+                  k1=5.0, k2=357.5, k3=14.0, k4=6.5, d=5)
+SKIP_BRANCH_CASES = {
+    "skipped: rates or epsilon out of range": dict(_SKIP_BASE, delta=2.0, k3=1.0),
+    "skipped: discriminant violated": dict(_SKIP_BASE, k2=1e6),
+    "skipped: window violated": dict(_SKIP_BASE, gamma_star=0.001),
+    "skipped: copy pump not positive": dict(_SKIP_BASE, k1=0.01),
+    "skipped: portal drain not positive": dict(_SKIP_BASE, k3=0.01),
+}
+
+
+def _reference_grid(d, epsilon, eta, delta):
+    """The planner's search grid as plain nested loops, in search order."""
+    gamma_cap = 1 / 3 - eta
+    gamma = gamma_cap - min(3e-3, (gamma_cap - epsilon) / 10)
+    for tau in (1.0, 1.0 / 5, 1.0 / 25):
+        for frac in analysis._G_STAR_FRACTIONS:
+            gstar = frac * gamma
+            if gstar <= 1.5 * epsilon:
+                continue
+            for k4t in analysis._K4_TAU:
+                k4 = k4t / tau
+                if k4 <= 2 * delta:
+                    continue
+                for ratio in analysis._K2_OVER_K4:
+                    for k3t in analysis._K3_TAU:
+                        for k1t in analysis._K1_TAU:
+                            yield ParameterSet(epsilon=epsilon, eta=eta, delta=delta, tau=tau,
+                                               gamma=gamma, gamma_star=gstar, k1=k1t / tau,
+                                               k2=ratio * k4, k3=k3t / tau, k4=k4, d=d)
+
+
+def _reference_plan(d, epsilon, eta, delta) -> dict:
+    """The planner as a full scan: both full reports and the leak guard for every candidate."""
+    best = None
+    for params in _reference_grid(d, epsilon, eta, delta):
+        rep = check_constraints(params, p_policy="upper")
+        if not rep.passed:
+            binding, ranked = rep.binding().name, rep
+        else:
+            rep_lo = check_constraints(params, p_policy="lower")
+            leak = params.d * (params.k1 + params.delta) * params.gamma_star / (params.k4 - params.delta)
+            if not rep_lo.passed:
+                binding, ranked = rep_lo.binding().name, rep_lo
+            elif leak > 0.5 * params.gamma:
+                binding, ranked = "compute-leak-guard", rep
+            else:
+                return {"feasible": True, "params": params.to_json_dict(), "report": rep.to_json_dict(),
+                        "message": "feasible parameter set found", "binding": None}
+        if best is None or ranked.min_slack > best[0]:
+            best = (ranked.min_slack, ranked, binding)
+    _, ranked, binding = best
+    return {"feasible": False, "params": None, "report": ranked.to_json_dict(),
+            "message": "no feasible parameter set on the search grid; "
+                       f"closest candidate fails at constraint {binding!r}",
+            "binding": binding}
 
 
 class TestEquilibria:
@@ -326,6 +396,32 @@ class TestConstraintChecker:
         assert any(c.name == "rates-exceed-delta" for c in report.failing())
 
 
+    def test_report_lists_every_entry_in_order(self, planned):
+        for params in [planned, *(ParameterSet(**kw) for kw in SKIP_BRANCH_CASES.values())]:
+            for policy in ("upper", "lower"):
+                report = check_constraints(params, p_policy=policy)
+                assert tuple(c.name for c in report.checks) == REPORT_NAMES
+
+    def test_each_skip_branch_reported(self):
+        for description, kw in SKIP_BRANCH_CASES.items():
+            report = check_constraints(ParameterSet(**kw))
+            assert not report.passed
+            skipped = [c for c in report.checks if c.description == description]
+            assert skipped, description
+            assert all(c.slack == float("-inf") and not c.satisfied for c in skipped)
+
+    def test_early_stopping_walk_agrees_with_report(self):
+        # every grid candidate at two degrees, plus one set per skip branch
+        candidates = [*_reference_grid(3, 1e-5, 0.05, 1e-3), *_reference_grid(13, 1e-4, 0.05, 1e-3),
+                      *(ParameterSet(**kw) for kw in SKIP_BRANCH_CASES.values())]
+        outcomes = set()
+        for params in candidates:
+            for policy in ("upper", "lower"):
+                passed = check_constraints(params, p_policy=policy).passed
+                assert analysis._holds(params, policy) == passed, (params, policy)
+                outcomes.add(passed)
+        assert outcomes == {True, False}
+
 class TestPlanner:
     def test_feasible_small_epsilon(self):
         result = plan_parameters(5, 1e-4, 0.05, 1e-4)
@@ -358,3 +454,33 @@ class TestPlanner:
     def test_parameter_set_roundtrip(self, planned):
         again = ParameterSet.from_json_dict(planned.to_json_dict())
         assert again == planned
+
+    def test_matches_reference_scan(self):
+        # the corpus bands and the run bands, and one infeasible case
+        cases = [(d, 1e-5, 0.05, 1e-3) for d in range(14)]
+        cases += [(d, 1e-4, 0.05, 1e-3) for d in range(14)]
+        cases += [(5, 0.01, 0.05, 0.001)]
+        for case in cases:
+            assert plan_parameters(*case).to_json_dict() == _reference_plan(*case), case
+        assert not plan_parameters(5, 0.01, 0.05, 0.001).feasible
+
+    def test_empty_grid_names_the_skipping_constraint(self):
+        # every gamma* on the grid is at most 1.5 epsilon
+        result = plan_parameters(5, 0.05, 0.2, 1e-3)
+        assert not result.feasible
+        assert result.binding == "gamma-star-window"
+        assert result.report is None and "gamma*" in result.message
+        # every k4 on the grid is at most 2 delta
+        result = plan_parameters(5, 1e-4, 0.05, 200.0)
+        assert not result.feasible
+        assert result.binding == "rates-exceed-delta"
+        assert result.report is None and "k4" in result.message
+
+    def test_tau_budget_must_be_positive(self):
+        for budget in (-1.0, 0.0, float("nan")):
+            result = plan_parameters(5, 1e-4, 0.05, 1e-3, tau_budget=budget)
+            assert not result.feasible, budget
+            assert result.binding == "tau-range"
+            assert result.params is None and result.report is None
+        result = plan_parameters(5, 1e-4, 0.05, 1e-3, tau_budget=0.5)
+        assert result.feasible and result.params.tau == 0.5

@@ -232,6 +232,16 @@ class TestCli:
         assert code == 1
         assert "infeasible" in capsys.readouterr().err
 
+    def test_plan_reports_an_empty_grid_and_a_bad_budget(self, capsys):
+        # an empty search grid and a budget that is not positive are reported, not raised or ignored
+        for argv, binding in ((["--eps", "0.05", "--eta", "0.2", "--delta", "1e-3"], "gamma-star-window"),
+                              (["--eps", "1e-4", "--eta", "0.05", "--delta", "1e-3", "--tau-max", "0"],
+                               "tau-range")):
+            assert main(["plan", "--d", "5", *argv]) == 1
+            out, err = capsys.readouterr()
+            assert json.loads(out)["binding"] == binding
+            assert err.startswith("infeasible")
+
     def test_run_mismatch_exit_code(self, tmp_path, capsys):
         # unworkable rates forced through report an unverified run
         bad = {"epsilon": 1e-4, "eta": 0.05, "delta": 0.0, "tau": 1.0,
