@@ -578,8 +578,9 @@ def _checks(params: ParameterSet, p_policy: str, copy_rate: str):
 
     if decay_ok:
         eq = am_equilibria(decay_decl, "decay")
+        # travel runs up from u1 to u2, and down from gamma to gamma* below
         u1, u2 = 1 - gamma, 1 - gstar
-        window = yield ("restore-high-window", min(u1 - eq.e2, eq.e3 - u2),
+        window = yield ("restore-high-window", min(u1 - eq.e2, eq.e3 - u2, u2 - u1),
                         "1-gamma and 1-gamma* inside the high basin (E2, E3)", True,
                         {"E2": eq.e2, "E3": eq.e3})
         if window:
@@ -595,7 +596,7 @@ def _checks(params: ParameterSet, p_policy: str, copy_rate: str):
 
     if growth_ok:
         eq = am_equilibria(growth_decl, "growth")
-        window = yield ("restore-low-window", min(gstar - eq.e1, eq.e2 - gamma),
+        window = yield ("restore-low-window", min(gstar - eq.e1, eq.e2 - gamma, gamma - gstar),
                         "gamma* and gamma inside the low basin (E1*, E2*)", True,
                         {"E1": eq.e1, "E2": eq.e2})
         if window:
@@ -708,15 +709,25 @@ def _leak_ok(params: ParameterSet) -> bool:
     return leak <= _LEAK_GUARD_FRACTION * params.gamma
 
 
-def _diagnosis(params: ParameterSet) -> tuple[ConstraintReport, str]:
-    """A failing candidate's full report and the name of the constraint it fails on."""
-    rep_hi = check_constraints(params, p_policy="upper")
-    if not rep_hi.passed:
-        return rep_hi, rep_hi.binding().name
-    rep_lo = check_constraints(params, p_policy="lower")
-    if not rep_lo.passed:
-        return rep_lo, rep_lo.binding().name
-    return rep_hi, "compute-leak-guard"
+def _diagnosis(params: ParameterSet) -> tuple[float, str, str]:
+    """A failing candidate's minimum slack, the constraint it fails on, and the policy of the report showing it.
+
+    The slacks are those ``check_constraints`` reports, from the same full
+    walk, without building the report: the upper band edge's if it fails,
+    else the lower's if it fails, else the upper's, failing the leak guard.
+    """
+    slacks = {}
+    for policy in ("upper", "lower"):
+        verdicts = list(_verdicts(params, policy, "actual"))
+        slacks[policy] = [(name, float(slack)) for (name, slack, *_), _ in verdicts]
+        if not all(ok for _, ok in verdicts):
+            return _min_slack(slacks[policy]), min(slacks[policy], key=lambda e: e[1])[0], policy
+    return _min_slack(slacks["upper"]), "compute-leak-guard", "upper"
+
+
+def _min_slack(slacks: list[tuple[str, float]]) -> float:
+    """``ConstraintReport.min_slack`` of a report with these slacks."""
+    return min((slack for _, slack in slacks), default=float("inf"))
 
 
 def plan_parameters(d: int, epsilon: float, eta: float, delta: float,
@@ -786,15 +797,16 @@ def plan_parameters(d: int, epsilon: float, eta: float, delta: float,
             return PlanResult(True, params, check_constraints(params, p_policy="upper"),
                               "feasible parameter set found", None)
 
-    # every candidate fails: rank them by full reports to name the closest one's binding constraint
-    best: tuple[float, ConstraintReport, str] | None = None
+    # every candidate fails: rank them by the slacks of full walks to name the
+    # closest one's binding constraint, and report that one alone
+    best: tuple[float, ParameterSet, str, str] | None = None
     for params in grid():
-        rep, binding = _diagnosis(params)
-        if best is None or rep.min_slack > best[0]:
-            best = (rep.min_slack, rep, binding)
-    _, report, binding = best
+        min_slack, binding, policy = _diagnosis(params)
+        if best is None or min_slack > best[0]:
+            best = (min_slack, params, binding, policy)
+    _, params, binding, policy = best
     return PlanResult(
-        False, None, report,
+        False, None, check_constraints(params, p_policy=policy),
         "no feasible parameter set on the search grid; "
         f"closest candidate fails at constraint {binding!r}",
         binding,

@@ -9,7 +9,6 @@ induced ODE system is the rate-weighted sum of net-effect vectors.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -30,6 +29,7 @@ __all__ = [
     "net_effect",
     "catalysts",
     "MassActionKernel",
+    "column_drift",
     "reaction_rate",
     "vector_field",
     "input_species_catalytic",
@@ -360,28 +360,40 @@ class MassActionKernel:
 
     A state buffer holds the species in ``order`` (default: the network's),
     then a 1.0 that pads monomials shorter than the longest; see ``buffer``.
-    ``stoich`` has one row per buffer species and one column per reaction,
-    its net effect.  ``fluxes(t, x)`` gives each reaction's rate at time t
-    times its monomial; the fluxes of an all-ones buffer are the rates.
-    ``drift(rows)`` compiles the net rate of change of the first ``rows``
-    buffer species, each summed over its reactions in reaction order.
+    The drift covers the first ``rows`` buffer species (default: all); the
+    others are held.  ``stoich`` has one row per buffer species and one
+    column per reaction, its net effect.
 
-    Both also take columns: a ``(B, n + 1)`` buffer with a ``(B,)`` array of
-    times gives one row of fluxes, or of rates of change, per column.  Every
-    sum has the same order in every column, so a column's result does not
-    depend on B or on its position (a BLAS product's summation order
-    does); one buffer gives the same bits as one column.  Constant and
-    offset rates are folded into ``k_base``; sinusoid rates add
-    ``amp * sin(omega t + phase)``, with zeros on the other rows; piecewise
-    rates sharing one knot grid take one search and one lerp per
-    evaluation.  A rate law of another kind raises ``TypeError``.
+    The kernel is compiled per nonzero entry of ``stoich``, in reaction
+    order: an entry's weight is its reaction's factors multiplied in order,
+    times the reaction's rate, times the entry's coefficient, ``((f1 f2) f3
+    k) c``, and a species' rate of change adds the weights of its entries in
+    reaction order (``bincount`` adds each bin's weights in the order given).
+    ``fluxes`` reads the same tables: a reaction's flux is the weight of its
+    first entry before the coefficient, so the fluxes of an all-ones buffer
+    are the rates (every reaction has an entry among the drift's rows when
+    the held species are catalysts only, as a network's inputs are).
+
+    Rates are evaluated for a table of times, one row per evaluation to
+    come.  Constant and offset rates are one number per entry.  Sinusoid
+    rates add ``amp * sin(omega t + phase)`` once per reaction (zero
+    amplitude on the other reactions), read by its entries; piecewise rates
+    sharing one knot grid take one search per time and one lerp per entry.
+    A rate law of another kind raises ``TypeError``.
+
+    ``column_drift`` lays the entries of one kernel per column side by side,
+    kernels of any networks, so a column's weights and sums are those it has
+    alone whatever the batch holds: a column's result does not depend on the
+    batch's size or on its position (a BLAS product's summation order
+    would).
     """
 
-    def __init__(self, brn: Brn, order: Sequence[str] | None = None):
+    def __init__(self, brn: Brn, order: Sequence[str] | None = None, rows: int | None = None):
         order = brn.species_names if order is None else tuple(order)
         pos = {nm: b for b, nm in enumerate(order)}
         n, n_rxn = len(order), len(brn.reactions)
         self.n_species = n
+        self.rows = n if rows is None else rows
         self.n_reactions = n_rxn
 
         width = max([sum(r.reactants.values()) for r in brn.reactions], default=1)
@@ -395,16 +407,10 @@ class MassActionKernel:
                     k += 1
             for nm, d in net_effect(rxn).items():
                 self.stoich[pos[nm], j] = d
-        # a monomial is its first factor times the next ones, in order
-        self._slots = slots
-        # the stoichiometry's nonzero entries in reaction order: reaction, species row
-        self._entries = np.nonzero(self.stoich.T)
-        self._compiled: dict[tuple, Callable] = {}  # fluxes and drifts by layout
 
         self.k_base = np.empty(n_rxn)
-        self.amp, self.omega, self.phase = np.zeros(n_rxn), np.zeros(n_rxn), np.zeros(n_rxn)
+        sinusoid = np.zeros((3, n_rxn))  # amp, omega, phase
         pwl_by_grid: dict[tuple[float, ...], list[tuple[int, tuple[float, ...]]]] = {}
-        self._sinusoid = False
         for j, rxn in enumerate(brn.reactions):
             law = rxn.rate
             if isinstance(law, ConstantRate):
@@ -413,28 +419,39 @@ class MassActionKernel:
                 self.k_base[j] = law.nominal + law.offset
             elif isinstance(law, SinusoidRate):
                 self.k_base[j] = law.nominal
-                self.amp[j], self.omega[j], self.phase[j] = law.amplitude, law.omega, law.phase
-                self._sinusoid = True
+                sinusoid[:, j] = law.amplitude, law.omega, law.phase
             elif isinstance(law, PiecewiseLinearRate):
                 self.k_base[j] = law.nominal
                 pwl_by_grid.setdefault(law.times, []).append((j, law.offsets))
             else:
                 raise TypeError(f"no mass-action kernel for rate law {type(law).__name__}")
-        # per knot grid, row i serves the times with i knots at or before them:
-        # its left knot, slope and offset.  The first and last rows are flat
-        # (slope 0); ``lefts[1:]`` are the knots.  The lerp is np.interp's
-        # formula, so the rates are the same to the bit
-        self._pwl_groups = []
+        self.sinusoid = sinusoid if sinusoid[0].any() else None
+
+        # every entry of the drift's rows in reaction order: its factors, species, coefficient and reaction
+        reaction, species = np.nonzero(self.stoich.T)
+        reaction, species = reaction[species < self.rows], species[species < self.rows]
+        self._entries = _Entries(slots[:, reaction], species, self.stoich[species, reaction], reaction,
+                                 self.k_base[reaction])
+        # each reaction's first entry, whose weight is the reaction's flux
+        self._first = np.flatnonzero(np.diff(reaction, prepend=-1))
+        # per knot grid: the entries it rates (None for all), its knots, and per
+        # entry a table whose row i serves the times with i knots at or before
+        # them: its left knot, slope and offset.  The first and last rows are
+        # flat (slope 0).  The lerp is np.interp's formula, so the rates are
+        # the same to the bit
+        self.grids = []
         for times, members in pwl_by_grid.items():
-            offsets = np.array([off for _, off in members]).T
-            flat = np.zeros((1, len(members)))
-            rows = [j for j, _ in members]
-            self._pwl_groups.append((
-                None if rows == list(range(n_rxn)) else np.array(rows), times,
-                np.array([times[0], *times]),
+            member = np.full(n_rxn, -1)
+            member[[j for j, _ in members]] = np.arange(len(members))
+            at = np.flatnonzero(member[reaction] >= 0)
+            offsets = np.array([off for _, off in members]).T[:, member[reaction[at]]]
+            flat = np.zeros((1, len(at)))
+            self.grids.append((
+                None if len(at) == len(reaction) else at, np.array(times), np.array([times[0], *times]),
                 np.concatenate([flat, np.diff(offsets, axis=0) / np.diff(times)[:, None], flat]),
                 np.concatenate([offsets[:1], offsets])))
-        self.k_static = not (self._sinusoid or self._pwl_groups)
+        self.k_static = self.sinusoid is None and not self.grids
+        self._compiled: dict[tuple, tuple] = {}  # homogeneous batches by size and layout
 
     def buffer(self, values=None) -> np.ndarray:
         """A state buffer: ``values`` in buffer order (uninitialised if None), then the 1.0 pad."""
@@ -444,91 +461,142 @@ class MassActionKernel:
         x[-1] = 1.0
         return x
 
-    def fluxes(self, t, x: np.ndarray) -> np.ndarray:
-        """Each reaction's rate at time t times its monomial over the buffer x (or one row per column)."""
-        return self._fluxes(len(x) if x.ndim == 2 else None)(t, x)
+    def fluxes(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Each reaction's rate at time t times its monomial over the buffer x: its first entry's weight."""
+        if len(self._first) != self.n_reactions:
+            raise ValueError("a reaction changes only held species, so the drift's entries hold no flux for it")
+        rates, weights, _ = _compile([self], self.rows, self.n_species - self.rows)
+        return _at(t, rates, weights)(x)[self._first]
 
-    def drift(self, rows: int | None = None, columns: int | None = None) -> Callable:
-        """The drift as one function ``f(t, x)``: the rates of change of the first ``rows`` species.
+    def drift(self) -> Callable:
+        """The drift ``f(t, x)`` of one buffer at a time: the rates of change of the first ``rows`` species."""
+        rates, drift = column_drift([self], self.rows, self.n_species - self.rows)
+        return lambda t, x: _at(t, rates, drift)(x)
 
-        ``x`` is one buffer and t a time (``columns`` None), or ``columns``
-        stacked buffers and one time per column.  Each species' rate of
-        change is its row of ``stoich`` times ``fluxes(t, x)``, summed over
-        its reactions in reaction order.
-        """
-        rows = self.n_species if rows is None else rows
-        if ("drift", rows, columns) not in self._compiled:
-            n = 1 if columns is None else columns
-            reaction, species = self._entries
-            keep = species < rows
-            reaction, species = reaction[keep], species[keep]
-            offsets = np.arange(n)[:, None]
-            entries = (reaction[None, :] + self.n_reactions * offsets).ravel()
-            coef = np.tile(self.stoich[species, reaction], n)
-            bins = (species[None, :] + rows * offsets).ravel()
-            fluxes, length, shape = self._fluxes(columns), n * rows, (n, rows)
 
-            def f(t, x):
-                weights = fluxes(t, x).ravel()[entries]
-                weights *= coef
-                # bincount adds each bin's weights in the order given: reaction order
-                out = np.bincount(bins, weights, minlength=length)
-                return out if columns is None else out.reshape(shape)
-            self._compiled["drift", rows, columns] = f
-        return self._compiled["drift", rows, columns]
+def _at(t: float, rates: Callable | None, weights: Callable) -> Callable:
+    """``weights`` of one buffer with the rates at time t."""
+    rate = None if rates is None else rates(np.array([[t]], dtype=float))[0]
+    return lambda x: weights(x, rate)
 
-    def _fluxes(self, columns: int | None) -> Callable:
-        """``fluxes`` for one buffer (``columns`` None) or that many stacked buffers."""
-        if ("fluxes", columns) not in self._compiled:
-            n = 1 if columns is None else columns
-            # each factor's flat index in the stacked buffers: one row per factor
-            gathers = (self._slots[:, None, :] + (self.n_species + 1) * np.arange(n)[None, :, None]
-                       ).reshape(len(self._slots), -1)
-            first, rest = gathers[0], gathers[1:]
-            shape = (self.n_reactions,) if columns is None else (n, self.n_reactions)
-            k_base = self.k_base
-            rates = None if self.k_static else self._rates if columns is None else self._column_rates
 
-            def f(t, x):
-                flat = x.ravel()
-                flux = flat[first]
-                for slots in rest:
-                    flux *= flat[slots]
-                if columns is not None:
-                    flux = flux.reshape(shape)
-                flux *= k_base if rates is None else rates(t)
-                return flux
-            self._compiled["fluxes", columns] = f
-        return self._compiled["fluxes", columns]
+@dataclass(frozen=True)
+class _Entries:
+    """A kernel's entries: factor slots (one row per factor), species, coefficient, reaction and constant rate."""
 
-    def _rates(self, t: float) -> np.ndarray:
-        """The rates at time t."""
-        if self._sinusoid:
-            k = self.k_base + self.amp * np.sin(self.omega * t + self.phase)
+    factors: np.ndarray
+    species: np.ndarray
+    coef: np.ndarray
+    reaction: np.ndarray
+    k: np.ndarray
+
+
+def column_drift(kernels: Sequence[MassActionKernel], rows: int, held: int) -> tuple[Callable | None, Callable]:
+    """The drift of one buffer per kernel, stacked, as ``(rates, drift)``.
+
+    Column c's buffer holds the first ``kernels[c].rows`` species, then
+    zeros up to ``rows``, then its other species up to ``held``, then the
+    1.0 pad: x has shape (B, rows + held + 1).  ``rates(times)`` takes one
+    row of times per evaluation to come, one time per column, and gives each
+    entry's rate in every row; it is None when every kernel's rates are
+    constant.  ``drift(x, rate)`` takes one row of ``rates(times)`` (None
+    without it) and returns the rates of change of each column's ``rows``
+    leading species, flat, column after column; padding species have no
+    entries, so their rates are exactly 0.  A batch of one kernel is
+    compiled once per size and layout.
+    """
+    kernel = kernels[0]
+    if any(k is not kernel for k in kernels):
+        rates, _, drift = _compile(kernels, rows, held)
+        return rates, drift
+    key = (len(kernels), rows, held)
+    if key not in kernel._compiled:
+        rates, _, drift = _compile(kernels, rows, held)
+        kernel._compiled[key] = rates, drift
+    return kernel._compiled[key]
+
+
+def _compile(kernels: Sequence[MassActionKernel], rows: int,
+             held: int) -> tuple[Callable | None, Callable, Callable]:
+    """Every column's entries as ``(rates, weights, drift)``.
+
+    ``weights(x, rate)`` is each entry's monomial times its rate, and
+    ``drift(x, rate)`` sums the weights times their coefficients into species.
+    """
+    width = rows + held + 1
+    entries = [k._entries for k in kernels]
+    counts = [len(e.species) for e in entries]
+    starts = np.cumsum([0, *counts])
+    n_factors = max(len(e.factors) for e in entries)
+    factors = np.full((n_factors, starts[-1]), width - 1)
+    for c, (kernel, e) in enumerate(zip(kernels, entries)):
+        # a kernel's buffer position in the stacked layout: leading rows, held species, pad
+        place = np.concatenate([np.arange(kernel.rows), rows + np.arange(kernel.n_species - kernel.rows),
+                                [width - 1]]) + c * width
+        factors[:len(e.factors), starts[c]:starts[c + 1]] = place[e.factors]
+    first, rest = factors[0], factors[1:]
+    k = np.concatenate([e.k for e in entries])
+    rates = None if all(kernel.k_static for kernel in kernels) else _rates(kernels, entries)
+
+    coef = np.concatenate([e.coef for e in entries])
+    bins = np.concatenate([e.species + c * rows for c, e in enumerate(entries)])
+    length = len(kernels) * rows
+
+    def weights(x, rate):
+        flat = x.ravel()
+        w = flat[first]
+        for slots in rest:
+            w *= flat[slots]
+        w *= k if rate is None else rate
+        return w
+
+    def drift(x, rate):
+        w = weights(x, rate)
+        w *= coef
+        return np.bincount(bins, w, minlength=length)
+    return rates, weights, drift
+
+
+def _rates(kernels: Sequence[MassActionKernel], entries: Sequence[_Entries]) -> Callable:
+    """Each entry's rate in every row of times: sinusoid rates evaluated once per reaction, lerps per entry."""
+    counts = [k.n_reactions for k in kernels]
+    starts = np.cumsum([0, *counts])
+    reading = np.concatenate([e.reaction + starts[c] for c, e in enumerate(entries)])
+    k_entry = np.concatenate([e.k for e in entries])
+    sinusoid = None
+    if any(k.sinusoid is not None for k in kernels):
+        # a rate with no sinusoid term is exact: k + 0 sin(0 t + 0) = k
+        sinusoid = (np.concatenate([k.k_base for k in kernels]), np.repeat(np.arange(len(kernels)), counts),
+                    *np.concatenate([np.zeros((3, n)) if k.sinusoid is None else k.sinusoid
+                                     for k, n in zip(kernels, counts)], axis=1))
+    entry_starts = np.cumsum([0, *(len(e.k) for e in entries)])
+    grids = []  # per kernel and knot grid: its columns (None for all), their entries in the batch, the tables
+    for kernel in dict.fromkeys(kernels):
+        cols = [c for c, other in enumerate(kernels) if other is kernel]
+        every = len(cols) == len(kernels)
+        for at, knots, lefts, slopes, offsets in kernel.grids:
+            # a grid that rates every entry of every column adds to all of them in order
+            spots = None if at is None and every else \
+                (entry_starts[cols][:, None] + (np.arange(len(kernel._entries.k)) if at is None else at)).ravel()
+            grids.append((spots, None if every else np.array(cols), knots, lefts, slopes, offsets))
+
+    def rates(times):
+        if sinusoid is None:
+            k = k_entry
         else:
-            k = self.k_base
-        for rows, knots, lefts, slopes, offsets in self._pwl_groups:
-            i = bisect_right(knots, t)
-            offset = slopes[i] * (t - lefts[i]) + offsets[i]
-            if rows is None:
+            k_base, column, amp, omega, phase = sinusoid
+            k = (k_base + amp * np.sin(omega * times[:, column] + phase))[:, reading]
+        for spots, cols, knots, lefts, slopes, offsets in grids:
+            t = times if cols is None else times[:, cols]
+            i = knots.searchsorted(t, side="right")
+            offset = (slopes[i] * (t - lefts[i])[..., None] + offsets[i]).reshape(len(times), -1)
+            if spots is None:
                 k = k + offset
             else:
-                k = k.copy() if k is self.k_base else k
-                k[rows] += offset
+                k = np.repeat(k[None], len(times), axis=0) if k is k_entry else k
+                k[:, spots] += offset
         return k
-
-    def _column_rates(self, t: np.ndarray) -> np.ndarray:
-        """The rates at each column's time, one row per column, with ``_rates``'s arithmetic."""
-        t = np.asarray(t, dtype=float)
-        if self._sinusoid:
-            k = self.k_base + self.amp * np.sin(self.omega * t[:, None] + self.phase)
-        else:
-            k = np.repeat(self.k_base[None, :], len(t), axis=0)
-        for rows, _, lefts, slopes, offsets in self._pwl_groups:
-            i = lefts[1:].searchsorted(t, side="right")
-            offset = slopes[i] * (t - lefts[i])[:, None] + offsets[i]
-            k[:, slice(None) if rows is None else rows] += offset
-        return k
+    return rates
 
 
 def _buffer(kernel: MassActionKernel, state) -> np.ndarray:

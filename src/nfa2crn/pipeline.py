@@ -312,26 +312,55 @@ def all_words(alphabet: Sequence[str], max_len: int) -> list[tuple[str, ...]]:
     return words
 
 
-def _run_reports(manifests: Sequence[RunManifest]) -> list[dict]:
-    """Reports of manifests in group order, one ``_run_all`` per group.
+def _packs(sizes: Sequence[int]) -> list[list[int]]:
+    """Groups of the given sizes placed in packs no larger than the largest group.
 
-    A group is a stretch of manifests that differ only in their word.
+    Largest first, each group goes into the first pack it fits in; returns
+    each pack's group indices, in the order they were placed.
     """
-    reports: list[dict] = []
-    for _, group in groupby(manifests, key=lambda m: replace(m, word=())):
-        reports += [result.report for result in _run_all(list(group))]
-    return reports
+    budget = max(sizes, default=0)
+    packs: list[list[int]] = []
+    loads: list[int] = []
+    for g in sorted(range(len(sizes)), key=lambda g: -sizes[g]):
+        p = next((p for p, load in enumerate(loads) if load + sizes[g] <= budget), len(packs))
+        if p == len(packs):
+            packs.append([])
+            loads.append(0)
+        packs[p].append(g)
+        loads[p] += sizes[g]
+    return packs
+
+
+def _run_reports(manifests: Sequence[RunManifest]) -> list[dict]:
+    """Reports of manifests in their order, one ``_run_all`` per pack of groups.
+
+    A group is a stretch of manifests that differ only in their word; its
+    size is its runs times its network's free species.  Groups are packed
+    into batches no larger than the largest group (see ``_packs``), so a
+    pack holds about the memory that group alone does, and the runs of a
+    pack integrate together, across their networks.
+    """
+    groups = [list(group) for _, group in groupby(manifests, key=lambda m: replace(m, word=()))]
+    reports: list[list[dict]] = [[] for _ in groups]
+    for pack in _packs([len(group) * 4 * group[0].nfa.num_states for group in groups]):
+        # keep the reports alone, so a pack's traces are freed before the next pack runs
+        packed = iter([result.report for result in _run_all([m for g in pack for m in groups[g]])])
+        for g in pack:
+            reports[g] = [next(packed) for _ in groups[g]]
+    return [report for group in reports for report in group]
 
 
 def corpus_reports(manifests: Iterable[RunManifest], processes: int | None = None) -> list[dict]:
     """Run many manifests, optionally across a worker pool; reports come back in input order.
 
-    Manifests that differ only in their word form a group, and each group
-    is integrated in one ``integrate`` call: its word trie level by level,
-    every distinct symbol block once (see ``simulate.integrate``).  The
-    manifests are ordered by group, in input order within a group, so each
-    group is contiguous; a pool gives each worker one contiguous slice of
-    that order.  Every report is the one ``run_end_to_end`` gives for its
+    Manifests that differ only in their word form a group.  Groups are
+    packed into batches no larger than the largest group, and each pack is
+    integrated in one ``integrate`` call: every group's word trie level by
+    level, every distinct symbol block once, the levels of all the pack's
+    networks in one batch (see ``simulate.integrate``).  The manifests are
+    ordered by group, in input order within a group, so each group is
+    contiguous; a pool gives each worker one contiguous slice of that order
+    to pack.  Every report is the one ``run_end_to_end`` gives for its
     manifest alone.
     """
     manifests = list(manifests)

@@ -15,16 +15,20 @@ sums are conserved to rounding by construction.
 The solver restarts at every corner of the signal, so no step straddles a
 kink, and at most ``tau/3`` is taken at once.  Between two corners an encoded
 input is linear in t, so each piece's drift is compiled once: constant inputs
-are written once per piece and a ramp takes one vector operation per drift.
-A signal is read only through its ``concentration``; every run on a network
-shares one layout of it and its kernel.  ``integrate`` takes one run or many.
-A word's input is a chain of symbol blocks of ``3 tau``, so runs on one
-network with the same tolerances and ``tau`` integrate their word trie level
-by level: every distinct block of level k in one batch, then every tail in
-one batch.  A run's dense output is a table of its solver steps
-(``DenseTable``): the sample grid, the decision and the block-boundary checks
-each read any set of times with one search and one vectorised quartic per
-symbol block.
+are written once per piece, and what depends on time alone (a ramp, the
+rates) is computed for all six stages of a step at once.  A signal is read
+only through its ``concentration``; every run on a network shares one layout
+of it and its kernel.  ``integrate`` takes one run or many.  A word's input
+is a chain of symbol blocks of ``3 tau``, so runs with the same tolerances
+and ``tau`` integrate their word tries level by level: every distinct block
+of level k in one batch, then every tail in one batch.  A batch holds
+columns of any networks: each column carries its network, its free species
+padded with zeros to the widest column's, and its error norm runs over its
+own species, so its arithmetic is the one it has alone.  Blocks are shared
+only within one network.  A run's dense output is a table of its solver
+steps (``DenseTable``): the sample grid, the decision and the block-boundary
+checks each read any set of times with one search and one vectorised
+quartic per symbol block.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import HIGH_THRESHOLD, LOW_THRESHOLD
-from .brn import Brn, ConcState, MassActionKernel
+from .brn import Brn, ConcState, MassActionKernel, column_drift
 from .nfa import Nfa, extended_transition
 from .perturb import ObservationScheme, observe
 from .signals import InputSignal, SignalSpec
@@ -91,7 +95,6 @@ _ERROR_EXPONENT = -1 / 5
 # the new state and row 6 for the error estimate; row 7 holds the stages'
 # nodes.  Scaled by the step h, the state's own weight goes back to 1.
 _TABLE = np.array([[0.0, *w, *[0.0] * (7 - len(w))] for w in [*_A[1:], _B, _E, _C[1:] + (1.0,)]])
-_NO_TIMES = (None,) * 6
 
 
 class IntegratorFault(RuntimeError):
@@ -149,7 +152,7 @@ class Solution:
 
     t0: np.ndarray
     steps: list[_Steps]
-    y_end: np.ndarray
+    y_end: list[np.ndarray]
     rejected: np.ndarray
     nfev: int
 
@@ -159,12 +162,21 @@ class Solution:
         return np.concatenate([self.t0[:1], *(ends for ends, _, _ in self.steps)])
 
 
-def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = np.inf) -> Solution:
+def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = np.inf,
+              widths: Sequence[int] | None = None) -> Solution:
     """Integrate B columns, column b from ``t0[b]`` to ``t1[b]`` starting at ``y0[b]``.
 
+    Column b's own species are the first ``widths[b]`` of its row (default:
+    all); the rest pad it to the batch's width, with a drift of exactly 0.
+    Its error norms run over its own species, and its steps, end state and
+    fault state are cut back to them.
+
     ``drift.select(columns)`` returns the drift of those columns (an index
-    array into the batch) as ``f(t, y)``, with one row of ``y`` and one time
-    per column; ``t`` is None when ``drift.needs_t`` is false.  Each column
+    array into the batch) as ``f``: ``f.at(times)`` takes a table of times,
+    one row per evaluation to come and one time per column, and ``f(i, y)``
+    evaluates at row i, with one row of ``y`` per column.  When
+    ``drift.needs_t`` is false, ``f.at`` is never called and ``f`` takes
+    any row.  An iteration's six stages are one table.  Each column
     starts with scipy's initial-step rule and then follows RK45's controller
     on its own, in Python floats: a step is at most ``max_step`` long and
     ends exactly at its column's ``t1``; once a column arrives, it leaves the
@@ -175,10 +187,12 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
     """
     y = np.array(y0, dtype=float)
     n_cols, n = y.shape
+    own = [n] * n_cols if widths is None else list(widths)
+    width = own  # the widths of the columns still running
     t, t_bound = np.asarray(t0, dtype=float).tolist(), np.asarray(t1, dtype=float).tolist()
     if not np.isfinite(y).all():
         b = int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0])
-        raise IntegratorFault("non-finite state", time=t[b], state=y[b].copy())
+        raise IntegratorFault("non-finite state", time=t[b], state=y[b, :width[b]].copy())
     needs_t = drift.needs_t
     cols = list(range(n_cols))  # the columns still running, in batch order
     log = []  # per lockstep iteration: the columns, step ends and stacks of its accepted steps
@@ -187,8 +201,10 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
     attempts = 0
     with np.errstate(all="ignore"):  # every non-finite result is raised as a fault below
         fun = drift.select(np.array(cols))
-        f = fun(np.array(t) if needs_t else None, y)
-        h_abs = _initial_step(fun, needs_t, t, t_bound, y, f, rtol, atol, max_step)
+        if needs_t:
+            fun.at(np.array([t]))
+        f = fun(0, y)
+        h_abs = _initial_step(fun, needs_t, t, t_bound, y, f, rtol, atol, max_step, width)
         rejected = [False] * n_cols  # the column's current step was rejected before
         while cols:
             t_new, h = [], []
@@ -196,21 +212,22 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
                 min_step = 10 * (math.nextafter(ti, math.inf) - ti)
                 if rejected[i] and h_abs[i] < min_step:
                     raise IntegratorFault(f"step size {h_abs[i]:.3e} below the spacing of times",
-                                          time=ti, state=y[i].copy())
+                                          time=ti, state=y[i, :width[i]].copy())
                 t_new.append(min(ti + min(max(h_abs[i], min_step), max_step), t_bound[i]))
                 h.append(t_new[i] - ti)
             # the table times each column's step: (row, stack entry, column, 1)
             weights = np.multiply.outer(_TABLE, np.array(h))[..., None]
             weights[:6, 0] = 1.0
-            # stage s is at t + c_s h; the last one at t + h
-            times = np.array(t) + weights[7, 1:7, :, 0] if needs_t else _NO_TIMES
+            if needs_t:
+                # stage s is at t + c_s h; the last one at t + h
+                fun.at(np.array(t) + weights[7, 1:7, :, 0])
             stack = np.empty((8, len(cols), n))
             stack[0] = y
             stack[1] = f
             for s in range(1, 6):
-                stack[s + 1] = fun(times[s - 1], _weighted_sum(weights[s - 1, :s + 1], stack))
+                stack[s + 1] = fun(s - 1, _weighted_sum(weights[s - 1, :s + 1], stack))
             y_new = _weighted_sum(weights[5, :7], stack)
-            stack[7] = fun(times[5], y_new)
+            stack[7] = fun(5, y_new)
             err = _weighted_sum(weights[6, 1:], stack[1:])
             scale = np.maximum(np.abs(y), np.abs(y_new))
             scale *= rtol
@@ -218,12 +235,12 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
             err /= scale
             attempts += len(cols)
             accepted, done = [], []
-            for i, square_sum in enumerate(_square_sums(err)):
-                norm = math.sqrt(square_sum / n)
+            for i, square_sum in enumerate(_square_sums(err, width)):
+                norm = math.sqrt(square_sum / width[i])
                 if not norm < math.inf:
                     state = y[i] if not np.isfinite(y[i]).all() else y_new[i]
                     kind = "state" if not np.isfinite(state).all() else "error norm"
-                    raise IntegratorFault(f"non-finite {kind}", time=t[i], state=state.copy())
+                    raise IntegratorFault(f"non-finite {kind}", time=t[i], state=state[:width[i]].copy())
                 grow = SAFETY * norm ** _ERROR_EXPONENT if norm else math.inf
                 if norm < 1:
                     # after a rejection, a step may not grow
@@ -250,18 +267,19 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
                 y_end[[cols[i] for i in done]] = y[done]
                 keep = [i for i in range(len(cols)) if i not in set(done)]
                 y, f = y[keep], f[keep]
-                cols, t, t_bound, h_abs, rejected = (
-                    [v[i] for i in keep] for v in (cols, t, t_bound, h_abs, rejected))
+                cols, t, t_bound, h_abs, rejected, width = (
+                    [v[i] for i in keep] for v in (cols, t, t_bound, h_abs, rejected, width))
                 if cols:
                     fun = drift.select(np.array(cols))
-    if not np.isfinite(y_end).all():
-        b = int(np.flatnonzero(~np.isfinite(y_end).all(axis=1))[0])
+    y_end = [row[:w] for row, w in zip(y_end, own)]
+    if not np.isfinite(np.concatenate(y_end)).all():
+        b = next(b for b, row in enumerate(y_end) if not np.isfinite(row).all())
         raise IntegratorFault("non-finite state", time=float(t1[b]), state=y_end[b].copy())
-    steps = _pack(log, n_cols)
-    floor = min(min(float(y_old.min()) for _, y_old, _ in steps), float(y_end.min()))
+    steps = _pack(log, own)
+    floor = min(min(float(y_old.min()) for _, y_old, _ in steps), min(float(row.min()) for row in y_end))
     if floor < -10.0 * atol:
         for b, (ends, y_old, _) in enumerate(steps):
-            states = np.concatenate([y_old, y_end[b:b + 1]])
+            states = np.concatenate([y_old, y_end[b][None]])
             if states.min() == floor:
                 i = int(np.argmin(states.min(axis=1)))
                 raise IntegratorFault(f"negative concentration {floor:.3e} beyond fault threshold",
@@ -271,20 +289,21 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
                     rejected=rejections, nfev=2 + 6 * attempts)
 
 
-def _initial_step(fun, needs_t, t0: list, t_bound: list, y0, f0, rtol, atol, max_step) -> list:
+def _initial_step(fun, needs_t, t0: list, t_bound: list, y0, f0, rtol, atol, max_step, width: list) -> list:
     """scipy's ``select_initial_step`` for every column (one more drift evaluation for all)."""
-    n = y0.shape[1]
     scale = atol + np.abs(y0) * rtol
     h0, d1 = [], []
-    for i, (y_sum, f_sum) in enumerate(zip(_square_sums(y0 / scale), _square_sums(f0 / scale))):
-        d0, d1_i = math.sqrt(y_sum / n), math.sqrt(f_sum / n)
+    for i, (y_sum, f_sum) in enumerate(zip(_square_sums(y0 / scale, width), _square_sums(f0 / scale, width))):
+        d0, d1_i = math.sqrt(y_sum / width[i]), math.sqrt(f_sum / width[i])
         h0.append(min(1e-6 if d0 < 1e-5 or d1_i < 1e-5 else 0.01 * d0 / d1_i, t_bound[i] - t0[i]))
         d1.append(d1_i)
     h0_col = np.array(h0)[:, None]
-    f1 = fun(np.array(t0) + h0_col[:, 0] if needs_t else None, y0 + h0_col * f0)
+    if needs_t:
+        fun.at(np.array(t0)[None] + h0_col.T)
+    f1 = fun(0, y0 + h0_col * f0)
     h_abs = []
-    for i, diff_sum in enumerate(_square_sums((f1 - f0) / scale)):
-        d2 = math.sqrt(diff_sum / n) / h0[i]
+    for i, diff_sum in enumerate(_square_sums((f1 - f0) / scale, width)):
+        d2 = math.sqrt(diff_sum / width[i]) / h0[i]
         if d1[i] <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0[i] * 1e-3)
         else:
@@ -293,13 +312,26 @@ def _initial_step(fun, needs_t, t0: list, t_bound: list, y0, f0, rtol, atol, max
     return h_abs
 
 
-def _square_sums(x: np.ndarray) -> list[float]:
-    """Each row's sum of squares."""
-    return np.add.reduce(x * x, axis=1).tolist()
+def _square_sums(x: np.ndarray, width: list[int]) -> list[float]:
+    """Each row's sum of squares over its first ``width[i]`` entries.
+
+    Zeros past a row's width would change numpy's pairwise grouping of the
+    sum, so rows of equal width are reduced together, each over its own.
+    """
+    squares = x * x
+    if min(width) == x.shape[1]:
+        return np.add.reduce(squares, axis=1).tolist()
+    sums = [0.0] * len(width)
+    for w in set(width):
+        rows = [i for i, wi in enumerate(width) if wi == w]
+        for i, total in zip(rows, np.add.reduce(squares[rows, :w], axis=1).tolist()):
+            sums[i] = total
+    return sums
 
 
-def _pack(log, n_cols: int) -> list[_Steps]:
-    """Each column's accepted steps from the iteration log, with their quartic coefficients."""
+def _pack(log, width: list[int]) -> list[_Steps]:
+    """Each column's accepted steps from the iteration log, with their quartic coefficients, cut to its width."""
+    n_cols = len(width)
     ends = np.fromiter(chain.from_iterable(e for _, e, _ in log), dtype=float)
     stacks = np.concatenate([stack for _, _, stack in log], axis=1)
     # scipy's Q = K.T @ P, summed in stage order into one array
@@ -307,20 +339,25 @@ def _pack(log, n_cols: int) -> list[_Steps]:
     for s in range(1, len(_P)):
         Q += stacks[s + 1, :, :, None] * _P[s]
     if n_cols == 1:
-        return [(ends, stacks[0].copy(), Q)]
+        w = width[0]
+        return [(ends, stacks[0, :, :w].copy(), Q if w == stacks.shape[2] else Q[:, :w].copy())]
     cols = np.fromiter(chain.from_iterable(c for c, _, _ in log), dtype=int)
     order = np.argsort(cols, kind="stable")
     bounds = np.cumsum(np.bincount(cols, minlength=n_cols))[:-1]
-    return list(zip(*(np.split(a[order], bounds) for a in (ends, stacks[0], Q))))
+    steps = list(zip(*(np.split(a[order], bounds) for a in (ends, stacks[0], Q))))
+    if min(width) == stacks.shape[2]:
+        return steps
+    # narrower columns keep copies of their own species, not views of the padded stack
+    return [(e, y_old[:, :w].copy(), q[:, :w].copy()) for (e, y_old, q), w in zip(steps, width)]
 
 
 class _CompiledNetwork:
     """A network laid out for integration: free species first, then the inputs.
 
     The kernel's buffer holds the free species, then the inputs, then the
-    1.0 pad.  The layout holds no signal, so every run on the network
-    shares it; a ``_Piece`` is the drift of many columns between two
-    corners.
+    1.0 pad, and its drift covers the free species.  The layout holds no
+    signal, so every run on the network shares it; a ``_Piece`` is the
+    drift of many columns, of any networks, between two corners.
     """
 
     def __init__(self, brn: Brn):
@@ -331,7 +368,8 @@ class _CompiledNetwork:
         self.free_idx = np.array([i for i in range(len(names)) if i not in driven_set], dtype=int)
         self.n_species = len(names)
         self.n_free = len(self.free_idx)
-        self.kernel = MassActionKernel(brn, [names[i] for i in self.free_idx.tolist()] + self.driven_names)
+        self.kernel = MassActionKernel(brn, [names[i] for i in self.free_idx.tolist()] + self.driven_names,
+                                       rows=self.n_free)
 
     def states(self, signal, t: np.ndarray, free_vals: np.ndarray) -> np.ndarray:
         """Full states at the times t, one row per time: free species given, inputs from the signal."""
@@ -347,76 +385,79 @@ class _CompiledNetwork:
 class _Piece:
     """The drift of B columns over one piece each, for ``solve_ivp``.
 
-    Column c runs over ``[a[c], b[c]]``, with no corner of its signal inside;
-    ``ends`` holds an encoded column's inputs at a and b, shape (B, 2, inputs).
+    Column c runs network ``nets[c]`` over ``[a[c], b[c]]``, with no corner
+    of its signal inside; ``ends`` holds an encoded column's inputs at a and
+    b, shape (B, 2, inputs), padded with zeros to the most inputs of any
+    column.  A column's row holds its free species, padded with zeros to
+    the most of any column (``rows``); see ``brn.column_drift``.
 
     An encoded input is linear between two corners: ``u(t) = u(a) + slope (t - a)``.
-    A piece with no ramp writes its inputs once per selection of columns; a
-    ramp takes one vector operation per drift.  Another kind of signal runs
-    alone and evaluates its species at every drift.
+    A piece with no ramp writes its inputs once per selection of columns.
+    Another kind of signal runs alone and reads its species from the signal.
     """
 
-    def __init__(self, net: _CompiledNetwork, signals, a, b, ends):
-        self.net = net
+    def __init__(self, nets: Sequence[_CompiledNetwork], signals, a, b, ends):
+        self.nets = list(nets)
+        self.rows = max(net.n_free for net in self.nets)
         self.a = np.asarray(a, dtype=float)
         if ends is None:
             self.signals = list(signals)
+            self.held = max(len(net.driven_names) for net in self.nets)
             self.ramp = False
         else:
             self.signals = None
+            self.held = ends.shape[2]
             self.u0 = ends[:, 0]
             self.slope = (ends[:, 1] - ends[:, 0]) / (np.asarray(b, dtype=float) - self.a)[:, None]
             self.ramp = bool(self.slope.any())
-        self.needs_t = self.ramp or self.signals is not None or not net.kernel.k_static
+        self.needs_t = self.ramp or self.signals is not None or \
+            not all(net.kernel.k_static for net in self.nets)
 
-    def select(self, cols: np.ndarray) -> Callable:
-        """The drift of the columns ``cols``: ``f(t, y)`` with one row of y (and one time) per column.
+    def select(self, cols: np.ndarray) -> "_Selection":
+        """The drift of the columns ``cols``."""
+        return _Selection(self, cols)
 
-        One column runs on 1-D arrays and Python floats, with the same
-        arithmetic, and returns a 1-D drift.
-        """
-        net = self.net
-        nf, n = net.n_free, net.n_species
-        if len(cols) == 1:
-            return self._one(int(cols[0]))
-        drift = net.kernel.drift(nf, len(cols))
-        x = np.empty((len(cols), n + 1))
-        x[:, n] = 1.0
-        inputs = x[:, nf:n]
-        u0, slope, a = self.u0[cols], self.slope[cols], self.a[cols]
-        inputs[...] = u0
 
-        def fun(t, y):
-            x[:, :nf] = y
-            if self.ramp:
-                np.multiply(slope, (t - a)[:, None], out=inputs)
-                np.add(inputs, u0, out=inputs)
-            return drift(t, x)
-        return fun
+class _Selection:
+    """The drift of some columns of a piece, evaluated at the rows of a table of times.
 
-    def _one(self, c: int) -> Callable:
-        net = self.net
-        nf = net.n_free
-        drift = net.kernel.drift(nf)
-        x = net.kernel.buffer()
-        if self.signals is not None:
-            driven = [(nf + j, lambda t, nm=nm, signal=self.signals[c]: signal.concentration(nm, t))
-                      for j, nm in enumerate(net.driven_names)]
+    ``at(times)`` takes one row of times per evaluation to come, one time
+    per column, and computes what depends on time alone for every row at
+    once: the rates and the inputs.  ``f(i, y)`` is then the drift at row i,
+    with one row of y per column.
+    """
+
+    def __init__(self, piece: _Piece, cols: np.ndarray):
+        self.rows = piece.rows
+        self.rates, self.drift = column_drift([piece.nets[c].kernel for c in cols], self.rows, piece.held)
+        self.x = np.empty((len(cols), self.rows + piece.held + 1))
+        self.x[:, -1] = 1.0
+        self.shape = (len(cols), self.rows)
+        self.rate = self.inputs = self.ramp = self.signal = None
+        if piece.signals is not None:
+            (c,) = cols
+            self.signal = piece.signals[c], piece.nets[c].driven_names
         else:
-            x[nf:net.n_species] = self.u0[c]
-            a = float(self.a[c])
-            # only a ramping input changes: u(a) + slope (t - a), as the columns compute it
-            driven = [(nf + j, lambda t, s=s, u=u: s * (t - a) + u)
-                      for j, (s, u) in enumerate(zip(self.slope[c].tolist(), self.u0[c].tolist())) if s]
+            self.x[:, self.rows:-1] = piece.u0[cols]
+            if piece.ramp:
+                self.ramp = piece.slope[cols], piece.a[cols], piece.u0[cols]
 
-        def fun(t, y):
-            x[:nf] = y[0]
-            if t is not None:
-                t = float(t[0])
-            for pos, fn in driven:
-                x[pos] = fn(t)
-            return drift(t, x)
-        return fun
+    def at(self, times: np.ndarray) -> None:
+        if self.rates is not None:
+            self.rate = self.rates(times)
+        if self.ramp is not None:
+            slope, a, u0 = self.ramp
+            self.inputs = slope * (times - a)[..., None] + u0
+        elif self.signal is not None:
+            signal, names = self.signal
+            self.inputs = np.array([[[signal.concentration(nm, float(t)) for nm in names]] for t in times[:, 0]])
+
+    def __call__(self, i: int, y: np.ndarray) -> np.ndarray:
+        x = self.x
+        x[:, :self.rows] = y
+        if self.inputs is not None:
+            x[:, self.rows:-1] = self.inputs[i]
+        return self.drift(x, None if self.rate is None else self.rate[i]).reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -566,27 +607,31 @@ class DenseTable:
 
 @dataclass
 class _Column:
-    """One column of a segment batch: its signal, start state and piece boundaries."""
+    """One column of a segment batch: its network, signal, start state and piece boundaries."""
 
+    net: _CompiledNetwork
     signal: object
     y0: np.ndarray
     bounds: np.ndarray  # the segment's start, the signal's corners inside it, its end
 
 
-def _integrate_segments(net: _CompiledNetwork, columns: Sequence[_Column], rtol: float, atol: float,
+def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float,
                         max_step: float) -> list[tuple[_Steps, np.ndarray, SolverStats]]:
     """Integrate each column over its own pieces; round r takes every column's r-th piece in one call.
 
     Returns, per column, its packed steps, its end state and what they cost.
     """
     encoded = all(isinstance(col.signal, InputSignal) for col in columns)
-    inputs = []  # an encoded column's inputs at its piece boundaries: (boundaries, inputs)
+    held = max(len(col.net.driven_names) for col in columns)
+    inputs = []  # an encoded column's inputs at its piece boundaries: (boundaries, inputs), zero-padded
     for col in columns if encoded else ():
-        values = np.empty((len(col.bounds), len(net.driven_names)))
-        for j, nm in enumerate(net.driven_names):
+        values = np.zeros((len(col.bounds), held))
+        for j, nm in enumerate(col.net.driven_names):
             values[:, j] = col.signal.concentration(nm, col.bounds)
         inputs.append(values)
-    y = np.array([col.y0 for col in columns], dtype=float)
+    y = np.zeros((len(columns), max(col.net.n_free for col in columns)))
+    for c, col in enumerate(columns):
+        y[c, :col.net.n_free] = col.y0
     pieces: list[list[_Steps]] = [[] for _ in columns]
     stats = [SolverStats() for _ in columns]
     for r in range(max(len(col.bounds) for col in columns) - 1):
@@ -594,16 +639,17 @@ def _integrate_segments(net: _CompiledNetwork, columns: Sequence[_Column], rtol:
         a = np.array([columns[c].bounds[r] for c in live])
         b = np.array([columns[c].bounds[r + 1] for c in live])
         ends = np.array([inputs[c][r:r + 2] for c in live]) if encoded else None
-        drift = _Piece(net, [columns[c].signal for c in live], a, b, ends)
-        sol = solve_ivp(drift, a, b, y[live], rtol=rtol, atol=atol, max_step=max_step)
-        y[live] = sol.y_end
+        drift = _Piece([columns[c].net for c in live], [columns[c].signal for c in live], a, b, ends)
+        sol = solve_ivp(drift, a, b, y[live, :drift.rows], rtol=rtol, atol=atol, max_step=max_step,
+                        widths=[columns[c].net.n_free for c in live])
         for i, c in enumerate(live):
+            y[c, :len(sol.y_end[i])] = sol.y_end[i]
             steps = sol.steps[i]
             pieces[c].append(steps)
             accepted, rejected = len(steps[0]), int(sol.rejected[i])
             stats[c] += SolverStats(1, 2 + 6 * (accepted + rejected), accepted, rejected,
                                     float(np.diff(steps[0], prepend=a[i]).min()))
-    return [(_packed(p), y[c], stats[c]) for c, p in enumerate(pieces)]
+    return [(_packed(p), y[c, :col.net.n_free], stats[c]) for c, (col, p) in enumerate(zip(columns, pieces))]
 
 
 def _bounds(corners: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -625,10 +671,11 @@ def integrate(brn, x0, signal, config):
     (``critical_times()``), so no step straddles a kink and each piece picks
     a fresh step size; a step is at most ``tau/3`` long when the signal has
     a spec.  A run's trajectory is a chain of segments: the symbol blocks of
-    its word that end by ``t_end``, then the tail.  Runs on one network with
-    the same tolerances and ``tau`` share every block whose word prefix and
-    free initial state they share; each level of their word trie is one
-    batch of distinct blocks, and their distinct tails are one batch.  The
+    its word that end by ``t_end``, then the tail.  Runs with the same
+    tolerances and ``tau`` integrate together whatever their networks: runs
+    on one network share every block whose word prefix and free initial
+    state they share, each level of their word tries is one batch of
+    distinct blocks, and their distinct tails are one batch.  The
     trace samples ``SAMPLE_INTERVALS + 1`` evenly spaced times.  Raises
     IntegratorFault as ``solve_ivp`` does; negative excursions within ten
     times the absolute tolerance are clamped to zero in the outputs.
@@ -673,7 +720,7 @@ class _Plan:
 def _integrate_runs(runs) -> list[Trace]:
     nets: list[tuple[Brn, _CompiledNetwork]] = []  # one layout per distinct network
     plans: list[_Plan] = []
-    batches: dict[tuple, list[_Plan]] = {}  # network, tolerances and tau -> runs
+    batches: dict[tuple, list[_Plan]] = {}  # tolerances and tau -> runs, of any networks
     for r, (brn, x0, signal, config) in enumerate(runs):
         g = next((g for g, (other, _) in enumerate(nets) if other == brn), len(nets))
         if g == len(nets):
@@ -686,8 +733,9 @@ def _integrate_runs(runs) -> list[Trace]:
             spec.word[:sum(3 * i * tau <= config.t_end for i in range(1, spec.length + 1))]
         y0 = np.asarray(x0.values, dtype=float)[net.free_idx]
         # another kind of signal runs in a batch of its own
-        batch = (g, config.rel_tol, config.abs_tol, tau, None if spec is not None else r)
-        origin = (batch, y0.tobytes())
+        batch = (config.rel_tol, config.abs_tol, tau, None if spec is not None else r)
+        # blocks are shared only within one network
+        origin = (g, batch, y0.tobytes())
         # a tail depends on the rest of the word too
         tail = (origin, blocks, spec.word if spec is not None else None, config.t_end) \
             if 3 * len(blocks) * (tau or 0.0) < config.t_end else None
@@ -696,7 +744,7 @@ def _integrate_runs(runs) -> list[Trace]:
         batches.setdefault(batch, []).append(plans[-1])
 
     segments: dict[tuple, tuple[_Steps, np.ndarray, SolverStats]] = {}
-    for (_, rtol, atol, tau, _), members in batches.items():
+    for (rtol, atol, tau, _), members in batches.items():
         # the word trie level by level: the distinct blocks of level k, each
         # from its parent's end state; then the distinct tails.  A batch maps
         # a segment key to its first run, parent, start and end.
@@ -708,11 +756,11 @@ def _integrate_runs(runs) -> list[Trace]:
                 levels[k].setdefault(key, (plan, parent, a, b))
         for batch in levels:
             if batch:
-                columns = [_Column(plan.signal, segments[parent][1] if parent else plan.y0,
+                columns = [_Column(plan.net, plan.signal, segments[parent][1] if parent else plan.y0,
                                    _bounds(plan.corners, a, b))
                            for plan, parent, a, b in batch.values()]
                 segments.update(zip(batch, _integrate_segments(
-                    members[0].net, columns, rtol, atol, tau / 3.0 if tau else np.inf)))
+                    columns, rtol, atol, tau / 3.0 if tau else np.inf)))
 
     traces = []
     for (brn, _, _, config), plan in zip(runs, plans):
@@ -731,7 +779,7 @@ def integrate_fixed_step(brn: Brn, x0: ConcState, signal, config: SimConfig,
                          h: float) -> Trace:
     """Classical fixed-step fourth-order Runge-Kutta cross-check integrator."""
     net = _CompiledNetwork(brn)
-    nf, drift, x = net.n_free, net.kernel.drift(net.n_free), net.kernel.buffer()
+    nf, drift, x = net.n_free, net.kernel.drift(), net.kernel.buffer()
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         x[:nf] = y

@@ -396,6 +396,17 @@ class TestConstraintChecker:
         assert any(c.name == "rates-exceed-delta" for c in report.failing())
 
 
+    def test_gamma_star_above_gamma_skips_the_travel(self, planned):
+        # the restore windows need their levels in travel order, or the travel time is undefined
+        from dataclasses import replace
+
+        report = check_constraints(replace(planned, gamma_star=0.3, gamma=0.28))
+        assert not report.passed
+        checks = {c.name: c for c in report.checks}
+        assert not checks["restore-high-window"].satisfied
+        assert checks["restore-high-travel"].description == "skipped: window violated"
+        assert tuple(checks) == REPORT_NAMES
+
     def test_report_lists_every_entry_in_order(self, planned):
         for params in [planned, *(ParameterSet(**kw) for kw in SKIP_BRANCH_CASES.values())]:
             for policy in ("upper", "lower"):

@@ -219,6 +219,16 @@ def test_kernel_rejects_an_unknown_rate_law():
         vector_field(brn, [1.0, 0.0])
 
 
+def test_fluxes_are_read_from_the_drift_entries():
+    brn = Brn((Species("A"), Species("B")), (Reaction.with_constant_rate({"A": 1}, {"B": 1}, 1.0),
+                                             Reaction.with_constant_rate({"B": 1}, {}, 2.0)))
+    x = np.array([3.0, 5.0, 1.0])
+    assert MassActionKernel(brn).fluxes(0.0, x).tolist() == [3.0, 10.0]
+    # holding B leaves the second reaction without an entry among the drift's rows
+    with pytest.raises(ValueError, match="held species"):
+        MassActionKernel(brn, rows=1).fluxes(0.0, x)
+
+
 def test_json_roundtrip(example_nfa):
     out = translate(example_nfa, {"k1": 2.0, "k2": 3.0, "k3": 5.0, "k4": 7.0})
     again = Brn.loads(out.brn.dumps())

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import PLAN_DELTA, PLAN_EPS, PLAN_ETA
 from nfa2crn.analysis import plan_parameters
@@ -13,6 +14,7 @@ from nfa2crn.perturb import ObservationScheme, PerturbationProfile
 from nfa2crn.pipeline import (
     RunManifest,
     all_words,
+    _packs,
     corpus_reports,
     random_nfa,
     run_end_to_end,
@@ -113,6 +115,11 @@ def test_corpus_reports_worker_pool_matches_sequential(example_nfa, planned):
     manifests += [RunManifest(nfa=example_nfa, word=w, params=planned,
                               initial_mode="random", seed=seed)
                   for seed in (7, 8) for w in (("0", "1"), ("0",))]
+    # a smaller automaton, whose groups share packs with the example's
+    small = parse_nfa("states: p0 p1\nalphabet: 0\ninitial: p0\naccepting: p1\ntrans: p0 0 p1\n")
+    small_params = plan_parameters(small.num_transitions, PLAN_EPS, PLAN_ETA, PLAN_DELTA).params
+    manifests += [_manifest(small, w, small_params, perturbed=True, seed=3)
+                  for w in all_words(small.alphabet, 3)]
     order = np.random.default_rng(1).permutation(len(manifests))
     manifests = [manifests[i] for i in order]
 
@@ -122,6 +129,20 @@ def test_corpus_reports_worker_pool_matches_sequential(example_nfa, planned):
     assert [r["manifest"] for r in sequential] == [m.to_json_dict() for m in manifests]
     assert json.dumps(sequential, sort_keys=True) == json.dumps(alone, sort_keys=True)
     assert json.dumps(pooled, sort_keys=True) == json.dumps(alone, sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 300), max_size=12))
+def test_every_group_lands_in_one_pack_within_the_largest_group(sizes):
+    packs = _packs(sizes)
+    assert sorted(g for pack in packs for g in pack) == list(range(len(sizes)))
+    assert all(sum(sizes[g] for g in pack) <= max(sizes) for pack in packs)
+
+
+def test_the_perturbed_corpus_packs_its_nine_groups_in_four():
+    # runs x free species of the example and of one automaton per size up to 4 states x 2 symbols
+    sizes = [15 * 12] + [runs * 4 * q for q in (1, 2, 3, 4) for runs in (4, 15)]
+    assert _packs(sizes) == [[8], [0, 2], [6, 5], [4, 7, 3, 1]]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -241,6 +262,15 @@ class TestCli:
             out, err = capsys.readouterr()
             assert json.loads(out)["binding"] == binding
             assert err.startswith("infeasible")
+
+    def test_check_reports_gamma_star_above_gamma(self, tmp_path, capsys, planned):
+        from dataclasses import replace
+
+        params_path = tmp_path / "params.json"
+        params_path.write_text(replace(planned, gamma_star=0.3, gamma=0.28).dumps())
+        assert main(["check", str(params_path)]) == 1
+        out = capsys.readouterr().out
+        assert "overall: FAIL" in out and "restore-high-travel" in out
 
     def test_run_mismatch_exit_code(self, tmp_path, capsys):
         # unworkable rates forced through report an unverified run

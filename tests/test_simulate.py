@@ -216,7 +216,7 @@ def _rates(net, t):
 
 def _clamped_drift(net, signal):
     """The free species' drift ``f(t, y)`` at one time, inputs read from ``signal.concentration``."""
-    nf, drift, x = net.n_free, net.kernel.drift(net.n_free), net.kernel.buffer()
+    nf, drift, x = net.n_free, net.kernel.drift(), net.kernel.buffer()
 
     def f(t, y):
         x[:nf] = y
@@ -231,7 +231,7 @@ def test_drift_matches_the_monomial_products_to_the_bit(example_nfa, planned):
                                                      omega=2 * math.pi / planned.tau, seed=2))
     signal = encode(SignalSpec(("1", "0"), epsilon=planned.epsilon, tau=planned.tau))
     net = simulate._CompiledNetwork(brn)
-    drift = net.kernel.drift(net.n_free)
+    drift = net.kernel.drift()
     rng = np.random.default_rng(0)
     for t in rng.uniform(0.0, 7.0, 50):
         x = np.empty(net.n_species)
@@ -434,30 +434,47 @@ def _network(example_nfa, planned, mode):
     return out, perturb_rates(out.brn, profile, t_end=9 * planned.tau)
 
 
+# beside the example (3 states, 2 symbols): a 1-symbol and a 4-state automaton
+OTHER_NFAS = (
+    "states: p0 p1\nalphabet: 0\ninitial: p0\naccepting: p1\ntrans: p0 0 p1\ntrans: p1 0 p1\n",
+    "states: r0 r1 r2 r3\nalphabet: 0 1\ninitial: r0\naccepting: r3\n"
+    "trans: r0 1 r1\ntrans: r1 0 r2\ntrans: r2 1 r3\ntrans: r3 0 r0\ntrans: r0 0 r0\n",
+)
+
+
 @settings(max_examples=12, deadline=None)
-@given(mode=st.sampled_from(["none", "sinusoid", "piecewise"]), size=st.integers(2, 8),
-       data=st.data())
-def test_a_column_packs_the_same_bits_alone_and_anywhere_in_a_batch(example_nfa, planned, mode,
-                                                                     size, data):
-    out, brn = _network(example_nfa, planned, mode)
+@given(size=st.integers(2, 8), data=st.data())
+def test_a_column_packs_the_same_bits_alone_and_anywhere_in_a_batch(example_nfa, planned, size, data):
+    # columns of three networks of different sizes, each under one of three rate kinds
+    from nfa2crn.nfa import parse_nfa
+
     tau = planned.tau
+    nets = {}
+    for nfa in (example_nfa, *map(parse_nfa, OTHER_NFAS)):
+        out = translate(nfa, planned.rates)
+        for mode in ("none", "sinusoid", "piecewise"):
+            profile = PerturbationProfile(delta=planned.delta, mode=mode,
+                                          omega=2 * math.pi / planned.tau, seed=11)
+            nets[nfa, mode] = out, simulate._CompiledNetwork(perturb_rates(out.brn, profile, t_end=9 * tau))
+    keys = list(nets)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    net = simulate._CompiledNetwork(brn)
     columns = []
     for _ in range(size):
         # a symbol block of its own word, starting at its own time, from its own state
-        word = tuple(rng.choice(["0", "1"], 3).tolist())
+        nfa, mode = keys[data.draw(st.integers(0, len(keys) - 1))]
+        out, net = nets[nfa, mode]
+        word = tuple(rng.choice(nfa.alphabet, 3).tolist())
         k = int(rng.integers(0, 3))
         signal = encode(SignalSpec(word, epsilon=planned.epsilon, tau=tau))
         x0 = out.initial.values[net.free_idx] + rng.uniform(0, planned.epsilon, len(net.free_idx))
-        columns.append(simulate._Column(signal, x0, simulate._bounds(
+        columns.append(simulate._Column(net, signal, x0, simulate._bounds(
             signal.critical_times(), 3 * k * tau, 3 * (k + 1) * tau)))
     target = data.draw(st.integers(0, size - 1))
-    alone = simulate._integrate_segments(net, [columns[target]], 1e-8, 1e-11, tau / 3)[0]
+    alone = simulate._integrate_segments([columns[target]], 1e-8, 1e-11, tau / 3)[0]
     for position in range(size):
         batch = columns[:target] + columns[target + 1:]
         batch.insert(position, columns[target])
-        packed = simulate._integrate_segments(net, batch, 1e-8, 1e-11, tau / 3)[position]
+        packed = simulate._integrate_segments(batch, 1e-8, 1e-11, tau / 3)[position]
         for ours, reference in zip((*packed[0], packed[1]), (*alone[0], alone[1])):
             assert np.array_equal(ours, reference)
         assert packed[2] == alone[2]
@@ -481,11 +498,12 @@ def test_piece_drift_matches_the_drift_read_from_the_signal(example_nfa, planned
     rng = np.random.default_rng(size)
     for r in range(len(bounds[0]) - 1):
         a, b = np.array([bs[r] for bs in bounds]), np.array([bs[r + 1] for bs in bounds])
-        piece = simulate._Piece(net, signals, a, b, np.array([u[r:r + 2] for u in inputs]))
+        piece = simulate._Piece([net] * size, signals, a, b, np.array([u[r:r + 2] for u in inputs]))
         drift = piece.select(np.arange(size))
         for _ in range(3):
             t, y = rng.uniform(a, b), rng.uniform(0.0, 1.2, (size, net.n_free))
-            got = np.reshape(drift(t, y), (size, net.n_free))
+            drift.at(t[None])
+            got = np.reshape(drift(0, y), (size, net.n_free))
             for c, signal in enumerate(signals):
                 expected = _clamped_drift(net, signal)(t[c], y[c])
                 assert np.max(np.abs(got[c] - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -500,11 +518,17 @@ class _Drift:
         self.f, self.calls, self.columns = f, 0, 0
 
     def select(self, cols):
-        def fun(t, y):
-            self.calls += 1
-            self.columns += len(y)
-            return self.f(self.calls, t, y, cols)
-        return fun
+        drift = self
+
+        class Selection:
+            def at(self, times):
+                self.times = times
+
+            def __call__(self, i, y):
+                drift.calls += 1
+                drift.columns += len(y)
+                return drift.f(drift.calls, self.times[i], y, cols)
+        return Selection()
 
 
 def test_nfev_of_a_batch_counts_its_rejected_column_steps():
