@@ -29,7 +29,7 @@ __all__ = [
     "net_effect",
     "catalysts",
     "MassActionKernel",
-    "column_drift",
+    "ColumnDrift",
     "reaction_rate",
     "vector_field",
     "input_species_catalytic",
@@ -381,7 +381,7 @@ class MassActionKernel:
     sharing one knot grid take one search per time and one lerp per entry.
     A rate law of another kind raises ``TypeError``.
 
-    ``column_drift`` lays the entries of one kernel per column side by side,
+    ``ColumnDrift`` lays the entries of one kernel per column side by side,
     kernels of any networks, so a column's weights and sums are those it has
     alone whatever the batch holds: a column's result does not depend on the
     batch's size or on its position (a BLAS product's summation order
@@ -451,7 +451,7 @@ class MassActionKernel:
                 np.concatenate([flat, np.diff(offsets, axis=0) / np.diff(times)[:, None], flat]),
                 np.concatenate([offsets[:1], offsets])))
         self.k_static = self.sinusoid is None and not self.grids
-        self._compiled: dict[tuple, tuple] = {}  # homogeneous batches by size and layout
+        self._compiled: dict[tuple, ColumnDrift] = {}  # batches of this kernel alone, by size and layout
 
     def buffer(self, values=None) -> np.ndarray:
         """A state buffer: ``values`` in buffer order (uninitialised if None), then the 1.0 pad."""
@@ -465,13 +465,13 @@ class MassActionKernel:
         """Each reaction's rate at time t times its monomial over the buffer x: its first entry's weight."""
         if len(self._first) != self.n_reactions:
             raise ValueError("a reaction changes only held species, so the drift's entries hold no flux for it")
-        rates, weights, _ = _compile([self], self.rows, self.n_species - self.rows)
-        return _at(t, rates, weights)(x)[self._first]
+        batch = ColumnDrift([self], self.rows, self.n_species - self.rows)
+        return _at(t, batch.rates, batch.weights)(x)[self._first]
 
     def drift(self) -> Callable:
         """The drift ``f(t, x)`` of one buffer at a time: the rates of change of the first ``rows`` species."""
-        rates, drift = column_drift([self], self.rows, self.n_species - self.rows)
-        return lambda t, x: _at(t, rates, drift)(x)
+        batch = ColumnDrift([self], self.rows, self.n_species - self.rows)
+        return lambda t, x: _at(t, batch.rates, batch.drift)(x)
 
 
 def _at(t: float, rates: Callable | None, weights: Callable) -> Callable:
@@ -491,8 +491,8 @@ class _Entries:
     k: np.ndarray
 
 
-def column_drift(kernels: Sequence[MassActionKernel], rows: int, held: int) -> tuple[Callable | None, Callable]:
-    """The drift of one buffer per kernel, stacked, as ``(rates, drift)``.
+class ColumnDrift:
+    """The drift of one buffer per kernel, stacked, as ``rates`` and ``drift``; compiled once per batch.
 
     Column c's buffer holds the first ``kernels[c].rows`` species, then
     zeros up to ``rows``, then its other species up to ``held``, then the
@@ -502,101 +502,173 @@ def column_drift(kernels: Sequence[MassActionKernel], rows: int, held: int) -> t
     constant.  ``drift(x, rate)`` takes one row of ``rates(times)`` (None
     without it) and returns the rates of change of each column's ``rows``
     leading species, flat, column after column; padding species have no
-    entries, so their rates are exactly 0.  A batch of one kernel is
-    compiled once per size and layout.
+    entries, so their rates are exactly 0.  ``weights(x, rate)`` is each
+    entry's monomial times its rate.
+
+    The batch is compiled into tables of its entries once; ``select(cols)``
+    gives the drift of some of its columns, side by side in batch order, by
+    indexing those tables, so a column leaving the batch costs no recompile.
+    ``of`` compiles a batch of one kernel once per size and layout, kept by
+    the kernel, and its selections are those batches.
     """
-    kernel = kernels[0]
-    if any(k is not kernel for k in kernels):
-        rates, _, drift = _compile(kernels, rows, held)
-        return rates, drift
-    key = (len(kernels), rows, held)
-    if key not in kernel._compiled:
-        rates, _, drift = _compile(kernels, rows, held)
-        kernel._compiled[key] = rates, drift
-    return kernel._compiled[key]
+
+    @classmethod
+    def of(cls, kernels: Sequence[MassActionKernel], rows: int, held: int) -> "ColumnDrift":
+        """The batch's drift: compiled anew for a mix of kernels, once per size and layout for one kernel."""
+        kernel = kernels[0]
+        if any(k is not kernel for k in kernels):
+            return cls(kernels, rows, held)
+        key = (len(kernels), rows, held)
+        if key not in kernel._compiled:
+            batch = kernel._compiled[key] = cls(kernels, rows, held)
+            batch._kernel = kernel  # its selections are the kernel's batches of their size
+        return kernel._compiled[key]
+
+    def __init__(self, kernels: Sequence[MassActionKernel], rows: int, held: int):
+        width = rows + held + 1
+        entries = [k._entries for k in kernels]
+        counts = [len(e.species) for e in entries]
+        starts = np.cumsum([0, *counts])
+        column = np.repeat(np.arange(len(kernels)), counts)
+        # a monomial shorter than the longest reads its own column's pad
+        factors = np.repeat((column * width + width - 1)[None], max(len(e.factors) for e in entries), axis=0)
+        for c, (kernel, e) in enumerate(zip(kernels, entries)):
+            # a kernel's buffer position in the stacked layout: leading rows, held species, pad
+            place = np.concatenate([np.arange(kernel.rows), rows + np.arange(kernel.n_species - kernel.rows),
+                                    [width - 1]]) + c * width
+            factors[:len(e.factors), starts[c]:starts[c + 1]] = place[e.factors]
+        reactions = [k.n_reactions for k in kernels]
+        first_reaction = np.cumsum([0, *reactions])
+        sinusoid = None
+        if any(k.sinusoid is not None for k in kernels):
+            # a rate with no sinusoid term is exact: k + 0 sin(0 t + 0) = k
+            sinusoid = (np.concatenate([k.k_base for k in kernels]),
+                        *np.concatenate([np.zeros((3, n)) if k.sinusoid is None else k.sinusoid
+                                         for k, n in zip(kernels, reactions)], axis=1))
+        grids = []  # per kernel and knot grid: its entries in the batch per column, its columns, the tables
+        for kernel in dict.fromkeys(kernels):
+            cols = np.array([c for c, other in enumerate(kernels) if other is kernel])
+            for at, *tables in kernel.grids:
+                local = np.arange(len(kernel._entries.k)) if at is None else at
+                grids.append((starts[cols][:, None] + local, cols, at is None, *tables))
+        depth = np.concatenate([(e.factors != k.n_species).sum(axis=0) for k, e in zip(kernels, entries)])
+        self._tables = _Tables(
+            width, rows, len(kernels), column, factors, depth, np.concatenate([e.k for e in entries]),
+            np.concatenate([e.coef for e in entries]), np.concatenate([e.species for e in entries]),
+            np.concatenate([e.reaction + first_reaction[c] for c, e in enumerate(entries)]),
+            np.repeat(np.arange(len(kernels)), reactions), sinusoid, grids)
+        self.rates, self.weights, self.drift = self._tables.closures()
+        self._kernel = None  # the one kernel of a batch that ``of`` keeps
+
+    def select(self, cols: np.ndarray) -> "ColumnDrift":
+        """The drift of the columns ``cols``, increasing indices into the batch, read from the compiled tables."""
+        tables = self._tables
+        if len(cols) == tables.n_cols:
+            return self
+        if self._kernel is not None:
+            return ColumnDrift.of([self._kernel] * len(cols), tables.rows, tables.width - tables.rows - 1)
+        selected = object.__new__(ColumnDrift)
+        selected._kernel = None
+        selected._tables = self._tables.select(cols)
+        selected.rates, selected.weights, selected.drift = selected._tables.closures()
+        return selected
 
 
-def _compile(kernels: Sequence[MassActionKernel], rows: int,
-             held: int) -> tuple[Callable | None, Callable, Callable]:
-    """Every column's entries as ``(rates, weights, drift)``.
+@dataclass(frozen=True)
+class _Tables:
+    """A batch's entries, compiled: per entry its column, factor positions in the flat buffer, rate,
+    coefficient, species and reaction; per reaction its column and sinusoid terms; and the knot grids."""
 
-    ``weights(x, rate)`` is each entry's monomial times its rate, and
-    ``drift(x, rate)`` sums the weights times their coefficients into species.
-    """
-    width = rows + held + 1
-    entries = [k._entries for k in kernels]
-    counts = [len(e.species) for e in entries]
-    starts = np.cumsum([0, *counts])
-    n_factors = max(len(e.factors) for e in entries)
-    factors = np.full((n_factors, starts[-1]), width - 1)
-    for c, (kernel, e) in enumerate(zip(kernels, entries)):
-        # a kernel's buffer position in the stacked layout: leading rows, held species, pad
-        place = np.concatenate([np.arange(kernel.rows), rows + np.arange(kernel.n_species - kernel.rows),
-                                [width - 1]]) + c * width
-        factors[:len(e.factors), starts[c]:starts[c + 1]] = place[e.factors]
-    first, rest = factors[0], factors[1:]
-    k = np.concatenate([e.k for e in entries])
-    rates = None if all(kernel.k_static for kernel in kernels) else _rates(kernels, entries)
+    width: int
+    rows: int
+    n_cols: int
+    column: np.ndarray
+    factors: np.ndarray
+    depth: np.ndarray  # per entry, how many of its factors are not pads
+    k: np.ndarray
+    coef: np.ndarray
+    species: np.ndarray
+    reaction: np.ndarray
+    reaction_column: np.ndarray
+    sinusoid: tuple | None  # per reaction: base rate, amplitude, frequency, phase
+    grids: list  # (entries per column, columns, rates every entry of its kernel, knots, lefts, slopes, offsets)
 
-    coef = np.concatenate([e.coef for e in entries])
-    bins = np.concatenate([e.species + c * rows for c, e in enumerate(entries)])
-    length = len(kernels) * rows
+    def select(self, cols: np.ndarray) -> "_Tables":
+        """The tables of some columns: each keeps its entries in order, renumbered to its new place."""
+        keep = np.zeros(self.n_cols, dtype=bool)
+        keep[cols] = True
+        place = np.cumsum(keep) - 1
+        entry = keep[self.column]
+        old = self.column[entry]
+        column = place[old]
+        depth = self.depth[entry]
+        # an entry's factors lie in its own column's buffer, which moves by whole widths;
+        # factor rows that only read pads multiply by 1.0, so they are dropped
+        factors = self.factors[:max(int(depth.max()), 1), entry] + (column - old) * self.width
+        reacting = keep[self.reaction_column]
+        sinusoid = None
+        if self.sinusoid is not None and self.sinusoid[1][reacting].any():
+            sinusoid = tuple(part[reacting] for part in self.sinusoid)
+        grids = []
+        if self.grids:
+            renumber = np.cumsum(entry) - 1
+            grids = [(renumber[spots[keep[cols_k]]], place[cols_k[keep[cols_k]]], every, *tables)
+                     for spots, cols_k, every, *tables in self.grids if keep[cols_k].any()]
+        return _Tables(self.width, self.rows, len(cols), column, factors, depth, self.k[entry], self.coef[entry],
+                       self.species[entry], (np.cumsum(reacting) - 1)[self.reaction[entry]],
+                       place[self.reaction_column[reacting]], sinusoid, grids)
 
-    def weights(x, rate):
-        flat = x.ravel()
-        w = flat[first]
-        for slots in rest:
-            w *= flat[slots]
-        w *= k if rate is None else rate
-        return w
+    def closures(self) -> tuple[Callable | None, Callable, Callable]:
+        """``(rates, weights, drift)`` over these tables."""
+        first, rest = self.factors[0], self.factors[1:]
+        k, coef = self.k, self.coef
+        bins = self.species + self.column * self.rows
+        length = self.n_cols * self.rows
 
-    def drift(x, rate):
-        w = weights(x, rate)
-        w *= coef
-        return np.bincount(bins, w, minlength=length)
-    return rates, weights, drift
+        def weights(x, rate):
+            flat = x.ravel()
+            w = flat[first]
+            for slots in rest:
+                w *= flat[slots]
+            w *= k if rate is None else rate
+            return w
 
+        def drift(x, rate):
+            w = weights(x, rate)
+            w *= coef
+            return np.bincount(bins, w, minlength=length)
+        return self._rates(), weights, drift
 
-def _rates(kernels: Sequence[MassActionKernel], entries: Sequence[_Entries]) -> Callable:
-    """Each entry's rate in every row of times: sinusoid rates evaluated once per reaction, lerps per entry."""
-    counts = [k.n_reactions for k in kernels]
-    starts = np.cumsum([0, *counts])
-    reading = np.concatenate([e.reaction + starts[c] for c, e in enumerate(entries)])
-    k_entry = np.concatenate([e.k for e in entries])
-    sinusoid = None
-    if any(k.sinusoid is not None for k in kernels):
-        # a rate with no sinusoid term is exact: k + 0 sin(0 t + 0) = k
-        sinusoid = (np.concatenate([k.k_base for k in kernels]), np.repeat(np.arange(len(kernels)), counts),
-                    *np.concatenate([np.zeros((3, n)) if k.sinusoid is None else k.sinusoid
-                                     for k, n in zip(kernels, counts)], axis=1))
-    entry_starts = np.cumsum([0, *(len(e.k) for e in entries)])
-    grids = []  # per kernel and knot grid: its columns (None for all), their entries in the batch, the tables
-    for kernel in dict.fromkeys(kernels):
-        cols = [c for c, other in enumerate(kernels) if other is kernel]
-        every = len(cols) == len(kernels)
-        for at, knots, lefts, slopes, offsets in kernel.grids:
+    def _rates(self) -> Callable | None:
+        """Each entry's rate in every row of times: sinusoid rates evaluated once per reaction, lerps per entry."""
+        if self.sinusoid is None and not self.grids:
+            return None
+        k_entry, reading, sinusoid = self.k, self.reaction, self.sinusoid
+        if sinusoid is not None:
+            sinusoid = (sinusoid[0], self.reaction_column, *sinusoid[1:])
+        grids = []
+        for spots, cols, every, *tables in self.grids:
             # a grid that rates every entry of every column adds to all of them in order
-            spots = None if at is None and every else \
-                (entry_starts[cols][:, None] + (np.arange(len(kernel._entries.k)) if at is None else at)).ravel()
-            grids.append((spots, None if every else np.array(cols), knots, lefts, slopes, offsets))
+            everywhere = len(cols) == self.n_cols
+            grids.append((None if every and everywhere else spots.ravel(), None if everywhere else cols, *tables))
 
-    def rates(times):
-        if sinusoid is None:
-            k = k_entry
-        else:
-            k_base, column, amp, omega, phase = sinusoid
-            k = (k_base + amp * np.sin(omega * times[:, column] + phase))[:, reading]
-        for spots, cols, knots, lefts, slopes, offsets in grids:
-            t = times if cols is None else times[:, cols]
-            i = knots.searchsorted(t, side="right")
-            offset = (slopes[i] * (t - lefts[i])[..., None] + offsets[i]).reshape(len(times), -1)
-            if spots is None:
-                k = k + offset
+        def rates(times):
+            if sinusoid is None:
+                k = k_entry
             else:
-                k = np.repeat(k[None], len(times), axis=0) if k is k_entry else k
-                k[:, spots] += offset
-        return k
-    return rates
+                k_base, column, amp, omega, phase = sinusoid
+                k = (k_base + amp * np.sin(omega * times[:, column] + phase))[:, reading]
+            for spots, cols, knots, lefts, slopes, offsets in grids:
+                t = times if cols is None else times[:, cols]
+                i = knots.searchsorted(t, side="right")
+                offset = (slopes[i] * (t - lefts[i])[..., None] + offsets[i]).reshape(len(times), -1)
+                if spots is None:
+                    k = k + offset
+                else:
+                    k = np.repeat(k[None], len(times), axis=0) if k is k_entry else k
+                    k[:, spots] += offset
+            return k
+        return rates
 
 
 def _buffer(kernel: MassActionKernel, state) -> np.ndarray:

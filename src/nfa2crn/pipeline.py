@@ -15,14 +15,13 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import groupby
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import HIGH_THRESHOLD, LOW_THRESHOLD, ParameterSet, check_constraints
+from .analysis import HIGH_THRESHOLD, LOW_THRESHOLD, ConstraintReport, ParameterSet, check_constraints
 from .brn import Brn, ConcState
 from .nfa import Nfa, accepts, extended_transition
 from .perturb import ObservationScheme, PerturbationProfile, perturb_initial, perturb_rates
@@ -30,8 +29,10 @@ from .signals import InputSignal, SignalSpec, encode, validate
 from .simulate import (
     Decision,
     IntegratorFault,
+    Readout,
     SimConfig,
     Trace,
+    Watch,
     check_phi,
     conservation_deviation,
     decide,
@@ -114,7 +115,7 @@ class RunManifest:
 class RunResult:
     manifest: RunManifest
     translation: TranslationOutput
-    trace: Trace
+    trace: Trace | None  # kept only when returned or written
     decision: Decision
     report: dict
 
@@ -144,9 +145,11 @@ def run_end_to_end(manifest: RunManifest) -> RunResult:
     The report's ``verified`` flag is true only when every per-state verdict
     matches membership in the reachable set, nothing is undetermined, the
     block-boundary levels hold at every prefix, and the margins past the
-    decision horizon stay clear of the thresholds.
+    decision horizon stay clear of the thresholds.  The result's trace
+    holds the run's sample grid and reads any other time by integrating the
+    run again.
     """
-    return _run_all([manifest])[0]
+    return _run_all([manifest], traces=True)[0]
 
 
 @dataclass
@@ -183,16 +186,48 @@ def _setup(manifest: RunManifest) -> _Setup:
     return _Setup(manifest, translation, sig_spec, signal, brn, x0, sim)
 
 
-def _run_all(manifests: Sequence[RunManifest]) -> list[RunResult]:
-    """Run manifests with one ``integrate`` call, so that their word tries integrate together."""
+def _run_all(manifests: Sequence[RunManifest], traces: bool = False) -> list[RunResult]:
+    """Run manifests with one ``integrate`` call, so that their word tries integrate together.
+
+    Each run keeps only what its report checks (see ``_watch``), read as its
+    steps are accepted, and its sample grid only when its trace is returned
+    (``traces``) or written (``out_dir``); so the call's memory grows with
+    its runs' checks, not with their steps.  The constraints and the
+    signal's admissibility are checked once per distinct parameter set and
+    signal.
+    """
     setups = [_setup(m) for m in manifests]
     with _stage("integrate"):
-        traces = integrate([s.brn for s in setups], [s.x0 for s in setups],
-                           [s.signal for s in setups], [s.sim for s in setups])
-    return [_verify(s, trace) for s, trace in zip(setups, traces)]
+        readouts = integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups],
+                             [s.sim for s in setups], [_watch(s, traces) for s in setups])
+    constraints, admissible = {}, {}
+    for s in setups:
+        if s.manifest.params not in constraints:
+            constraints[s.manifest.params] = check_constraints(s.manifest.params)
+        if s.sig_spec not in admissible:
+            # the encoder's signal is piecewise linear between the corners and thirds
+            # that validate's grid always holds, so checking that grid alone is exact
+            admissible[s.sig_spec] = validate(s.signal, s.sig_spec, samples_per_phase=1).admissible
+    return [_verify(s, readout, constraints[s.manifest.params], admissible[s.sig_spec])
+            for s, readout in zip(setups, readouts)]
 
 
-def _verify(setup: _Setup, trace: Trace) -> RunResult:
+def _pairs(nfa: Nfa) -> list[tuple[str, str]]:
+    """The conserved pairs a report checks: each state and its dual, each portal and its dual."""
+    pairs = [(state_species_name(q), dual_state_species_name(q)) for q in nfa.states]
+    return pairs + [(portal_species_name(q), dual_portal_species_name(q)) for q in nfa.states]
+
+
+def _watch(setup: _Setup, trace: bool) -> Watch:
+    """What a run's report reads: the states at the decision time and at every block boundary,
+    each state's extremes over the maintenance window, the conserved pairs, and its grid if kept."""
+    manifest, t_dec = setup.manifest, setup.sig_spec.decision_time
+    blocks = (3 * k * manifest.params.tau for k in range(len(manifest.word) + 1))
+    return Watch(points=(t_dec, *blocks), window=t_dec - 1e-12, pairs=tuple(_pairs(manifest.nfa)),
+                 grid=trace or bool(manifest.out_dir))
+
+
+def _verify(setup: _Setup, readout: Readout, constraints: ConstraintReport, admissible: bool) -> RunResult:
     """Decide, check and report one integrated run."""
     manifest, sig_spec, x0 = setup.manifest, setup.sig_spec, setup.x0
     params = manifest.params
@@ -200,7 +235,7 @@ def _verify(setup: _Setup, trace: Trace) -> RunResult:
     n = len(manifest.word)
     tau = params.tau
     with _stage("decide"):
-        decision = decide(trace, nfa, sig_spec, manifest.scheme)
+        decision = decide(readout, nfa, sig_spec, manifest.scheme)
 
     target = extended_transition(nfa, nfa.initial, manifest.word)
     oracle_accepts = accepts(nfa, manifest.word)
@@ -213,40 +248,33 @@ def _verify(setup: _Setup, trace: Trace) -> RunResult:
         phi.append({
             "prefix": list(prefix),
             "t": 3 * k * tau,
-            "holds": bool(check_phi(trace, nfa, prefix, params.gamma, tau)),
+            "holds": bool(check_phi(readout, nfa, prefix, params.gamma, tau)),
         })
     phi_all = all(entry["holds"] for entry in phi)
 
     # margins against the worst admissible observation over the whole
     # maintenance window [ (3n+1) tau, t_end ]
     t0 = sig_spec.decision_time
-    window = trace.times >= t0 - 1e-12
     high_margin = math.inf
     low_margin = math.inf
     for q in nfa.states:
-        col = trace.column(state_species_name(q))[window]
+        name = state_species_name(q)
         if q in target:
-            high_margin = min(high_margin, float(np.min(col) - (HIGH_THRESHOLD + params.eta)))
+            high_margin = min(high_margin, readout.low[name] - (HIGH_THRESHOLD + params.eta))
         else:
-            low_margin = min(low_margin, float((LOW_THRESHOLD - params.eta) - np.max(col)))
+            low_margin = min(low_margin, (LOW_THRESHOLD - params.eta) - readout.high[name])
     maintenance_ok = (high_margin == math.inf or high_margin > 0) and \
                      (low_margin == math.inf or low_margin > 0)
 
-    pairs = [(state_species_name(q), dual_state_species_name(q)) for q in nfa.states]
-    pairs += [(portal_species_name(q), dual_portal_species_name(q)) for q in nfa.states]
-    dev, totals = conservation_deviation(trace, x0, pairs)
+    dev, totals = conservation_deviation(readout, x0, _pairs(nfa))
     totals_ok = all(1 - params.epsilon - 1e-12 <= c0 <= 1 + 2 * params.epsilon + 1e-12
                     for c0 in totals.values())
 
-    # the encoder's signal is piecewise linear between the corners and thirds
-    # that validate's grid always holds, so checking that grid alone is exact
-    signal_report = validate(setup.signal, sig_spec, samples_per_phase=1)
-
     verified = (verdicts_match and not decision.undetermined and phi_all
-                and maintenance_ok and signal_report.admissible)
+                and maintenance_ok and admissible)
     report = {
         "manifest": manifest.to_json_dict(),
-        "constraints": check_constraints(params).to_json_dict(),
+        "constraints": constraints.to_json_dict(),
         "oracle": {
             "reachable": sorted(target, key=nfa.states.index),
             "accepts": oracle_accepts,
@@ -257,7 +285,7 @@ def _verify(setup: _Setup, trace: Trace) -> RunResult:
         "phi": phi,
         "phi_all": phi_all,
         "maintenance": {
-            "window": [t0, trace.t_end],
+            "window": [t0, readout.t_end],
             "high_margin": None if high_margin == math.inf else high_margin,
             "low_margin": None if low_margin == math.inf else low_margin,
             "ok": maintenance_ok,
@@ -267,7 +295,7 @@ def _verify(setup: _Setup, trace: Trace) -> RunResult:
             "totals": totals,
             "band_ok": totals_ok,
         },
-        "signal_admissible": signal_report.admissible,
+        "signal_admissible": admissible,
         "verified": verified,
     }
 
@@ -276,9 +304,9 @@ def _verify(setup: _Setup, trace: Trace) -> RunResult:
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
         with open(out / "trace.csv", "w", newline="") as fh:
-            trace.write_csv(fh)
+            readout.trace.write_csv(fh)
 
-    return RunResult(manifest=manifest, translation=setup.translation, trace=trace,
+    return RunResult(manifest=manifest, translation=setup.translation, trace=readout.trace,
                      decision=decision, report=report)
 
 
@@ -312,56 +340,23 @@ def all_words(alphabet: Sequence[str], max_len: int) -> list[tuple[str, ...]]:
     return words
 
 
-def _packs(sizes: Sequence[int]) -> list[list[int]]:
-    """Groups of the given sizes placed in packs no larger than the largest group.
-
-    Largest first, each group goes into the first pack it fits in; returns
-    each pack's group indices, in the order they were placed.
-    """
-    budget = max(sizes, default=0)
-    packs: list[list[int]] = []
-    loads: list[int] = []
-    for g in sorted(range(len(sizes)), key=lambda g: -sizes[g]):
-        p = next((p for p, load in enumerate(loads) if load + sizes[g] <= budget), len(packs))
-        if p == len(packs):
-            packs.append([])
-            loads.append(0)
-        packs[p].append(g)
-        loads[p] += sizes[g]
-    return packs
-
-
 def _run_reports(manifests: Sequence[RunManifest]) -> list[dict]:
-    """Reports of manifests in their order, one ``_run_all`` per pack of groups.
-
-    A group is a stretch of manifests that differ only in their word; its
-    size is its runs times its network's free species.  Groups are packed
-    into batches no larger than the largest group (see ``_packs``), so a
-    pack holds about the memory that group alone does, and the runs of a
-    pack integrate together, across their networks.
-    """
-    groups = [list(group) for _, group in groupby(manifests, key=lambda m: replace(m, word=()))]
-    reports: list[list[dict]] = [[] for _ in groups]
-    for pack in _packs([len(group) * 4 * group[0].nfa.num_states for group in groups]):
-        # keep the reports alone, so a pack's traces are freed before the next pack runs
-        packed = iter([result.report for result in _run_all([m for g in pack for m in groups[g]])])
-        for g in pack:
-            reports[g] = [next(packed) for _ in groups[g]]
-    return [report for group in reports for report in group]
+    """Reports of manifests in their order, from one ``_run_all``: the runs integrate together."""
+    return [result.report for result in _run_all(manifests)]
 
 
 def corpus_reports(manifests: Iterable[RunManifest], processes: int | None = None) -> list[dict]:
     """Run many manifests, optionally across a worker pool; reports come back in input order.
 
-    Manifests that differ only in their word form a group.  Groups are
-    packed into batches no larger than the largest group, and each pack is
-    integrated in one ``integrate`` call: every group's word trie level by
-    level, every distinct symbol block once, the levels of all the pack's
-    networks in one batch (see ``simulate.integrate``).  The manifests are
+    The manifests are integrated in one ``integrate`` call: every group's
+    word trie level by level, every distinct symbol block once, and each
+    level of all the networks in one batch (see ``simulate.integrate``); a
+    group is the manifests that differ only in their word.  A run keeps only
+    what its report checks, so the batch needs no bound.  The manifests are
     ordered by group, in input order within a group, so each group is
     contiguous; a pool gives each worker one contiguous slice of that order
-    to pack.  Every report is the one ``run_end_to_end`` gives for its
-    manifest alone.
+    to integrate as one batch.  Every report is the one ``run_end_to_end``
+    gives for its manifest alone.
     """
     manifests = list(manifests)
     groups: dict[RunManifest, int] = {}

@@ -25,16 +25,24 @@ of level k in one batch, then every tail in one batch.  A batch holds
 columns of any networks: each column carries its network, its free species
 padded with zeros to the widest column's, and its error norm runs over its
 own species, so its arithmetic is the one it has alone.  Blocks are shared
-only within one network.  A run's dense output is a table of its solver
-steps (``DenseTable``): the sample grid, the decision and the block-boundary
-checks each read any set of times with one search and one vectorised
-quartic per symbol block.
+only within one network.
+
+The stepper hands each iteration's accepted steps to a consumer as it makes
+them.  For a ``Trace`` the consumer keeps them: a run's dense output is a
+table of its solver steps (``DenseTable``), which reads any set of times
+with one search and one vectorised quartic per symbol block.  A run given a
+``Watch`` keeps only what the watch names: its states at a few times, each
+species' extremes over a window of the sample grid and the largest drift of
+paired sums.  Each time is read from the step that holds it, with the
+table's arithmetic, soon after that step is accepted, so the values are the
+trace's to the bit and no run holds its steps.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -43,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import HIGH_THRESHOLD, LOW_THRESHOLD
-from .brn import Brn, ConcState, MassActionKernel, column_drift
+from .brn import Brn, ColumnDrift, ConcState, MassActionKernel
 from .nfa import Nfa, extended_transition
 from .perturb import ObservationScheme, observe
 from .signals import InputSignal, SignalSpec
@@ -55,11 +63,12 @@ __all__ = [
     "SolverStats",
     "DenseTable",
     "Solution",
+    "Watch",
+    "Readout",
     "Decision",
     "IntegratorFault",
     "solve_ivp",
     "integrate",
-    "integrate_fixed_step",
     "decide",
     "check_phi",
     "conservation_deviation",
@@ -67,6 +76,8 @@ __all__ = [
 
 # a run's sample grid: t_end split into this many equal intervals
 SAMPLE_INTERVALS = 400
+# a watched batch's probe times are evaluated about this many at a time
+_PENDING_PROBES = 512
 
 # Dormand-Prince 5(4), as in scipy's RK45: nodes, stage weights (row s
 # combines stages 0..s-1), the fifth-order weights, the error weights and
@@ -142,28 +153,31 @@ def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
 class Solution:
     """What one ``solve_ivp`` call integrated.
 
-    ``steps[b]`` holds column b's accepted steps, packed: their end times,
-    start states and quartic coefficients; ``y_end[b]`` is its end state and
-    ``rejected[b]`` counts its rejected steps.  ``nfev`` counts six drift
-    evaluations per attempted column-step plus the two start-up calls, which
-    evaluate every column at once; so ``(nfev - 2) // 6 - (len(t) - 1)`` is
-    the number of rejected column-steps, as for one scipy RK45 solve.
+    ``ends[b]`` holds column b's accepted step ends, ``y_end[b]`` its end
+    state and ``rejected[b]`` the number of its rejected steps.  ``steps[b]``
+    holds its accepted steps, packed (their end times, start states and
+    quartic coefficients), when the call kept them (None when a consumer took
+    them).  ``nfev`` counts six drift evaluations per attempted column-step
+    plus the two start-up calls, which evaluate every column at once; so
+    ``(nfev - 2) // 6 - (len(t) - 1)`` is the number of rejected
+    column-steps, as for one scipy RK45 solve.
     """
 
     t0: np.ndarray
-    steps: list[_Steps]
+    ends: list[np.ndarray]
     y_end: list[np.ndarray]
     rejected: np.ndarray
     nfev: int
+    steps: list[_Steps] | None = None
 
     @property
     def t(self) -> np.ndarray:
         """The first column's start, then every accepted step's end, column after column."""
-        return np.concatenate([self.t0[:1], *(ends for ends, _, _ in self.steps)])
+        return np.concatenate([self.t0[:1], *self.ends])
 
 
 def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = np.inf,
-              widths: Sequence[int] | None = None) -> Solution:
+              widths: Sequence[int] | None = None, consumer=None) -> Solution:
     """Integrate B columns, column b from ``t0[b]`` to ``t1[b]`` starting at ``y0[b]``.
 
     Column b's own species are the first ``widths[b]`` of its row (default:
@@ -181,9 +195,15 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
     on its own, in Python floats: a step is at most ``max_step`` long and
     ends exactly at its column's ``t1``; once a column arrives, it leaves the
     batch.  The stages, the drift and the error norm are array operations
-    over the columns still running.  Raises IntegratorFault, with the time
-    and state, on step-size underflow, a non-finite state or error norm, or
-    a state below ``-10 * atol``.
+    over the columns still running.
+
+    Each iteration hands its accepted steps to ``consumer(rows, cols, t_old,
+    t_new, stack)``: their rows in ``stack`` (the start states, then the
+    seven stages, of the columns running; padded), their columns, start
+    times and end times.  Without a consumer the steps are kept and packed
+    into ``Solution.steps``.  Raises IntegratorFault, with the time and
+    state, on step-size underflow, a non-finite state or error norm, or a
+    state below ``-10 * atol`` (the lowest one, once every column arrived).
     """
     y = np.array(y0, dtype=float)
     n_cols, n = y.shape
@@ -193,9 +213,15 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
     if not np.isfinite(y).all():
         b = int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0])
         raise IntegratorFault("non-finite state", time=t[b], state=y[b, :width[b]].copy())
+    log = _StepLog() if consumer is None else None
+    consume = consumer if log is None else log
     needs_t = drift.needs_t
     cols = list(range(n_cols))  # the columns still running, in batch order
-    log = []  # per lockstep iteration: the columns, step ends and stacks of its accepted steps
+    ends = []  # per lockstep iteration: the columns and ends of its accepted steps
+    floor = -10.0 * atol
+    lowest: dict[int, tuple] = {}  # per column, its first lowest state below the floor: value, time, state
+    if y.min() < floor:
+        _note_lowest(lowest, y, cols, t, width, floor)
     rejections = np.zeros(n_cols, dtype=int)
     y_end = np.empty((n_cols, n))
     attempts = 0
@@ -234,6 +260,7 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
             scale += atol
             err /= scale
             attempts += len(cols)
+            t_old = t.copy()
             accepted, done = [], []
             for i, square_sum in enumerate(_square_sums(err, width)):
                 norm = math.sqrt(square_sum / width[i])
@@ -255,14 +282,21 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
                     rejected[i] = True
                     rejections[cols[i]] += 1
             if len(accepted) == len(cols):
-                log.append((cols, t_new, stack))
+                consume(accepted, cols, t_old, t_new, stack)
+                ends.append((cols, t_new))
                 y, f = y_new, stack[7]
+                if y.min() < floor:
+                    _note_lowest(lowest, y, cols, t_new, width, floor)
             elif accepted:
                 k = np.array(accepted)
-                log.append(([cols[i] for i in accepted], [t_new[i] for i in accepted], stack[:, k]))
-                # f is a row of a logged stack, so it is replaced, not written into
+                moved, starts, arrivals = ([v[i] for i in accepted] for v in (cols, t_old, t_new))
+                consume(accepted, moved, starts, arrivals, stack)
+                ends.append((moved, arrivals))
+                # f is a row of a kept stack, so it is replaced, not written into
                 f = f.copy()
                 y[k], f[k] = y_new[k], stack[7, k]
+                if y[k].min() < floor:
+                    _note_lowest(lowest, y[k], moved, arrivals, [width[i] for i in accepted], floor)
             if done:
                 y_end[[cols[i] for i in done]] = y[done]
                 keep = [i for i in range(len(cols)) if i not in set(done)]
@@ -275,18 +309,22 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
     if not np.isfinite(np.concatenate(y_end)).all():
         b = next(b for b, row in enumerate(y_end) if not np.isfinite(row).all())
         raise IntegratorFault("non-finite state", time=float(t1[b]), state=y_end[b].copy())
-    steps = _pack(log, own)
-    floor = min(min(float(y_old.min()) for _, y_old, _ in steps), min(float(row.min()) for row in y_end))
-    if floor < -10.0 * atol:
-        for b, (ends, y_old, _) in enumerate(steps):
-            states = np.concatenate([y_old, y_end[b][None]])
-            if states.min() == floor:
-                i = int(np.argmin(states.min(axis=1)))
-                raise IntegratorFault(f"negative concentration {floor:.3e} beyond fault threshold",
-                                      time=float(np.concatenate([[t0[b]], ends])[i]),
-                                      state=states[i].copy())
-    return Solution(t0=np.array(t0, dtype=float), steps=steps, y_end=y_end,
-                    rejected=rejections, nfev=2 + 6 * attempts)
+    if lowest:
+        value = min(v for v, _, _ in lowest.values())
+        _, time, state = lowest[min(c for c, (v, _, _) in lowest.items() if v == value)]
+        raise IntegratorFault(f"negative concentration {value:.3e} beyond fault threshold", time=time, state=state)
+    ends = _by_column([c for c, _ in ends], np.fromiter(chain.from_iterable(e for _, e in ends), dtype=float),
+                      n_cols)
+    return Solution(t0=np.array(t0, dtype=float), ends=ends, y_end=y_end, rejected=rejections,
+                    nfev=2 + 6 * attempts, steps=None if log is None else log.steps(ends, own))
+
+
+def _note_lowest(lowest: dict, states: np.ndarray, cols: list, times: list, width: list, floor: float) -> None:
+    """Keep each column's first state whose lowest value is below ``floor`` and below all it had before."""
+    for row, c, t, w in zip(states, cols, times, width):
+        value = float(row[:w].min())
+        if value < floor and (c not in lowest or value < lowest[c][0]):
+            lowest[c] = (value, t, row[:w].copy())
 
 
 def _initial_step(fun, needs_t, t0: list, t_bound: list, y0, f0, rtol, atol, max_step, width: list) -> list:
@@ -329,26 +367,46 @@ def _square_sums(x: np.ndarray, width: list[int]) -> list[float]:
     return sums
 
 
-def _pack(log, width: list[int]) -> list[_Steps]:
-    """Each column's accepted steps from the iteration log, with their quartic coefficients, cut to its width."""
-    n_cols = len(width)
-    ends = np.fromiter(chain.from_iterable(e for _, e, _ in log), dtype=float)
-    stacks = np.concatenate([stack for _, _, stack in log], axis=1)
-    # scipy's Q = K.T @ P, summed in stage order into one array
-    Q = stacks[1, :, :, None] * _P[0]
-    for s in range(1, len(_P)):
-        Q += stacks[s + 1, :, :, None] * _P[s]
+def _by_column(cols: list[list[int]], rows: np.ndarray, n_cols: int) -> list[np.ndarray]:
+    """Rows logged iteration by iteration, one per column in ``cols``, split per column in order."""
     if n_cols == 1:
-        w = width[0]
-        return [(ends, stacks[0, :, :w].copy(), Q if w == stacks.shape[2] else Q[:, :w].copy())]
-    cols = np.fromiter(chain.from_iterable(c for c, _, _ in log), dtype=int)
-    order = np.argsort(cols, kind="stable")
-    bounds = np.cumsum(np.bincount(cols, minlength=n_cols))[:-1]
-    steps = list(zip(*(np.split(a[order], bounds) for a in (ends, stacks[0], Q))))
-    if min(width) == stacks.shape[2]:
-        return steps
-    # narrower columns keep copies of their own species, not views of the padded stack
-    return [(e, y_old[:, :w].copy(), q[:, :w].copy()) for (e, y_old, q), w in zip(steps, width)]
+        return [rows]
+    owner = np.fromiter(chain.from_iterable(cols), dtype=int)
+    order = np.argsort(owner, kind="stable")
+    return np.split(rows[order], np.cumsum(np.bincount(owner, minlength=n_cols))[:-1])
+
+
+def _quartic(stages: np.ndarray) -> np.ndarray:
+    """scipy's dense output ``Q = K.T @ P`` of steps' seven stages (7, steps, n), summed in stage order."""
+    Q = stages[0, :, :, None] * _P[0]
+    for s in range(1, len(_P)):
+        Q += stages[s, :, :, None] * _P[s]
+    return Q
+
+
+def _interpolate(h: np.ndarray, x: np.ndarray, y_old: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """scipy's quartic ``y_old + h (Q @ [x, x^2, x^3, x^4])``, one row per step and time."""
+    powers = np.cumprod(np.repeat(x[:, None], Q.shape[2], axis=1), axis=1)
+    return h[:, None] * np.einsum("kij,kj->ki", Q, powers) + y_old
+
+
+class _StepLog:
+    """A ``solve_ivp`` consumer that keeps every accepted step, for a ``DenseTable``."""
+
+    def __init__(self):
+        self.cols, self.stacks = [], []
+
+    def __call__(self, rows, cols, t_old, t_new, stack):
+        self.cols.append(cols)
+        self.stacks.append(stack if len(rows) == stack.shape[1] else stack[:, rows])
+
+    def steps(self, ends: list[np.ndarray], width: list[int]) -> list[_Steps]:
+        """Each column's steps, packed, with their quartic coefficients; cut to its width, as copies."""
+        stacks = np.concatenate(self.stacks, axis=1)
+        y_old = _by_column(self.cols, stacks[0], len(width))
+        Q = _by_column(self.cols, _quartic(stacks[1:]), len(width))
+        return [(e, y[:, :w].copy() if len(width) == 1 or w < y.shape[1] else y,
+                 q if w == q.shape[1] else q[:, :w].copy()) for e, y, q, w in zip(ends, y_old, Q, width)]
 
 
 class _CompiledNetwork:
@@ -366,10 +424,10 @@ class _CompiledNetwork:
         self.driven_idx = np.array([brn.index_of(nm) for nm in self.driven_names], dtype=int)
         driven_set = set(self.driven_idx.tolist())
         self.free_idx = np.array([i for i in range(len(names)) if i not in driven_set], dtype=int)
+        self.free_names = [names[i] for i in self.free_idx.tolist()]
         self.n_species = len(names)
         self.n_free = len(self.free_idx)
-        self.kernel = MassActionKernel(brn, [names[i] for i in self.free_idx.tolist()] + self.driven_names,
-                                       rows=self.n_free)
+        self.kernel = MassActionKernel(brn, self.free_names + self.driven_names, rows=self.n_free)
 
     def states(self, signal, t: np.ndarray, free_vals: np.ndarray) -> np.ndarray:
         """Full states at the times t, one row per time: free species given, inputs from the signal."""
@@ -412,6 +470,7 @@ class _Piece:
             self.ramp = bool(self.slope.any())
         self.needs_t = self.ramp or self.signals is not None or \
             not all(net.kernel.k_static for net in self.nets)
+        self.compiled = ColumnDrift.of([net.kernel for net in self.nets], self.rows, self.held)
 
     def select(self, cols: np.ndarray) -> "_Selection":
         """The drift of the columns ``cols``."""
@@ -429,7 +488,8 @@ class _Selection:
 
     def __init__(self, piece: _Piece, cols: np.ndarray):
         self.rows = piece.rows
-        self.rates, self.drift = column_drift([piece.nets[c].kernel for c in cols], self.rows, piece.held)
+        compiled = piece.compiled.select(cols)
+        self.rates, self.drift = compiled.rates, compiled.drift
         self.x = np.empty((len(cols), self.rows + piece.held + 1))
         self.x[:, -1] = 1.0
         self.shape = (len(cols), self.rows)
@@ -590,15 +650,13 @@ class DenseTable:
         t_old = self.ts[i]
         h = self.ts[i + 1] - t_old
         x = (t - t_old) / h
-        _, y_old, Q = self._segments[0]
-        powers = np.cumprod(np.repeat(x[:, None], Q.shape[2], axis=1), axis=1)
         segment = np.searchsorted(self._first_step, i, side="right") - 1
-        out = np.empty((len(t), y_old.shape[1]))
+        out = np.empty((len(t), self._segments[0][1].shape[1]))
         for s in set(segment.tolist()):
             rows = segment == s
             _, y_old, Q = self._segments[s]
             k = i[rows] - self._first_step[s]
-            out[rows] = h[rows, None] * np.einsum("kij,kj->ki", Q[k], powers[rows]) + y_old[k]
+            out[rows] = _interpolate(h[rows], x[rows], y_old[k], Q[k])
         return out
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
@@ -615,11 +673,12 @@ class _Column:
     bounds: np.ndarray  # the segment's start, the signal's corners inside it, its end
 
 
-def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float,
-                        max_step: float) -> list[tuple[_Steps, np.ndarray, SolverStats]]:
+def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, max_step: float,
+                        probes: "_Probes | None" = None) -> list[tuple[_Steps | None, np.ndarray, SolverStats]]:
     """Integrate each column over its own pieces; round r takes every column's r-th piece in one call.
 
-    Returns, per column, its packed steps, its end state and what they cost.
+    Returns, per column, its packed steps (None when ``probes`` read them
+    instead), its end state and what they cost.
     """
     encoded = all(isinstance(col.signal, InputSignal) for col in columns)
     held = max(len(col.net.driven_names) for col in columns)
@@ -640,16 +699,21 @@ def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float,
         b = np.array([columns[c].bounds[r + 1] for c in live])
         ends = np.array([inputs[c][r:r + 2] for c in live]) if encoded else None
         drift = _Piece([columns[c].net for c in live], [columns[c].signal for c in live], a, b, ends)
+        if probes is not None:
+            probes.live = live
         sol = solve_ivp(drift, a, b, y[live, :drift.rows], rtol=rtol, atol=atol, max_step=max_step,
-                        widths=[columns[c].net.n_free for c in live])
+                        widths=[columns[c].net.n_free for c in live], consumer=probes)
         for i, c in enumerate(live):
             y[c, :len(sol.y_end[i])] = sol.y_end[i]
-            steps = sol.steps[i]
-            pieces[c].append(steps)
-            accepted, rejected = len(steps[0]), int(sol.rejected[i])
+            if sol.steps is not None:
+                pieces[c].append(sol.steps[i])
+            accepted, rejected = len(sol.ends[i]), int(sol.rejected[i])
             stats[c] += SolverStats(1, 2 + 6 * (accepted + rejected), accepted, rejected,
-                                    float(np.diff(steps[0], prepend=a[i]).min()))
-    return [(_packed(p), y[c, :col.net.n_free], stats[c]) for c, (col, p) in enumerate(zip(columns, pieces))]
+                                    float(np.diff(sol.ends[i], prepend=a[i]).min()))
+    if probes is not None:
+        probes.flush()
+    return [(_packed(p) if p else None, y[c, :col.net.n_free], stats[c])
+            for c, (col, p) in enumerate(zip(columns, pieces))]
 
 
 def _bounds(corners: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -657,13 +721,250 @@ def _bounds(corners: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.concatenate([[a], corners[(corners > a) & (corners < b)], [b]])
 
 
-def integrate(brn, x0, signal, config):
+@dataclass(frozen=True)
+class Watch:
+    """What a run keeps of its trajectory in place of a ``Trace``.
+
+    ``points``: times whose full states are kept.  ``window``: each
+    integrated species' min and max over the sample-grid times at or after
+    it.  ``pairs``: for each pair (a, b) of integrated species, the max over
+    the grid of ``|a + b - c0|``, c0 being the pair's initial total.
+    ``grid``: keep the whole sample grid too, for the run's trace.  The
+    states kept are the run's ``Trace`` states to the bit, and the extremes
+    and maxima are those of its grid.
+    """
+
+    points: tuple[float, ...]
+    window: float
+    pairs: tuple[tuple[str, str], ...]
+    grid: bool = False
+
+
+@dataclass
+class Readout:
+    """What a watched run kept (see ``Watch``), read as its steps were accepted.
+
+    ``state_at(t)`` is the full state at a watched point, as
+    ``Trace.state_at`` reads it.  ``low`` and ``high`` map each integrated
+    species to its extremes over the window; ``deviation`` maps each watched
+    pair to its largest drift from its initial total.  ``trace`` is the
+    run's ``Trace`` when its grid was kept: its dense states come from
+    integrating the run alone on first use, which gives the same bits.
+    """
+
+    names: tuple[str, ...]
+    t_end: float
+    points: dict[float, np.ndarray]
+    low: dict[str, float]
+    high: dict[str, float]
+    deviation: dict[tuple[str, str], float]
+    stats: SolverStats
+    trace: Trace | None = None
+
+    def __post_init__(self):
+        self._index = {nm: i for i, nm in enumerate(self.names)}
+
+    def state_at(self, t: float) -> np.ndarray:
+        try:
+            return self.points[float(t)]
+        except KeyError:
+            raise ValueError(f"t={t} is not a watched time") from None
+
+
+class _Readings:
+    """What the watched runs of one ``integrate`` call keep, filled in as their steps are accepted.
+
+    Run r's probes are its watched points, clamped to its end as a trace
+    clamps them, then its grid times; its slot s is its s-th probe.  Each
+    probe lies in the segment whose last step ends at or after it.
+    """
+
+    def __init__(self, runs, plans: Sequence["_Plan"], watches: Sequence[Watch]):
+        self.watches = list(watches)
+        self.width = [plan.net.n_free for plan in plans]
+        self.times, self.segment = [], []
+        for (_, _, _, config), plan, watch in zip(runs, plans, self.watches):
+            points = np.array(watch.points, dtype=float)
+            outside = ~((points >= 0) & (points <= config.t_end + 1e-12))
+            if outside.any():
+                raise ValueError(f"t={points[outside][0]} outside trace range [0, {config.t_end}]")
+            times = np.concatenate([np.minimum(points, config.t_end),
+                                    np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1)])
+            self.times.append(times)
+            self.segment.append(np.searchsorted([b for _, _, _, b in plan.segments()[:-1]], times, side="left"))
+        self.n_points = np.array([len(w.points) for w in self.watches])
+        self.first_window = np.array([np.searchsorted(times[len(w.points):], w.window, side="left")
+                                      for times, w in zip(self.times, self.watches)])
+        self.keeps_grid = np.array([w.grid for w in self.watches])
+        self.rows = [np.empty((len(w.points), n)) for w, n in zip(self.watches, self.width)]
+        self.grids = [np.empty((SAMPLE_INTERVALS + 1, n)) if w.grid else None
+                      for w, n in zip(self.watches, self.width)]
+        n_runs, n_pairs = len(plans), max([1, *(len(w.pairs) for w in self.watches)])
+        self.low = np.full((n_runs, max(self.width)), math.inf)
+        self.high = np.full((n_runs, max(self.width)), -math.inf)
+        self.deviation = np.full((n_runs, n_pairs), -math.inf)
+        # each pair's species in its run's row and its initial total; padding reads species 0, never read back
+        self.pairs = np.zeros((2, n_runs, n_pairs), dtype=int)
+        self.c0 = np.zeros((n_runs, n_pairs))
+        for r, ((_, x0, _, _), plan, watch) in enumerate(zip(runs, plans, self.watches)):
+            place = {nm: j for j, nm in enumerate(plan.net.free_names)}
+            for m, (a, b) in enumerate(watch.pairs):
+                self.pairs[:, r, m] = place[a], place[b]
+                self.c0[r, m] = x0[a] + x0[b]
+
+    def probes(self, users: Sequence[Sequence[tuple[int, int]]]) -> "_Probes":
+        """The probes of a batch of segments; segment c is segment s of each run r in ``users[c]``."""
+        times, readers, slots = [], [], []
+        for column in users:
+            slot = [np.flatnonzero(self.segment[r] == s) for r, s in column]
+            t = np.concatenate([self.times[r][p] for (r, _), p in zip(column, slot)])
+            order = np.argsort(t, kind="stable")
+            times.append(t[order])
+            readers.append(np.repeat([r for r, _ in column], [len(p) for p in slot])[order])
+            slots.append(np.concatenate(slot)[order])
+        return _Probes(self, times, np.concatenate(readers), np.concatenate(slots))
+
+    def add(self, reader: np.ndarray, slot: np.ndarray, values: np.ndarray) -> None:
+        """Fold the values at some probes (one row each: integrated species, padded) into their runs' readings."""
+        slot = slot - self.n_points[reader]  # a grid index; negative for a point
+        point = slot < 0
+        if point.any():
+            for p in np.flatnonzero(point).tolist():
+                r = int(reader[p])
+                self.rows[r][slot[p] + self.n_points[r]] = values[p, :self.width[r]]
+            grid = ~point
+            reader, slot, values = reader[grid], slot[grid], values[grid]
+        if not len(reader):
+            return
+        keep = self.keeps_grid[reader]
+        if keep.any():
+            for r in np.unique(reader[keep]).tolist():
+                mine = reader == r
+                self.grids[r][slot[mine]] = values[mine, :self.width[r]]
+        order = np.argsort(reader, kind="stable")
+        reader, slot, values = reader[order], slot[order], values[order]
+        row = np.arange(len(reader))[:, None]
+        a, b = self.pairs[:, reader]
+        _fold(np.maximum, self.deviation, reader, np.abs(values[row, a] + values[row, b] - self.c0[reader]))
+        window = slot >= self.first_window[reader]
+        n = values.shape[1]
+        _fold(np.minimum, self.low[:, :n], reader[window], values[window])
+        _fold(np.maximum, self.high[:, :n], reader[window], values[window])
+
+    def readouts(self, runs, plans: Sequence["_Plan"], stats: Sequence[SolverStats]) -> list[Readout]:
+        """Each run's ``Readout``, once every probe has been read; inputs filled in from the signals."""
+        out = []
+        for r, ((brn, x0, signal, config), plan, watch) in enumerate(zip(runs, plans, self.watches)):
+            net, n_points = plan.net, len(watch.points)
+            points = self.times[r][:n_points]
+            rows = net.states(signal, points, self.rows[r]) if n_points else []
+            trace = None
+            if watch.grid:
+                grid = self.times[r][n_points:]
+                trace = Trace(names=brn.species_names, times=grid, values=net.states(signal, grid, self.grids[r]),
+                              t_end=config.t_end, _dense=_Rerun((brn, x0, signal, config)), stats=stats[r])
+            out.append(Readout(
+                names=brn.species_names, t_end=config.t_end, points=dict(zip(watch.points, rows)),
+                low=dict(zip(net.free_names, self.low[r, :net.n_free].tolist())),
+                high=dict(zip(net.free_names, self.high[r, :net.n_free].tolist())),
+                deviation=dict(zip(watch.pairs, self.deviation[r].tolist())), stats=stats[r], trace=trace))
+        return out
+
+
+def _fold(ufunc, acc: np.ndarray, reader: np.ndarray, values: np.ndarray) -> None:
+    """``acc[r] = ufunc(acc[r], ufunc over the rows of values read by r)``, for sorted readers."""
+    if len(reader):
+        first = np.flatnonzero(np.diff(reader, prepend=-1))
+        acc[reader[first]] = ufunc(acc[reader[first]], ufunc.reduceat(values, first, axis=0))
+
+
+class _Probes:
+    """A ``solve_ivp`` consumer: reads a batch of segments' probe times from their accepted steps.
+
+    Segment c's probes are in time order; ``pos[c]`` is its first one not
+    read yet.  A probe is read from the first step that ends at or after it,
+    so a step boundary from the step ending there and time 0 from the first
+    step, at x = 0, as ``DenseTable`` reads them.  The steps that hold probes
+    wait, across the batch's pieces, until they hold ``_PENDING_PROBES``
+    probes, a step of another width comes, or the batch ends (``flush``),
+    and are then evaluated together; no step is held longer.  ``live`` maps
+    the current call's columns to segments.
+    """
+
+    def __init__(self, readings: _Readings, times: list[np.ndarray], reader: np.ndarray, slot: np.ndarray):
+        self.readings, self.reader, self.slot = readings, reader, slot
+        self.flat = np.concatenate(times)
+        self.base = np.cumsum([0, *map(len, times)]).tolist()
+        self.times = [t.tolist() for t in times]
+        self.pos = [0] * len(times)
+        self.next = [t[0] if t else math.inf for t in self.times]
+        self.live: list[int] = []
+        self._clear()
+
+    def _clear(self):
+        self.stacks, self.first, self.count, self.t_old, self.t_new = [], [], [], [], []
+        self.pending = 0
+
+    def __call__(self, rows, cols, t_old, t_new, stack):
+        if self.stacks and self.stacks[0].shape[2] != stack.shape[2]:
+            self.flush()  # the steps waiting are of a wider or narrower batch
+        live, pos, nxt = self.live, self.pos, self.next
+        hits = []
+        for i, c, a, b in zip(rows, cols, t_old, t_new):
+            s = live[c]
+            if nxt[s] <= b:
+                times = self.times[s]
+                j = bisect_right(times, b, pos[s])
+                self.first.append(self.base[s] + pos[s])
+                self.count.append(j - pos[s])
+                self.pending += j - pos[s]
+                self.t_old.append(a)
+                self.t_new.append(b)
+                pos[s] = j
+                nxt[s] = times[j] if j < len(times) else math.inf
+                hits.append(i)
+        if hits:
+            self.stacks.append(stack if len(hits) == stack.shape[1] else stack[:, hits])
+            if self.pending >= _PENDING_PROBES:
+                self.flush()
+
+    def flush(self) -> None:
+        """Evaluate the waiting steps at their probe times, as ``DenseTable`` does, and hand the values on."""
+        if not self.pending:
+            return
+        stack = self.stacks[0] if len(self.stacks) == 1 else np.concatenate(self.stacks, axis=1)
+        count = np.array(self.count)
+        step = np.repeat(np.arange(len(count)), count)
+        probe = np.arange(len(step)) + np.repeat(np.array(self.first) - (np.cumsum(count) - count), count)
+        t_old = np.array(self.t_old)[step]
+        h = np.array(self.t_new)[step] - t_old
+        values = _interpolate(h, (self.flat[probe] - t_old) / h, stack[0, step], _quartic(stack[1:])[step])
+        self._clear()
+        self.readings.add(self.reader[probe], self.slot[probe], np.maximum(values, 0.0))
+
+
+class _Rerun:
+    """A run's dense states, from integrating it alone on first use: the same bits as in any batch."""
+
+    def __init__(self, run):
+        self.run, self.table = run, None
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        if self.table is None:
+            self.table = _integrate_runs([self.run])[0]._dense
+        return self.table(t)
+
+
+def integrate(brn, x0, signal, config, watch=None):
     """Integrate the driven system from x0 over [0, t_end], for one run or many.
 
     Given a network, an initial state, a signal and a ``SimConfig``, returns
     the run's ``Trace``.  Given four equally long lists instead (one entry
     per run), integrates the runs together and returns their traces in
-    order; each is the one its run gives alone, to the bit.
+    order; each is the one its run gives alone, to the bit.  Given a
+    ``Watch`` too (a list of them for many runs), returns ``Readout``s
+    instead of traces: a run keeps what its watch names, read as its steps
+    are accepted, and none keeps its steps.
 
     Species of input kind are clamped to the signal at all times (their
     entries in x0 are ignored); everything else follows the mass-action
@@ -681,8 +982,9 @@ def integrate(brn, x0, signal, config):
     times the absolute tolerance are clamped to zero in the outputs.
     """
     if isinstance(config, SimConfig):
-        return _integrate_runs([(brn, x0, signal, config)])[0]
-    return _integrate_runs(list(zip(brn, x0, signal, config, strict=True)))
+        return _integrate_runs([(brn, x0, signal, config)], None if watch is None else [watch])[0]
+    return _integrate_runs(list(zip(brn, x0, signal, config, strict=True)),
+                           None if watch is None else list(watch))
 
 
 @dataclass
@@ -717,10 +1019,10 @@ class _Plan:
         return out
 
 
-def _integrate_runs(runs) -> list[Trace]:
+def _integrate_runs(runs, watches=None) -> list:
     nets: list[tuple[Brn, _CompiledNetwork]] = []  # one layout per distinct network
     plans: list[_Plan] = []
-    batches: dict[tuple, list[_Plan]] = {}  # tolerances and tau -> runs, of any networks
+    batches: dict[tuple, list[int]] = {}  # tolerances and tau -> runs, of any networks
     for r, (brn, x0, signal, config) in enumerate(runs):
         g = next((g for g, (other, _) in enumerate(nets) if other == brn), len(nets))
         if g == len(nets):
@@ -741,79 +1043,41 @@ def _integrate_runs(runs) -> list[Trace]:
             if 3 * len(blocks) * (tau or 0.0) < config.t_end else None
         plans.append(_Plan(net, signal, np.asarray(signal.critical_times(), dtype=float), origin,
                            y0, blocks, tail, tau, config.t_end))
-        batches.setdefault(batch, []).append(plans[-1])
+        batches.setdefault(batch, []).append(r)
+    readings = None if watches is None else _Readings(runs, plans, watches)
 
-    segments: dict[tuple, tuple[_Steps, np.ndarray, SolverStats]] = {}
+    segments: dict[tuple, tuple[_Steps | None, np.ndarray, SolverStats]] = {}
     for (rtol, atol, tau, _), members in batches.items():
         # the word trie level by level: the distinct blocks of level k, each
         # from its parent's end state; then the distinct tails.  A batch maps
-        # a segment key to its first run, parent, start and end.
-        depth = max(len(plan.blocks) for plan in members)
+        # a segment key to its first run, parent, start and end, and to the
+        # runs that take it (with its place among each one's segments).
+        depth = max(len(plans[r].blocks) for r in members)
         levels: list[dict] = [{} for _ in range(depth + 1)]
-        for plan in members:
-            for key, parent, a, b in plan.segments():
+        for r in members:
+            for s, (key, parent, a, b) in enumerate(plans[r].segments()):
                 k = len(key[1]) - 1 if len(key) == 2 else depth
-                levels[k].setdefault(key, (plan, parent, a, b))
+                levels[k].setdefault(key, (plans[r], parent, a, b, []))[4].append((r, s))
         for batch in levels:
             if batch:
                 columns = [_Column(plan.net, plan.signal, segments[parent][1] if parent else plan.y0,
                                    _bounds(plan.corners, a, b))
-                           for plan, parent, a, b in batch.values()]
+                           for plan, parent, a, b, _ in batch.values()]
+                probes = None if readings is None else readings.probes([users for *_, users in batch.values()])
                 segments.update(zip(batch, _integrate_segments(
-                    columns, rtol, atol, tau / 3.0 if tau else np.inf)))
+                    columns, rtol, atol, tau / 3.0 if tau else np.inf, probes)))
 
+    stats = [sum((segments[key][2] for key, *_ in plan.segments()), SolverStats()) for plan in plans]
+    if readings is not None:
+        return readings.readouts(runs, plans, stats)
     traces = []
-    for (brn, _, _, config), plan in zip(runs, plans):
-        parts = [segments[key] for key, _, _, _ in plan.segments()]
-        stats = SolverStats()
-        for _, _, cost in parts:
-            stats += cost
-        dense = DenseTable([steps for steps, _, _ in parts], partial(plan.net.states, plan.signal))
+    for (brn, _, _, config), plan, cost in zip(runs, plans, stats):
+        dense = DenseTable([segments[key][0] for key, *_ in plan.segments()],
+                           partial(plan.net.states, plan.signal))
         t_grid = np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1)
         traces.append(Trace(names=brn.species_names, times=t_grid, values=dense(t_grid),
-                            t_end=config.t_end, _dense=dense, stats=stats))
+                            t_end=config.t_end, _dense=dense, stats=cost))
     return traces
-
-
-def integrate_fixed_step(brn: Brn, x0: ConcState, signal, config: SimConfig,
-                         h: float) -> Trace:
-    """Classical fixed-step fourth-order Runge-Kutta cross-check integrator."""
-    net = _CompiledNetwork(brn)
-    nf, drift, x = net.n_free, net.kernel.drift(), net.kernel.buffer()
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x[:nf] = y
-        x[nf:net.n_species] = [signal.concentration(nm, t) for nm in net.driven_names]
-        return drift(t, x)
-
-    n_steps = max(int(math.ceil(config.t_end / h)), 1)
-    h = config.t_end / n_steps
-    stride = config.t_end / SAMPLE_INTERVALS
-    keep_every = max(int(round(stride / h)), 1)
-
-    y = np.asarray(x0.values, dtype=float)[net.free_idx]
-    ts = [0.0]
-    ys = [y.copy()]
-    t = 0.0
-    for step in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = (step + 1) * h
-        if (step + 1) % keep_every == 0 or step == n_steps - 1:
-            ts.append(t)
-            ys.append(y.copy())
-
-    t_grid = np.asarray(ts)
-    free_vals = np.maximum(np.asarray(ys), 0.0)
-    from scipy.interpolate import interp1d
-
-    free_at = interp1d(t_grid, free_vals, axis=0, kind="cubic" if len(t_grid) > 3 else "linear",
-                       bounds_error=False, fill_value=(free_vals[0], free_vals[-1]))
-    return Trace(names=brn.species_names, times=t_grid, values=net.states(signal, t_grid, free_vals),
-                 t_end=config.t_end, _dense=lambda t: net.states(signal, t, np.maximum(free_at(t), 0.0)))
 
 
 @dataclass
@@ -843,7 +1107,7 @@ class Decision:
         }
 
 
-def decide(trace: Trace, nfa: Nfa, spec: SignalSpec, scheme: ObservationScheme,
+def decide(trace: Trace | Readout, nfa: Nfa, spec: SignalSpec, scheme: ObservationScheme,
            t: float | None = None) -> Decision:
     """Read the state species at time t (default: the decision horizon).
 
@@ -877,7 +1141,7 @@ def decide(trace: Trace, nfa: Nfa, spec: SignalSpec, scheme: ObservationScheme,
     return Decision(verdicts=verdicts, observed=observed, t_dec=t_dec, accept=accept)
 
 
-def check_phi(trace: Trace, nfa: Nfa, prefix: Sequence[str], gamma: float,
+def check_phi(trace: Trace | Readout, nfa: Nfa, prefix: Sequence[str], gamma: float,
               tau: float) -> bool:
     """Block-boundary levels: reached states at or above 1-gamma, others at or below gamma."""
     if not 0 < gamma < 0.5:
@@ -892,22 +1156,25 @@ def check_phi(trace: Trace, nfa: Nfa, prefix: Sequence[str], gamma: float,
     return True
 
 
-def _levels(trace: Trace, nfa: Nfa, t: float) -> np.ndarray:
+def _levels(trace: Trace | Readout, nfa: Nfa, t: float) -> np.ndarray:
     """Raw state-species levels at time t, in the automaton's state order, from one evaluation."""
     return trace.state_at(t)[[trace._index[state_species_name(q)] for q in nfa.states]]
 
 
-def conservation_deviation(trace: Trace, x0: ConcState, pairs: Sequence[tuple[str, str]]):
+def conservation_deviation(trace: Trace | Readout, x0: ConcState, pairs: Sequence[tuple[str, str]]):
     """Max deviation of paired sums from their initial totals over the sampled grid.
 
     Returns (max deviation, dict of initial totals keyed by the pair's first
-    name).
+    name).  A ``Readout`` gives the maxima it kept for the pairs its watch named.
     """
     totals = {}
     worst = 0.0
     for a, b in pairs:
         c0 = x0[a] + x0[b]
         totals[a] = c0
-        dev = np.max(np.abs(trace.column(a) + trace.column(b) - c0))
+        if isinstance(trace, Readout):
+            dev = trace.deviation[a, b]
+        else:
+            dev = np.max(np.abs(trace.column(a) + trace.column(b) - c0))
         worst = max(worst, float(dev))
     return worst, totals

@@ -4,17 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import PLAN_DELTA, PLAN_EPS, PLAN_ETA
+from nfa2crn import pipeline, simulate
 from nfa2crn.analysis import plan_parameters
 from nfa2crn.cli import main
 from nfa2crn.nfa import parse_nfa
 from nfa2crn.perturb import ObservationScheme, PerturbationProfile
 from nfa2crn.pipeline import (
+    EXAMPLE_NFA_TEXT,
     RunManifest,
     all_words,
-    _packs,
     corpus_reports,
     random_nfa,
     run_end_to_end,
@@ -131,18 +131,65 @@ def test_corpus_reports_worker_pool_matches_sequential(example_nfa, planned):
     assert json.dumps(pooled, sort_keys=True) == json.dumps(alone, sort_keys=True)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 300), max_size=12))
-def test_every_group_lands_in_one_pack_within_the_largest_group(sizes):
-    packs = _packs(sizes)
-    assert sorted(g for pack in packs for g in pack) == list(range(len(sizes)))
-    assert all(sum(sizes[g] for g in pack) <= max(sizes) for pack in packs)
+def _perturbed_corpus(seed):
+    """``verify-corpus --perturbed`` over the example and one random automaton per size up to 4 states x 2 symbols."""
+    rng = np.random.default_rng(seed)
+    by_size = {}
+    while len(by_size) < 8:
+        nfa = random_nfa(rng, 4, 2)
+        by_size.setdefault((nfa.num_states, nfa.num_symbols), nfa)
+    plans = {}
+    manifests = []
+    for i, nfa in enumerate([parse_nfa(EXAMPLE_NFA_TEXT)] + [by_size[k] for k in sorted(by_size)]):
+        d = nfa.num_transitions
+        if d not in plans:
+            plans[d] = plan_parameters(d, PLAN_EPS, PLAN_ETA, PLAN_DELTA).params
+        params = plans[d]
+        manifests += [_manifest(nfa, word, params, perturbed=True, seed=seed + i)
+                      for word in all_words(nfa.alphabet, 3)]
+    return manifests
 
 
-def test_the_perturbed_corpus_packs_its_nine_groups_in_four():
-    # runs x free species of the example and of one automaton per size up to 4 states x 2 symbols
-    sizes = [15 * 12] + [runs * 4 * q for q in (1, 2, 3, 4) for runs in (4, 15)]
-    assert _packs(sizes) == [[8], [0, 2], [6, 5], [4, 7, 3, 1]]
+def test_the_perturbed_corpus_integrates_as_one_batch(monkeypatch):
+    # every network's runs share one tau, so the corpus is one batch: each of
+    # the three block levels takes its nine pieces in nine calls, and the tails take one
+    calls = []
+    real_solve_ivp = simulate.solve_ivp
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real_solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "solve_ivp", counting_solve_ivp)
+    manifests = _perturbed_corpus(1)
+    reports = corpus_reports(manifests)
+    assert len(manifests) == 91 and all(r["verified"] for r in reports)
+    assert len(calls) == 28
+
+
+def test_a_corpus_keeps_no_step_table(example_nfa, planned, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a corpus run built a dense table")
+
+    manifests = [_manifest(example_nfa, w, planned, perturbed=True, seed=4) for w in all_words(("0", "1"), 2)]
+    expected = [run_end_to_end(m).report for m in manifests]
+    monkeypatch.setattr(simulate.DenseTable, "__init__", refuse)
+    assert corpus_reports(manifests) == expected
+
+
+def test_a_returned_trace_reads_any_time_as_integrate_does(example_nfa, planned):
+    m = _manifest(example_nfa, ("1", "0"), planned, perturbed=True, seed=6)
+    result = run_end_to_end(m)
+    setup = pipeline._setup(m)
+    alone = simulate.integrate(setup.brn, setup.x0, setup.signal, setup.sim)
+    assert np.array_equal(result.trace.times, alone.times)
+    assert result.trace.values.tobytes() == alone.values.tobytes()
+    assert result.trace.stats == alone.stats
+    # times off the grid: inside a step, on a corner, at the end
+    t = np.array([0.123 * planned.tau, 3 * planned.tau, 4.5678 * planned.tau, setup.sim.t_end])
+    for name in ("Y_A", "Yb_C", "Z_B", "X_1"):
+        assert result.trace.value(name, t).tobytes() == alone.value(name, t).tobytes()
+        assert result.trace.value(name, float(t[2])) == alone.value(name, float(t[2]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

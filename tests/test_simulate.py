@@ -31,7 +31,6 @@ from nfa2crn.simulate import (
     conservation_deviation,
     decide,
     integrate,
-    integrate_fixed_step,
     trace_from_csv,
 )
 from nfa2crn.translate import translate
@@ -292,14 +291,31 @@ def test_drift_is_the_vector_field_of_the_clamped_state(example_nfa, planned, mo
         assert np.array_equal(drift(t, y), vector_field(brn, x, t)[net.free_idx])
 
 
+def _fixed_step(brn, x0, signal, t_end, h):
+    """Classical fixed-step fourth-order Runge-Kutta: the integrated species at t_end, clamped, by name."""
+    net = simulate._CompiledNetwork(brn)
+    f = _clamped_drift(net, signal)
+    n_steps = max(int(math.ceil(t_end / h)), 1)
+    h = t_end / n_steps
+    y = np.asarray(x0.values, dtype=float)[net.free_idx]
+    for step in range(n_steps):
+        t = step * h
+        k1 = f(t, y)
+        k2 = f(t + h / 2, y + h / 2 * k1)
+        k3 = f(t + h / 2, y + h / 2 * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return dict(zip(net.free_names, np.maximum(y, 0.0)))
+
+
 def test_fixed_step_cross_check(example_nfa, planned):
     out = translate(example_nfa, planned.rates)
     spec = SignalSpec(("1",), epsilon=planned.epsilon, tau=planned.tau)
     config = SimConfig(t_end=2.0, rel_tol=1e-9, abs_tol=1e-12)
     adaptive = integrate(out.brn, out.initial, encode(spec), config)
-    fixed = integrate_fixed_step(out.brn, out.initial, encode(spec), config, h=planned.tau / 10_000)
+    fixed = _fixed_step(out.brn, out.initial, encode(spec), config.t_end, h=planned.tau / 10_000)
     for name in ("Y_A", "Y_B", "Z_B", "Zb_C"):
-        assert adaptive.value(name, 2.0) == pytest.approx(fixed.value(name, 2.0), abs=1e-6)
+        assert adaptive.value(name, 2.0) == pytest.approx(fixed[name], abs=1e-6)
 
 
 def test_time_dependent_rates_integrate(example_nfa, planned):
@@ -480,6 +496,72 @@ def test_a_column_packs_the_same_bits_alone_and_anywhere_in_a_batch(example_nfa,
         assert packed[2] == alone[2]
 
 
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_watched_run_reads_its_dense_trace_to_the_bit(example_nfa, planned, data):
+    # a batch of runs on three networks under three rate kinds, from exact and
+    # random initial states, with the run under test anywhere in it
+    from nfa2crn import pipeline
+    from nfa2crn.nfa import parse_nfa
+
+    nfas = [example_nfa, *map(parse_nfa, OTHER_NFAS)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    manifests = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        nfa = nfas[int(rng.integers(len(nfas)))]
+        mode = data.draw(st.sampled_from(["none", "sinusoid", "piecewise"]))
+        profile = PerturbationProfile(delta=planned.delta, mode=mode, omega=2 * math.pi / planned.tau,
+                                      seed=int(rng.integers(3)))
+        manifests.append(pipeline.RunManifest(
+            nfa=nfa, word=tuple(rng.choice(nfa.alphabet, int(rng.integers(0, 4))).tolist()), params=planned,
+            profile=profile, initial_mode=str(rng.choice(["exact", "random"])), seed=int(rng.integers(3)),
+            extra_phases=float(rng.choice([1.0, 2.5]))))
+    setups = [pipeline._setup(m) for m in manifests]
+    watches = [pipeline._watch(s, False) for s in setups]
+    readouts = integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups],
+                         [s.sim for s in setups], watches)
+    r = data.draw(st.integers(0, len(setups) - 1))
+    setup, watch, readout = setups[r], watches[r], readouts[r]
+    trace = integrate(setup.brn, setup.x0, setup.signal, setup.sim)
+    for t in watch.points:
+        assert readout.state_at(t).tobytes() == trace.state_at(t).tobytes()
+    window = trace.times >= watch.window
+    assert set(readout.low) == set(readout.high) == {nm for nm in trace.names if not nm.startswith("X_")}
+    for name in readout.low:
+        # the extremes are compared as values: which of 0.0 and -0.0 a reduction keeps is not part of them
+        assert readout.low[name] == trace.column(name)[window].min()
+        assert readout.high[name] == trace.column(name)[window].max()
+    for a, b in watch.pairs:
+        deviation = np.max(np.abs(trace.column(a) + trace.column(b) - (setup.x0[a] + setup.x0[b])))
+        assert np.float64(readout.deviation[a, b]).tobytes() == deviation.tobytes()
+    assert readout.stats == trace.stats and readout.trace is None
+
+
+def test_a_piece_compiles_its_drift_once(example_nfa, planned, monkeypatch):
+    # runs on two networks leave their batch at different steps; the drift of
+    # what is left is read from the piece's tables
+    from nfa2crn.nfa import parse_nfa
+
+    compiled = []
+
+    class Counted(simulate.ColumnDrift):
+        def __init__(self, *args):
+            compiled.append(len(args[0]))
+            super().__init__(*args)
+
+    calls = _recording(monkeypatch)
+    monkeypatch.setattr(simulate, "ColumnDrift", Counted)
+    outs = [translate(nfa, planned.rates) for nfa in (example_nfa, parse_nfa(OTHER_NFAS[1]))]
+    brns = [perturb_rates(out.brn, PerturbationProfile(delta=planned.delta, mode="sinusoid",
+                                                       omega=2 * math.pi / planned.tau, seed=1)) for out in outs]
+    signals = [encode(SignalSpec(w, epsilon=planned.epsilon, tau=planned.tau)) for w in (("1",), ("0",))]
+    config = SimConfig(t_end=5 * planned.tau)
+    together = integrate(brns, [out.initial for out in outs], signals, [config] * 2)
+    assert compiled == [2] * len(calls)
+    for brn, out, signal, trace in zip(brns, outs, signals, together):
+        assert integrate(brn, out.initial, signal, config).values.tobytes() == trace.values.tobytes()
+
+
 @pytest.mark.parametrize("mode", ["none", "sinusoid", "piecewise"])
 @pytest.mark.parametrize("size", [1, 3])
 def test_piece_drift_matches_the_drift_read_from_the_signal(example_nfa, planned, mode, size):
@@ -541,7 +623,7 @@ def test_nfev_of_a_batch_counts_its_rejected_column_steps():
     assert (sol.nfev - 2) // 6 - (len(sol.t) - 1) == sol.rejected.sum()
     # two start-up calls evaluate all three columns; every attempted column-step six times
     assert drift.columns == 2 * 3 + (sol.nfev - 2)
-    assert len(sol.t) - 1 == sum(len(ends) for ends, _, _ in sol.steps)
+    assert len(sol.t) - 1 == sum(len(ends) for ends, _, _ in sol.steps) == sum(map(len, sol.ends))
 
 
 def test_stepper_agrees_with_scipy_rk45(example_nfa, planned):
