@@ -9,6 +9,7 @@ induced ODE system is the rate-weighted sum of net-effect vectors.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -509,7 +510,8 @@ class ColumnDrift:
     gives the drift of some of its columns, side by side in batch order, by
     indexing those tables, so a column leaving the batch costs no recompile.
     ``of`` compiles a batch of one kernel once per size and layout, kept by
-    the kernel, and its selections are those batches.
+    the kernel (which the batch holds weakly, so no cycle outlives the
+    kernel), and its selections are those batches.
     """
 
     @classmethod
@@ -521,7 +523,7 @@ class ColumnDrift:
         key = (len(kernels), rows, held)
         if key not in kernel._compiled:
             batch = kernel._compiled[key] = cls(kernels, rows, held)
-            batch._kernel = kernel  # its selections are the kernel's batches of their size
+            batch._kernel = weakref.ref(kernel)  # its selections are the kernel's batches of their size
         return kernel._compiled[key]
 
     def __init__(self, kernels: Sequence[MassActionKernel], rows: int, held: int):
@@ -566,7 +568,7 @@ class ColumnDrift:
         if len(cols) == tables.n_cols:
             return self
         if self._kernel is not None:
-            return ColumnDrift.of([self._kernel] * len(cols), tables.rows, tables.width - tables.rows - 1)
+            return ColumnDrift.of([self._kernel()] * len(cols), tables.rows, tables.width - tables.rows - 1)
         selected = object.__new__(ColumnDrift)
         selected._kernel = None
         selected._tables = self._tables.select(cols)

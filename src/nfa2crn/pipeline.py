@@ -115,7 +115,7 @@ class RunManifest:
 class RunResult:
     manifest: RunManifest
     translation: TranslationOutput
-    trace: Trace | None  # kept only when returned or written
+    trace: Trace | None  # the run's step table, kept only when returned or written
     decision: Decision
     report: dict
 
@@ -146,8 +146,8 @@ def run_end_to_end(manifest: RunManifest) -> RunResult:
     matches membership in the reachable set, nothing is undetermined, the
     block-boundary levels hold at every prefix, and the margins past the
     decision horizon stay clear of the thresholds.  The result's trace
-    holds the run's sample grid and reads any other time by integrating the
-    run again.
+    keeps the run's steps, so it reads any time, and the report is read
+    from it.
     """
     return _run_all([manifest], traces=True)[0]
 
@@ -165,10 +165,18 @@ class _Setup:
     sim: SimConfig
 
 
-def _setup(manifest: RunManifest) -> _Setup:
+def _once(shared: dict, key, make):
+    """``make()``, called only for a key not in ``shared`` yet, as what runs with that key share."""
+    if key not in shared:
+        shared[key] = make()
+    return shared[key]
+
+
+def _setup(manifest: RunManifest, shared: dict) -> _Setup:
+    """Set one run up; runs set up with one ``shared`` share each network they have in common."""
     params = manifest.params
     with _stage("compile"):
-        translation = translate(manifest.nfa, params.rates)
+        translation = _once(shared, (manifest.nfa, params), lambda: translate(manifest.nfa, params.rates))
     with _stage("encode"):
         sig_spec = SignalSpec(word=manifest.word, epsilon=params.epsilon, tau=params.tau)
         signal = encode(sig_spec)
@@ -177,7 +185,8 @@ def _setup(manifest: RunManifest) -> _Setup:
         if profile.mode == "sinusoid" and profile.omega <= 0:
             profile = replace(profile, omega=2 * math.pi / params.tau)
         sim = manifest.sim_config()
-        brn = perturb_rates(translation.brn, profile, t_end=sim.t_end)
+        brn = _once(shared, (manifest.nfa, params, profile, sim.t_end),
+                    lambda: perturb_rates(translation.brn, profile, t_end=sim.t_end))
         if manifest.initial_mode == "exact":
             x0 = translation.initial
         else:
@@ -187,29 +196,41 @@ def _setup(manifest: RunManifest) -> _Setup:
 
 
 def _run_all(manifests: Sequence[RunManifest], traces: bool = False) -> list[RunResult]:
-    """Run manifests with one ``integrate`` call, so that their word tries integrate together.
+    """Run manifests with two ``integrate`` calls at most, so that their word tries integrate together.
 
-    Each run keeps only what its report checks (see ``_watch``), read as its
-    steps are accepted, and its sample grid only when its trace is returned
-    (``traces``) or written (``out_dir``); so the call's memory grows with
-    its runs' checks, not with their steps.  The constraints and the
-    signal's admissibility are checked once per distinct parameter set and
-    signal.
+    Runs whose trace is returned (``traces``) or written (``out_dir``) keep
+    their steps and integrate together; their reports read their traces.
+    The others keep only what their reports check (see ``_watch``), so a
+    corpus's memory grows with its runs' checks, not with their steps.
+    Networks, constraint reports and signal checks are made once per
+    distinct input and shared.
     """
-    setups = [_setup(m) for m in manifests]
+    shared: dict = {}
+    setups = [_setup(m, shared) for m in manifests]
+    keeps = [traces or bool(s.manifest.out_dir) for s in setups]
     with _stage("integrate"):
-        readouts = integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups],
-                             [s.sim for s in setups], [_watch(s, traces) for s in setups])
-    constraints, admissible = {}, {}
-    for s in setups:
-        if s.manifest.params not in constraints:
-            constraints[s.manifest.params] = check_constraints(s.manifest.params)
-        if s.sig_spec not in admissible:
-            # the encoder's signal is piecewise linear between the corners and thirds
-            # that validate's grid always holds, so checking that grid alone is exact
-            admissible[s.sig_spec] = validate(s.signal, s.sig_spec, samples_per_phase=1).admissible
-    return [_verify(s, readout, constraints[s.manifest.params], admissible[s.sig_spec])
-            for s, readout in zip(setups, readouts)]
+        kept = iter(_integrate([s for s, keep in zip(setups, keeps) if keep]))
+        watched = [s for s, keep in zip(setups, keeps) if not keep]
+        readouts = iter(_integrate(watched, [_watch(s) for s in watched]))
+    results = []
+    for s, keep in zip(setups, keeps):
+        constraints = _once(shared, s.manifest.params, lambda: check_constraints(s.manifest.params))
+        # the encoder's signal is piecewise linear between the corners and thirds
+        # that validate's grid always holds, so checking that grid alone is exact
+        admissible = _once(shared, s.sig_spec, lambda: validate(s.signal, s.sig_spec, samples_per_phase=1).admissible)
+        trace = next(kept) if keep else None
+        readout = next(readouts) if trace is None else Readout.of(
+            trace, _watch(s), s.x0, [sp.name for sp in s.brn.species if not sp.is_input])
+        results.append(_verify(s, readout, trace, constraints, admissible))
+    return results
+
+
+def _integrate(setups: Sequence[_Setup], watches: Sequence[Watch] | None = None) -> list:
+    """``integrate`` the runs together: their traces, or their readouts when watched; none for no runs."""
+    if not setups:
+        return []
+    return integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups],
+                     [s.sim for s in setups], watches)
 
 
 def _pairs(nfa: Nfa) -> list[tuple[str, str]]:
@@ -218,45 +239,36 @@ def _pairs(nfa: Nfa) -> list[tuple[str, str]]:
     return pairs + [(portal_species_name(q), dual_portal_species_name(q)) for q in nfa.states]
 
 
-def _watch(setup: _Setup, trace: bool) -> Watch:
+def _watch(setup: _Setup) -> Watch:
     """What a run's report reads: the states at the decision time and at every block boundary,
-    each state's extremes over the maintenance window, the conserved pairs, and its grid if kept."""
+    each state's extremes over the maintenance window, and the conserved pairs."""
     manifest, t_dec = setup.manifest, setup.sig_spec.decision_time
     blocks = (3 * k * manifest.params.tau for k in range(len(manifest.word) + 1))
-    return Watch(points=(t_dec, *blocks), window=t_dec - 1e-12, pairs=tuple(_pairs(manifest.nfa)),
-                 grid=trace or bool(manifest.out_dir))
+    return Watch(points=(t_dec, *blocks), window=t_dec - 1e-12, pairs=tuple(_pairs(manifest.nfa)))
 
 
-def _verify(setup: _Setup, readout: Readout, constraints: ConstraintReport, admissible: bool) -> RunResult:
-    """Decide, check and report one integrated run."""
+def _verify(setup: _Setup, readout: Readout, trace: Trace | None, constraints: ConstraintReport,
+            admissible: bool) -> RunResult:
+    """Decide, check and report one integrated run from its readout; write its trace too if asked."""
     manifest, sig_spec, x0 = setup.manifest, setup.sig_spec, setup.x0
-    params = manifest.params
-    nfa = manifest.nfa
-    n = len(manifest.word)
-    tau = params.tau
+    params, nfa, word = manifest.params, manifest.nfa, manifest.word
     with _stage("decide"):
         decision = decide(readout, nfa, sig_spec, manifest.scheme)
 
-    target = extended_transition(nfa, nfa.initial, manifest.word)
-    oracle_accepts = accepts(nfa, manifest.word)
+    target = extended_transition(nfa, nfa.initial, word)
+    oracle_accepts = accepts(nfa, word)
     expected = {q: ("in-set" if q in target else "not-in-set") for q in nfa.states}
     verdicts_match = decision.verdicts == expected
 
-    phi = []
-    for k in range(n + 1):
-        prefix = manifest.word[:k]
-        phi.append({
-            "prefix": list(prefix),
-            "t": 3 * k * tau,
-            "holds": bool(check_phi(readout, nfa, prefix, params.gamma, tau)),
-        })
+    phi = [{"prefix": list(word[:k]), "t": 3 * k * params.tau,
+            "holds": bool(check_phi(readout, nfa, word[:k], params.gamma, params.tau))}
+           for k in range(len(word) + 1)]
     phi_all = all(entry["holds"] for entry in phi)
 
     # margins against the worst admissible observation over the whole
     # maintenance window [ (3n+1) tau, t_end ]
     t0 = sig_spec.decision_time
-    high_margin = math.inf
-    low_margin = math.inf
+    high_margin = low_margin = math.inf
     for q in nfa.states:
         name = state_species_name(q)
         if q in target:
@@ -304,9 +316,9 @@ def _verify(setup: _Setup, readout: Readout, constraints: ConstraintReport, admi
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
         with open(out / "trace.csv", "w", newline="") as fh:
-            readout.trace.write_csv(fh)
+            trace.write_csv(fh)
 
-    return RunResult(manifest=manifest, translation=setup.translation, trace=readout.trace,
+    return RunResult(manifest=manifest, translation=setup.translation, trace=trace,
                      decision=decision, report=report)
 
 

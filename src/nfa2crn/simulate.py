@@ -28,14 +28,16 @@ own species, so its arithmetic is the one it has alone.  Blocks are shared
 only within one network.
 
 The stepper hands each iteration's accepted steps to a consumer as it makes
-them.  For a ``Trace`` the consumer keeps them: a run's dense output is a
-table of its solver steps (``DenseTable``), which reads any set of times
-with one search and one vectorised quartic per symbol block.  A run given a
-``Watch`` keeps only what the watch names: its states at a few times, each
-species' extremes over a window of the sample grid and the largest drift of
-paired sums.  Each time is read from the step that holds it, with the
-table's arithmetic, soon after that step is accepted, so the values are the
-trace's to the bit and no run holds its steps.
+them, and each ``integrate`` call chooses what its runs keep.  Without a
+``Watch`` a run keeps its steps: its dense output is a table of its solver
+steps (``DenseTable``), which reads any set of times with one search and one
+vectorised quartic per symbol block, and its ``Trace`` reads any time.  With
+a ``Watch`` a run keeps only what the watch names, as a ``Readout``: its
+states at a few times, each species' extremes over a window of the sample
+grid and the largest drift of paired sums.  Each time is read from the step
+that holds it, with the table's arithmetic, soon after that step is
+accepted, so the values are the trace's to the bit and no run holds its
+steps; ``Readout.of`` reads the same from a trace.
 """
 
 from __future__ import annotations
@@ -154,13 +156,11 @@ class Solution:
     """What one ``solve_ivp`` call integrated.
 
     ``ends[b]`` holds column b's accepted step ends, ``y_end[b]`` its end
-    state and ``rejected[b]`` the number of its rejected steps.  ``steps[b]``
-    holds its accepted steps, packed (their end times, start states and
-    quartic coefficients), when the call kept them (None when a consumer took
-    them).  ``nfev`` counts six drift evaluations per attempted column-step
-    plus the two start-up calls, which evaluate every column at once; so
-    ``(nfev - 2) // 6 - (len(t) - 1)`` is the number of rejected
-    column-steps, as for one scipy RK45 solve.
+    state and ``rejected[b]`` the number of its rejected steps; the steps
+    themselves went to the call's consumer.  ``nfev`` counts six drift
+    evaluations per attempted column-step plus the two start-up calls, which
+    evaluate every column at once; so ``(nfev - 2) // 6 - (len(t) - 1)`` is
+    the number of rejected column-steps, as for one scipy RK45 solve.
     """
 
     t0: np.ndarray
@@ -168,7 +168,6 @@ class Solution:
     y_end: list[np.ndarray]
     rejected: np.ndarray
     nfev: int
-    steps: list[_Steps] | None = None
 
     @property
     def t(self) -> np.ndarray:
@@ -177,7 +176,7 @@ class Solution:
 
 
 def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = np.inf,
-              widths: Sequence[int] | None = None, consumer=None) -> Solution:
+              widths: Sequence[int] | None = None, consumer) -> Solution:
     """Integrate B columns, column b from ``t0[b]`` to ``t1[b]`` starting at ``y0[b]``.
 
     Column b's own species are the first ``widths[b]`` of its row (default:
@@ -200,21 +199,20 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
     Each iteration hands its accepted steps to ``consumer(rows, cols, t_old,
     t_new, stack)``: their rows in ``stack`` (the start states, then the
     seven stages, of the columns running; padded), their columns, start
-    times and end times.  Without a consumer the steps are kept and packed
-    into ``Solution.steps``.  Raises IntegratorFault, with the time and
-    state, on step-size underflow, a non-finite state or error norm, or a
-    state below ``-10 * atol`` (the lowest one, once every column arrived).
+    times and end times: a ``_StepLog`` keeps them, ``_Probes`` reads a
+    few times from them.  Raises IntegratorFault, with the time and state,
+    on step-size underflow, a non-finite state or error norm, or a state
+    below ``-10 * atol`` (the lowest one, once every column arrived).
     """
     y = np.array(y0, dtype=float)
     n_cols, n = y.shape
     own = [n] * n_cols if widths is None else list(widths)
     width = own  # the widths of the columns still running
+    groups = _width_groups(width, n)
     t, t_bound = np.asarray(t0, dtype=float).tolist(), np.asarray(t1, dtype=float).tolist()
     if not np.isfinite(y).all():
         b = int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0])
         raise IntegratorFault("non-finite state", time=t[b], state=y[b, :width[b]].copy())
-    log = _StepLog() if consumer is None else None
-    consume = consumer if log is None else log
     needs_t = drift.needs_t
     cols = list(range(n_cols))  # the columns still running, in batch order
     ends = []  # per lockstep iteration: the columns and ends of its accepted steps
@@ -230,7 +228,7 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
         if needs_t:
             fun.at(np.array([t]))
         f = fun(0, y)
-        h_abs = _initial_step(fun, needs_t, t, t_bound, y, f, rtol, atol, max_step, width)
+        h_abs = _initial_step(fun, needs_t, t, t_bound, y, f, rtol, atol, max_step, width, groups)
         rejected = [False] * n_cols  # the column's current step was rejected before
         while cols:
             t_new, h = [], []
@@ -262,7 +260,7 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
             attempts += len(cols)
             t_old = t.copy()
             accepted, done = [], []
-            for i, square_sum in enumerate(_square_sums(err, width)):
+            for i, square_sum in enumerate(_square_sums(err, groups)):
                 norm = math.sqrt(square_sum / width[i])
                 if not norm < math.inf:
                     state = y[i] if not np.isfinite(y[i]).all() else y_new[i]
@@ -282,7 +280,7 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
                     rejected[i] = True
                     rejections[cols[i]] += 1
             if len(accepted) == len(cols):
-                consume(accepted, cols, t_old, t_new, stack)
+                consumer(accepted, cols, t_old, t_new, stack)
                 ends.append((cols, t_new))
                 y, f = y_new, stack[7]
                 if y.min() < floor:
@@ -290,7 +288,7 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
             elif accepted:
                 k = np.array(accepted)
                 moved, starts, arrivals = ([v[i] for i in accepted] for v in (cols, t_old, t_new))
-                consume(accepted, moved, starts, arrivals, stack)
+                consumer(accepted, moved, starts, arrivals, stack)
                 ends.append((moved, arrivals))
                 # f is a row of a kept stack, so it is replaced, not written into
                 f = f.copy()
@@ -305,6 +303,7 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
                     [v[i] for i in keep] for v in (cols, t, t_bound, h_abs, rejected, width))
                 if cols:
                     fun = drift.select(np.array(cols))
+                    groups = _width_groups(width, n)
     y_end = [row[:w] for row, w in zip(y_end, own)]
     if not np.isfinite(np.concatenate(y_end)).all():
         b = next(b for b, row in enumerate(y_end) if not np.isfinite(row).all())
@@ -316,7 +315,7 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
     ends = _by_column([c for c, _ in ends], np.fromiter(chain.from_iterable(e for _, e in ends), dtype=float),
                       n_cols)
     return Solution(t0=np.array(t0, dtype=float), ends=ends, y_end=y_end, rejected=rejections,
-                    nfev=2 + 6 * attempts, steps=None if log is None else log.steps(ends, own))
+                    nfev=2 + 6 * attempts)
 
 
 def _note_lowest(lowest: dict, states: np.ndarray, cols: list, times: list, width: list, floor: float) -> None:
@@ -327,11 +326,12 @@ def _note_lowest(lowest: dict, states: np.ndarray, cols: list, times: list, widt
             lowest[c] = (value, t, row[:w].copy())
 
 
-def _initial_step(fun, needs_t, t0: list, t_bound: list, y0, f0, rtol, atol, max_step, width: list) -> list:
+def _initial_step(fun, needs_t, t0: list, t_bound: list, y0, f0, rtol, atol, max_step, width: list,
+                  groups) -> list:
     """scipy's ``select_initial_step`` for every column (one more drift evaluation for all)."""
     scale = atol + np.abs(y0) * rtol
     h0, d1 = [], []
-    for i, (y_sum, f_sum) in enumerate(zip(_square_sums(y0 / scale, width), _square_sums(f0 / scale, width))):
+    for i, (y_sum, f_sum) in enumerate(zip(_square_sums(y0 / scale, groups), _square_sums(f0 / scale, groups))):
         d0, d1_i = math.sqrt(y_sum / width[i]), math.sqrt(f_sum / width[i])
         h0.append(min(1e-6 if d0 < 1e-5 or d1_i < 1e-5 else 0.01 * d0 / d1_i, t_bound[i] - t0[i]))
         d1.append(d1_i)
@@ -340,7 +340,7 @@ def _initial_step(fun, needs_t, t0: list, t_bound: list, y0, f0, rtol, atol, max
         fun.at(np.array(t0)[None] + h0_col.T)
     f1 = fun(0, y0 + h0_col * f0)
     h_abs = []
-    for i, diff_sum in enumerate(_square_sums((f1 - f0) / scale, width)):
+    for i, diff_sum in enumerate(_square_sums((f1 - f0) / scale, groups)):
         d2 = math.sqrt(diff_sum / width[i]) / h0[i]
         if d1[i] <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0[i] * 1e-3)
@@ -350,21 +350,26 @@ def _initial_step(fun, needs_t, t0: list, t_bound: list, y0, f0, rtol, atol, max
     return h_abs
 
 
-def _square_sums(x: np.ndarray, width: list[int]) -> list[float]:
-    """Each row's sum of squares over its first ``width[i]`` entries.
+def _width_groups(width: list[int], n: int) -> list[tuple[int, np.ndarray]] | None:
+    """The rows of each width, for ``_square_sums``; None when every row is ``n`` wide."""
+    if min(width) == n:
+        return None
+    return [(w, np.flatnonzero(np.array(width) == w)) for w in set(width)]
+
+
+def _square_sums(x: np.ndarray, groups: list[tuple[int, np.ndarray]] | None) -> list[float]:
+    """Each row's sum of squares over its own width (see ``_width_groups``).
 
     Zeros past a row's width would change numpy's pairwise grouping of the
     sum, so rows of equal width are reduced together, each over its own.
     """
     squares = x * x
-    if min(width) == x.shape[1]:
+    if groups is None:
         return np.add.reduce(squares, axis=1).tolist()
-    sums = [0.0] * len(width)
-    for w in set(width):
-        rows = [i for i, wi in enumerate(width) if wi == w]
-        for i, total in zip(rows, np.add.reduce(squares[rows, :w], axis=1).tolist()):
-            sums[i] = total
-    return sums
+    sums = np.empty(len(x))
+    for w, rows in groups:
+        sums[rows] = np.add.reduce(squares[rows, :w], axis=1)
+    return sums.tolist()
 
 
 def _by_column(cols: list[list[int]], rows: np.ndarray, n_cols: int) -> list[np.ndarray]:
@@ -567,11 +572,7 @@ class Trace:
         return self.values[:, self._index[name]]
 
     def _states(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        outside = ~((t >= 0) & (t <= self.t_end + 1e-12))
-        if outside.any():
-            raise ValueError(f"t={t[outside][0]} outside trace range [0, {self.t_end}]")
-        return self._dense(np.minimum(t, self.t_end))
+        return self._dense(_in_range(np.atleast_1d(np.asarray(t, dtype=float)), self.t_end))
 
     def state_at(self, t: float) -> np.ndarray:
         return self._states(t)[0]
@@ -593,6 +594,14 @@ class Trace:
         for j, name in enumerate(self.names):
             for i, t in enumerate(self.times):
                 writer.writerow([repr(float(t)), name, repr(float(self.values[i, j]))])
+
+
+def _in_range(t: np.ndarray, t_end: float) -> np.ndarray:
+    """The times t clamped to ``t_end``; raises ValueError for one outside ``[0, t_end]`` beyond rounding."""
+    outside = ~((t >= 0) & (t <= t_end + 1e-12))
+    if outside.any():
+        raise ValueError(f"t={t[outside][0]} outside trace range [0, {t_end}]")
+    return np.minimum(t, t_end)
 
 
 def trace_from_csv(fileobj) -> Trace:
@@ -677,8 +686,9 @@ def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, ma
                         probes: "_Probes | None" = None) -> list[tuple[_Steps | None, np.ndarray, SolverStats]]:
     """Integrate each column over its own pieces; round r takes every column's r-th piece in one call.
 
-    Returns, per column, its packed steps (None when ``probes`` read them
-    instead), its end state and what they cost.
+    Each call's steps go to ``probes`` when given, else to a fresh
+    ``_StepLog``.  Returns, per column, its packed steps (None when
+    ``probes`` read them), its end state and what they cost.
     """
     encoded = all(isinstance(col.signal, InputSignal) for col in columns)
     held = max(len(col.net.driven_names) for col in columns)
@@ -701,12 +711,15 @@ def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, ma
         drift = _Piece([columns[c].net for c in live], [columns[c].signal for c in live], a, b, ends)
         if probes is not None:
             probes.live = live
+        widths = [columns[c].net.n_free for c in live]
+        consumer = _StepLog() if probes is None else probes
         sol = solve_ivp(drift, a, b, y[live, :drift.rows], rtol=rtol, atol=atol, max_step=max_step,
-                        widths=[columns[c].net.n_free for c in live], consumer=probes)
+                        widths=widths, consumer=consumer)
+        if probes is None:
+            for c, steps in zip(live, consumer.steps(sol.ends, widths)):
+                pieces[c].append(steps)
         for i, c in enumerate(live):
             y[c, :len(sol.y_end[i])] = sol.y_end[i]
-            if sol.steps is not None:
-                pieces[c].append(sol.steps[i])
             accepted, rejected = len(sol.ends[i]), int(sol.rejected[i])
             stats[c] += SolverStats(1, 2 + 6 * (accepted + rejected), accepted, rejected,
                                     float(np.diff(sol.ends[i], prepend=a[i]).min()))
@@ -728,8 +741,7 @@ class Watch:
     ``points``: times whose full states are kept.  ``window``: each
     integrated species' min and max over the sample-grid times at or after
     it.  ``pairs``: for each pair (a, b) of integrated species, the max over
-    the grid of ``|a + b - c0|``, c0 being the pair's initial total.
-    ``grid``: keep the whole sample grid too, for the run's trace.  The
+    the grid of ``|a + b - c0|``, c0 being the pair's initial total.  The
     states kept are the run's ``Trace`` states to the bit, and the extremes
     and maxima are those of its grid.
     """
@@ -737,19 +749,16 @@ class Watch:
     points: tuple[float, ...]
     window: float
     pairs: tuple[tuple[str, str], ...]
-    grid: bool = False
 
 
 @dataclass
 class Readout:
-    """What a watched run kept (see ``Watch``), read as its steps were accepted.
+    """What a watched run kept (see ``Watch``): read as its steps were accepted, or from its trace.
 
     ``state_at(t)`` is the full state at a watched point, as
     ``Trace.state_at`` reads it.  ``low`` and ``high`` map each integrated
     species to its extremes over the window; ``deviation`` maps each watched
-    pair to its largest drift from its initial total.  ``trace`` is the
-    run's ``Trace`` when its grid was kept: its dense states come from
-    integrating the run alone on first use, which gives the same bits.
+    pair to its largest drift from its initial total.
     """
 
     names: tuple[str, ...]
@@ -759,10 +768,19 @@ class Readout:
     high: dict[str, float]
     deviation: dict[tuple[str, str], float]
     stats: SolverStats
-    trace: Trace | None = None
 
     def __post_init__(self):
         self._index = {nm: i for i, nm in enumerate(self.names)}
+
+    @classmethod
+    def of(cls, trace: Trace, watch: Watch, x0: ConcState, free: Sequence[str]) -> "Readout":
+        """What ``watch`` names, read from a run's trace and grid; ``free`` names its integrated species."""
+        window = trace.values[trace.times >= watch.window]
+        return cls(names=trace.names, t_end=trace.t_end, points={t: trace.state_at(t) for t in watch.points},
+                   low={nm: float(window[:, trace._index[nm]].min()) for nm in free},
+                   high={nm: float(window[:, trace._index[nm]].max()) for nm in free},
+                   deviation={(a, b): _grid_deviation(trace, a, b, x0[a] + x0[b]) for a, b in watch.pairs},
+                   stats=trace.stats)
 
     def state_at(self, t: float) -> np.ndarray:
         try:
@@ -784,21 +802,14 @@ class _Readings:
         self.width = [plan.net.n_free for plan in plans]
         self.times, self.segment = [], []
         for (_, _, _, config), plan, watch in zip(runs, plans, self.watches):
-            points = np.array(watch.points, dtype=float)
-            outside = ~((points >= 0) & (points <= config.t_end + 1e-12))
-            if outside.any():
-                raise ValueError(f"t={points[outside][0]} outside trace range [0, {config.t_end}]")
-            times = np.concatenate([np.minimum(points, config.t_end),
+            times = np.concatenate([_in_range(np.array(watch.points, dtype=float), config.t_end),
                                     np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1)])
             self.times.append(times)
             self.segment.append(np.searchsorted([b for _, _, _, b in plan.segments()[:-1]], times, side="left"))
         self.n_points = np.array([len(w.points) for w in self.watches])
         self.first_window = np.array([np.searchsorted(times[len(w.points):], w.window, side="left")
                                       for times, w in zip(self.times, self.watches)])
-        self.keeps_grid = np.array([w.grid for w in self.watches])
         self.rows = [np.empty((len(w.points), n)) for w, n in zip(self.watches, self.width)]
-        self.grids = [np.empty((SAMPLE_INTERVALS + 1, n)) if w.grid else None
-                      for w, n in zip(self.watches, self.width)]
         n_runs, n_pairs = len(plans), max([1, *(len(w.pairs) for w in self.watches)])
         self.low = np.full((n_runs, max(self.width)), math.inf)
         self.high = np.full((n_runs, max(self.width)), -math.inf)
@@ -827,22 +838,12 @@ class _Readings:
     def add(self, reader: np.ndarray, slot: np.ndarray, values: np.ndarray) -> None:
         """Fold the values at some probes (one row each: integrated species, padded) into their runs' readings."""
         slot = slot - self.n_points[reader]  # a grid index; negative for a point
-        point = slot < 0
-        if point.any():
-            for p in np.flatnonzero(point).tolist():
-                r = int(reader[p])
-                self.rows[r][slot[p] + self.n_points[r]] = values[p, :self.width[r]]
-            grid = ~point
-            reader, slot, values = reader[grid], slot[grid], values[grid]
-        if not len(reader):
-            return
-        keep = self.keeps_grid[reader]
-        if keep.any():
-            for r in np.unique(reader[keep]).tolist():
-                mine = reader == r
-                self.grids[r][slot[mine]] = values[mine, :self.width[r]]
-        order = np.argsort(reader, kind="stable")
-        reader, slot, values = reader[order], slot[order], values[order]
+        for p in np.flatnonzero(slot < 0).tolist():
+            r = int(reader[p])
+            self.rows[r][slot[p] + self.n_points[r]] = values[p, :self.width[r]]
+        grid = np.flatnonzero(slot >= 0)
+        grid = grid[np.argsort(reader[grid], kind="stable")]  # grouped by run
+        reader, slot, values = reader[grid], slot[grid], values[grid]
         row = np.arange(len(reader))[:, None]
         a, b = self.pairs[:, reader]
         _fold(np.maximum, self.deviation, reader, np.abs(values[row, a] + values[row, b] - self.c0[reader]))
@@ -854,20 +855,14 @@ class _Readings:
     def readouts(self, runs, plans: Sequence["_Plan"], stats: Sequence[SolverStats]) -> list[Readout]:
         """Each run's ``Readout``, once every probe has been read; inputs filled in from the signals."""
         out = []
-        for r, ((brn, x0, signal, config), plan, watch) in enumerate(zip(runs, plans, self.watches)):
+        for r, ((brn, _, signal, config), plan, watch) in enumerate(zip(runs, plans, self.watches)):
             net, n_points = plan.net, len(watch.points)
-            points = self.times[r][:n_points]
-            rows = net.states(signal, points, self.rows[r]) if n_points else []
-            trace = None
-            if watch.grid:
-                grid = self.times[r][n_points:]
-                trace = Trace(names=brn.species_names, times=grid, values=net.states(signal, grid, self.grids[r]),
-                              t_end=config.t_end, _dense=_Rerun((brn, x0, signal, config)), stats=stats[r])
+            rows = net.states(signal, self.times[r][:n_points], self.rows[r]) if n_points else []
             out.append(Readout(
                 names=brn.species_names, t_end=config.t_end, points=dict(zip(watch.points, rows)),
                 low=dict(zip(net.free_names, self.low[r, :net.n_free].tolist())),
                 high=dict(zip(net.free_names, self.high[r, :net.n_free].tolist())),
-                deviation=dict(zip(watch.pairs, self.deviation[r].tolist())), stats=stats[r], trace=trace))
+                deviation=dict(zip(watch.pairs, self.deviation[r].tolist())), stats=stats[r]))
         return out
 
 
@@ -943,28 +938,16 @@ class _Probes:
         self.readings.add(self.reader[probe], self.slot[probe], np.maximum(values, 0.0))
 
 
-class _Rerun:
-    """A run's dense states, from integrating it alone on first use: the same bits as in any batch."""
-
-    def __init__(self, run):
-        self.run, self.table = run, None
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        if self.table is None:
-            self.table = _integrate_runs([self.run])[0]._dense
-        return self.table(t)
-
-
 def integrate(brn, x0, signal, config, watch=None):
     """Integrate the driven system from x0 over [0, t_end], for one run or many.
 
     Given a network, an initial state, a signal and a ``SimConfig``, returns
-    the run's ``Trace``.  Given four equally long lists instead (one entry
-    per run), integrates the runs together and returns their traces in
-    order; each is the one its run gives alone, to the bit.  Given a
-    ``Watch`` too (a list of them for many runs), returns ``Readout``s
-    instead of traces: a run keeps what its watch names, read as its steps
-    are accepted, and none keeps its steps.
+    the run's ``Trace``, which keeps its steps.  Given four equally long
+    lists instead (one entry per run), integrates the runs together and
+    returns their traces in order; each is the one its run gives alone, to
+    the bit.  Given a ``Watch`` too (a list of them for many runs), returns
+    ``Readout``s instead of traces: a run keeps only what its watch names,
+    read as its steps are accepted, and none keeps its steps.
 
     Species of input kind are clamped to the signal at all times (their
     entries in x0 are ignored); everything else follows the mass-action
@@ -1172,9 +1155,11 @@ def conservation_deviation(trace: Trace | Readout, x0: ConcState, pairs: Sequenc
     for a, b in pairs:
         c0 = x0[a] + x0[b]
         totals[a] = c0
-        if isinstance(trace, Readout):
-            dev = trace.deviation[a, b]
-        else:
-            dev = np.max(np.abs(trace.column(a) + trace.column(b) - c0))
-        worst = max(worst, float(dev))
+        dev = trace.deviation[a, b] if isinstance(trace, Readout) else _grid_deviation(trace, a, b, c0)
+        worst = max(worst, dev)
     return worst, totals
+
+
+def _grid_deviation(trace: Trace, a: str, b: str, c0: float) -> float:
+    """The largest ``|a + b - c0|`` over a trace's sample grid."""
+    return float(np.max(np.abs(trace.column(a) + trace.column(b) - c0)))

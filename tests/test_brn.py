@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nfa2crn.brn import (
     Brn,
+    ColumnDrift,
     ConcState,
     ConstantRate,
     MassActionKernel,
@@ -227,6 +231,21 @@ def test_fluxes_are_read_from_the_drift_entries():
     # holding B leaves the second reaction without an entry among the drift's rows
     with pytest.raises(ValueError, match="held species"):
         MassActionKernel(brn, rows=1).fluxes(0.0, x)
+
+
+def test_a_kernel_and_its_batches_are_freed_without_the_cycle_collector(example_nfa):
+    # a batch of one kernel is kept by the kernel and its selections are the kernel's
+    # batches; nothing may point back, or they live until a collection
+    kernel = MassActionKernel(translate(example_nfa, {"k1": 2.0, "k2": 3.0, "k3": 5.0, "k4": 7.0}).brn, rows=4)
+    freed = weakref.ref(kernel)
+    gc.disable()
+    try:
+        batch = ColumnDrift.of([kernel] * 3, 4, kernel.n_species - 4)
+        assert batch.select(np.array([0, 2])) is ColumnDrift.of([kernel] * 2, 4, kernel.n_species - 4)
+        del kernel, batch
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_json_roundtrip(example_nfa):

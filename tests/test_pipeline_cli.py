@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,7 @@ def test_a_corpus_keeps_no_step_table(example_nfa, planned, monkeypatch):
 def test_a_returned_trace_reads_any_time_as_integrate_does(example_nfa, planned):
     m = _manifest(example_nfa, ("1", "0"), planned, perturbed=True, seed=6)
     result = run_end_to_end(m)
-    setup = pipeline._setup(m)
+    setup = pipeline._setup(m, {})
     alone = simulate.integrate(setup.brn, setup.x0, setup.signal, setup.sim)
     assert np.array_equal(result.trace.times, alone.times)
     assert result.trace.values.tobytes() == alone.values.tobytes()
@@ -190,6 +191,37 @@ def test_a_returned_trace_reads_any_time_as_integrate_does(example_nfa, planned)
     for name in ("Y_A", "Yb_C", "Z_B", "X_1"):
         assert result.trace.value(name, t).tobytes() == alone.value(name, t).tobytes()
         assert result.trace.value(name, float(t[2])) == alone.value(name, float(t[2]))
+
+
+def test_a_returned_trace_reads_off_grid_times_without_integrating(example_nfa, planned, monkeypatch):
+    result = run_end_to_end(_manifest(example_nfa, ("1", "1"), planned, perturbed=True, seed=2))
+    calls = []
+    real_solve_ivp = simulate.solve_ivp
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real_solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "solve_ivp", counting_solve_ivp)
+    t = np.array([0.123, 4.5678, 6.0101]) * planned.tau
+    assert not np.isin(t, result.trace.times).any()
+    for name in ("Y_A", "Z_B", "X_1"):
+        result.trace.value(name, t)
+        result.trace.value(name, float(t[0]))
+    assert calls == []
+
+
+def test_a_corpus_writes_the_files_of_its_runs_alone(example_nfa, planned, tmp_path):
+    # two of six runs write their report and trace; they keep their steps, the others do not
+    words = [("1",), ("1", "0"), ("0", "1"), ("1", "1"), (), ("0",)]
+    manifests = [_manifest(example_nfa, w, planned, perturbed=True, seed=3) for w in words]
+    written = [replace(m, out_dir=str(tmp_path / f"corpus{i}")) if i in (1, 4) else m
+               for i, m in enumerate(manifests)]
+    assert corpus_reports(written) == corpus_reports(manifests)
+    for i in (1, 4):
+        run_end_to_end(replace(manifests[i], out_dir=str(tmp_path / f"alone{i}")))
+        for name in ("report.json", "trace.csv"):
+            assert (tmp_path / f"corpus{i}" / name).read_bytes() == (tmp_path / f"alone{i}" / name).read_bytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -311,8 +343,6 @@ class TestCli:
             assert err.startswith("infeasible")
 
     def test_check_reports_gamma_star_above_gamma(self, tmp_path, capsys, planned):
-        from dataclasses import replace
-
         params_path = tmp_path / "params.json"
         params_path.write_text(replace(planned, gamma_star=0.3, gamma=0.28).dumps())
         assert main(["check", str(params_path)]) == 1

@@ -98,14 +98,17 @@ def test_pieces_end_at_signal_corners(example_nfa, planned):
     assert set(signal.critical_times().tolist()) <= set(trace._dense.ts.tolist())
 
 
-def _recording(monkeypatch):
-    """Record every ``simulate.solve_ivp`` call: its start times, end times and solution."""
+def _recording(monkeypatch, consumers=None):
+    """Record every ``simulate.solve_ivp`` call: its start times, end times and solution (and its
+    consumer, in ``consumers``)."""
     calls = []
     real_solve_ivp = simulate.solve_ivp
 
     def recording_solve_ivp(drift, t0, t1, y0, **kwargs):
         sol = real_solve_ivp(drift, t0, t1, y0, **kwargs)
         calls.append((np.array(t0, dtype=float), np.array(t1, dtype=float), sol))
+        if consumers is not None:
+            consumers.append(kwargs["consumer"])
         return sol
 
     monkeypatch.setattr(simulate, "solve_ivp", recording_solve_ivp)
@@ -150,9 +153,13 @@ def test_dense_table_matches_ode_solution(example_nfa, planned, monkeypatch):
                                                      omega=2 * math.pi / planned.tau, seed=4))
     spec = SignalSpec(("1", "0", "1"), epsilon=planned.epsilon, tau=planned.tau)
     config = SimConfig(t_end=spec.decision_time + planned.tau)
-    calls = _recording(monkeypatch)
+    logs = []
+    calls = _recording(monkeypatch, logs)
     trace = integrate(brn, out.initial, encode(spec), config)
-    steps = [step for _, _, sol in calls for step in zip(*sol.steps[0])]
+    # a trace's steps are the ones each call's step log kept
+    assert all(isinstance(log, simulate._StepLog) for log in logs)
+    steps = [step for (_, _, sol), log in zip(calls, logs)
+             for step in zip(*log.steps(sol.ends, [len(sol.y_end[0])])[0])]
     ends = np.array([end for end, _, _ in steps])
     table = trace._dense
     assert np.array_equal(table.ts, np.concatenate([[0.0], ends]))
@@ -516,8 +523,9 @@ def test_a_watched_run_reads_its_dense_trace_to_the_bit(example_nfa, planned, da
             nfa=nfa, word=tuple(rng.choice(nfa.alphabet, int(rng.integers(0, 4))).tolist()), params=planned,
             profile=profile, initial_mode=str(rng.choice(["exact", "random"])), seed=int(rng.integers(3)),
             extra_phases=float(rng.choice([1.0, 2.5]))))
-    setups = [pipeline._setup(m) for m in manifests]
-    watches = [pipeline._watch(s, False) for s in setups]
+    shared = {}
+    setups = [pipeline._setup(m, shared) for m in manifests]
+    watches = [pipeline._watch(s) for s in setups]
     readouts = integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups],
                          [s.sim for s in setups], watches)
     r = data.draw(st.integers(0, len(setups) - 1))
@@ -534,7 +542,19 @@ def test_a_watched_run_reads_its_dense_trace_to_the_bit(example_nfa, planned, da
     for a, b in watch.pairs:
         deviation = np.max(np.abs(trace.column(a) + trace.column(b) - (setup.x0[a] + setup.x0[b])))
         assert np.float64(readout.deviation[a, b]).tobytes() == deviation.tobytes()
-    assert readout.stats == trace.stats and readout.trace is None
+    assert readout.stats == trace.stats
+    # the same read from the trace: points and pair maxima to the bit, extremes as values
+    free = [nm for nm in trace.names if not nm.startswith("X_")]
+    of_trace = simulate.Readout.of(trace, watch, setup.x0, free)
+    assert of_trace.names == readout.names and of_trace.t_end == readout.t_end
+    assert list(of_trace.points) == list(readout.points)
+    for t in watch.points:
+        assert of_trace.state_at(t).tobytes() == readout.state_at(t).tobytes()
+    assert of_trace.low == readout.low and of_trace.high == readout.high
+    assert list(of_trace.deviation) == list(readout.deviation)
+    for pair, value in readout.deviation.items():
+        assert np.float64(of_trace.deviation[pair]).tobytes() == np.float64(value).tobytes()
+    assert of_trace.stats == readout.stats
 
 
 def test_a_piece_compiles_its_drift_once(example_nfa, planned, monkeypatch):
@@ -617,13 +637,15 @@ def test_nfev_of_a_batch_counts_its_rejected_column_steps():
     # stiffer columns reject more of their steps
     rates = np.array([[1.0], [40.0], [400.0]])
     drift = _Drift(lambda call, t, y, cols: -rates[cols] * (y - 2 - np.sin(5 * t)[:, None]))
+    log = simulate._StepLog()
     sol = simulate.solve_ivp(drift, [0.0, 0.5, 1.0], [2.0, 2.0, 2.0], np.ones((3, 1)),
-                             rtol=1e-6, atol=1e-9)
+                             rtol=1e-6, atol=1e-9, consumer=log)
     assert sol.rejected.sum() > 0
     assert (sol.nfev - 2) // 6 - (len(sol.t) - 1) == sol.rejected.sum()
     # two start-up calls evaluate all three columns; every attempted column-step six times
     assert drift.columns == 2 * 3 + (sol.nfev - 2)
-    assert len(sol.t) - 1 == sum(len(ends) for ends, _, _ in sol.steps) == sum(map(len, sol.ends))
+    assert len(sol.t) - 1 == sum(len(ends) for ends, _, _ in log.steps(sol.ends, [1] * 3)) == \
+        sum(map(len, sol.ends))
 
 
 def test_stepper_agrees_with_scipy_rk45(example_nfa, planned):
@@ -672,7 +694,8 @@ def test_solver_stats_stay_out_of_the_report(example_nfa, planned):
 
 def _fault(f, y0, t1=2.0):
     with pytest.raises(IntegratorFault) as caught:
-        simulate.solve_ivp(_Drift(f), [0.0], [t1], np.array([[y0]]), rtol=1e-6, atol=1e-9)
+        simulate.solve_ivp(_Drift(f), [0.0], [t1], np.array([[y0]]), rtol=1e-6, atol=1e-9,
+                           consumer=simulate._StepLog())
     assert caught.value.time is not None and caught.value.state is not None
     return caught.value
 
