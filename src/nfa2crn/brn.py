@@ -9,7 +9,6 @@ induced ODE system is the rate-weighted sum of net-effect vectors.
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -382,11 +381,11 @@ class MassActionKernel:
     sharing one knot grid take one search per time and one lerp per entry.
     A rate law of another kind raises ``TypeError``.
 
-    ``ColumnDrift`` lays the entries of one kernel per column side by side,
-    kernels of any networks, so a column's weights and sums are those it has
-    alone whatever the batch holds: a column's result does not depend on the
-    batch's size or on its position (a BLAS product's summation order
-    would).
+    ``ColumnDrift.compile`` lays the entries of one kernel per column side
+    by side, kernels of any networks, so a column's weights and sums are
+    those it has alone whatever the batch holds: a column's result does not
+    depend on the batch's size or on its position (a BLAS product's
+    summation order would).  The kernel keeps no batch.
     """
 
     def __init__(self, brn: Brn, order: Sequence[str] | None = None, rows: int | None = None):
@@ -451,8 +450,6 @@ class MassActionKernel:
                 None if len(at) == len(reaction) else at, np.array(times), np.array([times[0], *times]),
                 np.concatenate([flat, np.diff(offsets, axis=0) / np.diff(times)[:, None], flat]),
                 np.concatenate([offsets[:1], offsets])))
-        self.k_static = self.sinusoid is None and not self.grids
-        self._compiled: dict[tuple, ColumnDrift] = {}  # batches of this kernel alone, by size and layout
 
     def buffer(self, values=None) -> np.ndarray:
         """A state buffer: ``values`` in buffer order (uninitialised if None), then the 1.0 pad."""
@@ -466,12 +463,12 @@ class MassActionKernel:
         """Each reaction's rate at time t times its monomial over the buffer x: its first entry's weight."""
         if len(self._first) != self.n_reactions:
             raise ValueError("a reaction changes only held species, so the drift's entries hold no flux for it")
-        batch = ColumnDrift([self], self.rows, self.n_species - self.rows)
+        batch = ColumnDrift.compile([self], self.rows, self.n_species - self.rows)
         return _at(t, batch.rates, batch.weights)(x)[self._first]
 
     def drift(self) -> Callable:
         """The drift ``f(t, x)`` of one buffer at a time: the rates of change of the first ``rows`` species."""
-        batch = ColumnDrift([self], self.rows, self.n_species - self.rows)
+        batch = ColumnDrift.compile([self], self.rows, self.n_species - self.rows)
         return lambda t, x: _at(t, batch.rates, batch.drift)(x)
 
 
@@ -492,8 +489,9 @@ class _Entries:
     k: np.ndarray
 
 
+@dataclass(eq=False)
 class ColumnDrift:
-    """The drift of one buffer per kernel, stacked, as ``rates`` and ``drift``; compiled once per batch.
+    """The drift of one buffer per kernel, stacked: a table of the batch's entries.
 
     Column c's buffer holds the first ``kernels[c].rows`` species, then
     zeros up to ``rows``, then its other species up to ``held``, then the
@@ -506,27 +504,37 @@ class ColumnDrift:
     entries, so their rates are exactly 0.  ``weights(x, rate)`` is each
     entry's monomial times its rate.
 
-    The batch is compiled into tables of its entries once; ``select(cols)``
-    gives the drift of some of its columns, side by side in batch order, by
-    indexing those tables, so a column leaving the batch costs no recompile.
-    ``of`` compiles a batch of one kernel once per size and layout, kept by
-    the kernel (which the batch holds weakly, so no cycle outlives the
-    kernel), and its selections are those batches.
+    ``compile`` builds the table once per batch; ``select(cols)`` gives the
+    drift of some of its columns, side by side in batch order, by indexing
+    the table, so a column leaving the batch costs no recompile.  Nothing
+    keeps a batch but its user, and a batch refers to no kernel.
     """
 
-    @classmethod
-    def of(cls, kernels: Sequence[MassActionKernel], rows: int, held: int) -> "ColumnDrift":
-        """The batch's drift: compiled anew for a mix of kernels, once per size and layout for one kernel."""
-        kernel = kernels[0]
-        if any(k is not kernel for k in kernels):
-            return cls(kernels, rows, held)
-        key = (len(kernels), rows, held)
-        if key not in kernel._compiled:
-            batch = kernel._compiled[key] = cls(kernels, rows, held)
-            batch._kernel = weakref.ref(kernel)  # its selections are the kernel's batches of their size
-        return kernel._compiled[key]
+    width: int
+    rows: int
+    n_cols: int
+    # per entry: its column, factor positions in the flat buffer, how many of them are not pads,
+    # rate, coefficient, species and reaction
+    column: np.ndarray
+    factors: np.ndarray
+    depth: np.ndarray
+    k: np.ndarray
+    coef: np.ndarray
+    species: np.ndarray
+    reaction: np.ndarray
+    # per reaction: its column and sinusoid terms (base rate, amplitude, frequency, phase)
+    reaction_column: np.ndarray
+    sinusoid: tuple | None
+    # per knot grid: entries per column, columns, rates every entry of its kernel, knots, lefts, slopes, offsets
+    grids: list
 
-    def __init__(self, kernels: Sequence[MassActionKernel], rows: int, held: int):
+    def __post_init__(self):
+        self.rates = self._rates()
+        self.weights, self.drift = self._sums()
+
+    @classmethod
+    def compile(cls, kernels: Sequence[MassActionKernel], rows: int, held: int) -> "ColumnDrift":
+        """The drift of one buffer per kernel, kernels of any networks, side by side."""
         width = rows + held + 1
         entries = [k._entries for k in kernels]
         counts = [len(e.species) for e in entries]
@@ -554,49 +562,15 @@ class ColumnDrift:
                 local = np.arange(len(kernel._entries.k)) if at is None else at
                 grids.append((starts[cols][:, None] + local, cols, at is None, *tables))
         depth = np.concatenate([(e.factors != k.n_species).sum(axis=0) for k, e in zip(kernels, entries)])
-        self._tables = _Tables(
-            width, rows, len(kernels), column, factors, depth, np.concatenate([e.k for e in entries]),
-            np.concatenate([e.coef for e in entries]), np.concatenate([e.species for e in entries]),
-            np.concatenate([e.reaction + first_reaction[c] for c, e in enumerate(entries)]),
-            np.repeat(np.arange(len(kernels)), reactions), sinusoid, grids)
-        self.rates, self.weights, self.drift = self._tables.closures()
-        self._kernel = None  # the one kernel of a batch that ``of`` keeps
+        return cls(width, rows, len(kernels), column, factors, depth, np.concatenate([e.k for e in entries]),
+                   np.concatenate([e.coef for e in entries]), np.concatenate([e.species for e in entries]),
+                   np.concatenate([e.reaction + first_reaction[c] for c, e in enumerate(entries)]),
+                   np.repeat(np.arange(len(kernels)), reactions), sinusoid, grids)
 
     def select(self, cols: np.ndarray) -> "ColumnDrift":
-        """The drift of the columns ``cols``, increasing indices into the batch, read from the compiled tables."""
-        tables = self._tables
-        if len(cols) == tables.n_cols:
+        """The drift of the columns ``cols`` (increasing batch indices), each keeping its entries in order."""
+        if len(cols) == self.n_cols:
             return self
-        if self._kernel is not None:
-            return ColumnDrift.of([self._kernel()] * len(cols), tables.rows, tables.width - tables.rows - 1)
-        selected = object.__new__(ColumnDrift)
-        selected._kernel = None
-        selected._tables = self._tables.select(cols)
-        selected.rates, selected.weights, selected.drift = selected._tables.closures()
-        return selected
-
-
-@dataclass(frozen=True)
-class _Tables:
-    """A batch's entries, compiled: per entry its column, factor positions in the flat buffer, rate,
-    coefficient, species and reaction; per reaction its column and sinusoid terms; and the knot grids."""
-
-    width: int
-    rows: int
-    n_cols: int
-    column: np.ndarray
-    factors: np.ndarray
-    depth: np.ndarray  # per entry, how many of its factors are not pads
-    k: np.ndarray
-    coef: np.ndarray
-    species: np.ndarray
-    reaction: np.ndarray
-    reaction_column: np.ndarray
-    sinusoid: tuple | None  # per reaction: base rate, amplitude, frequency, phase
-    grids: list  # (entries per column, columns, rates every entry of its kernel, knots, lefts, slopes, offsets)
-
-    def select(self, cols: np.ndarray) -> "_Tables":
-        """The tables of some columns: each keeps its entries in order, renumbered to its new place."""
         keep = np.zeros(self.n_cols, dtype=bool)
         keep[cols] = True
         place = np.cumsum(keep) - 1
@@ -605,8 +579,9 @@ class _Tables:
         column = place[old]
         depth = self.depth[entry]
         # an entry's factors lie in its own column's buffer, which moves by whole widths;
-        # factor rows that only read pads multiply by 1.0, so they are dropped
-        factors = self.factors[:max(int(depth.max()), 1), entry] + (column - old) * self.width
+        # factor rows that only read pads multiply by 1.0, so they are dropped; the rows
+        # are made contiguous again, since a gather through a strided index is slower
+        factors = np.ascontiguousarray(self.factors[:max(int(depth.max()), 1), entry] + (column - old) * self.width)
         reacting = keep[self.reaction_column]
         sinusoid = None
         if self.sinusoid is not None and self.sinusoid[1][reacting].any():
@@ -616,12 +591,12 @@ class _Tables:
             renumber = np.cumsum(entry) - 1
             grids = [(renumber[spots[keep[cols_k]]], place[cols_k[keep[cols_k]]], every, *tables)
                      for spots, cols_k, every, *tables in self.grids if keep[cols_k].any()]
-        return _Tables(self.width, self.rows, len(cols), column, factors, depth, self.k[entry], self.coef[entry],
-                       self.species[entry], (np.cumsum(reacting) - 1)[self.reaction[entry]],
-                       place[self.reaction_column[reacting]], sinusoid, grids)
+        return ColumnDrift(self.width, self.rows, len(cols), column, factors, depth, self.k[entry],
+                           self.coef[entry], self.species[entry], (np.cumsum(reacting) - 1)[self.reaction[entry]],
+                           place[self.reaction_column[reacting]], sinusoid, grids)
 
-    def closures(self) -> tuple[Callable | None, Callable, Callable]:
-        """``(rates, weights, drift)`` over these tables."""
+    def _sums(self) -> tuple[Callable, Callable]:
+        """``(weights, drift)`` over the table."""
         first, rest = self.factors[0], self.factors[1:]
         k, coef = self.k, self.coef
         bins = self.species + self.column * self.rows
@@ -639,7 +614,7 @@ class _Tables:
             w = weights(x, rate)
             w *= coef
             return np.bincount(bins, w, minlength=length)
-        return self._rates(), weights, drift
+        return weights, drift
 
     def _rates(self) -> Callable | None:
         """Each entry's rate in every row of times: sinusoid rates evaluated once per reaction, lerps per entry."""

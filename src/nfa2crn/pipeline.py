@@ -114,7 +114,6 @@ class RunManifest:
 @dataclass
 class RunResult:
     manifest: RunManifest
-    translation: TranslationOutput
     trace: Trace | None  # the run's step table, kept only when returned or written
     decision: Decision
     report: dict
@@ -185,8 +184,10 @@ def _setup(manifest: RunManifest, shared: dict) -> _Setup:
         if profile.mode == "sinusoid" and profile.omega <= 0:
             profile = replace(profile, omega=2 * math.pi / params.tau)
         sim = manifest.sim_config()
-        brn = _once(shared, (manifest.nfa, params, profile, sim.t_end),
-                    lambda: perturb_rates(translation.brn, profile, t_end=sim.t_end))
+        # only the piecewise law reads t_end (its knots span it)
+        t_end = sim.t_end if profile.mode == "piecewise" else None
+        brn = _once(shared, (manifest.nfa, params, profile, t_end),
+                    lambda: perturb_rates(translation.brn, profile, t_end=t_end))
         if manifest.initial_mode == "exact":
             x0 = translation.initial
         else:
@@ -318,8 +319,7 @@ def _verify(setup: _Setup, readout: Readout, trace: Trace | None, constraints: C
         with open(out / "trace.csv", "w", newline="") as fh:
             trace.write_csv(fh)
 
-    return RunResult(manifest=manifest, translation=setup.translation, trace=trace,
-                     decision=decision, report=report)
+    return RunResult(manifest=manifest, trace=trace, decision=decision, report=report)
 
 
 def random_nfa(rng: np.random.Generator, max_states: int = 4, max_symbols: int = 2,

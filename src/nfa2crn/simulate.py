@@ -14,9 +14,10 @@ sums are conserved to rounding by construction.
 
 The solver restarts at every corner of the signal, so no step straddles a
 kink, and at most ``tau/3`` is taken at once.  Between two corners an encoded
-input is linear in t, so each piece's drift is compiled once: constant inputs
-are written once per piece, and what depends on time alone (a ramp, the
-rates) is computed for all six stages of a step at once.  A signal is read
+input is linear in t, so a batch of segments compiles its drift once and each
+round of pieces selects its columns from it: constant inputs are written once
+per piece, and what depends on time alone (a ramp, the rates) is computed for
+all six stages of a step at once.  A signal is read
 only through its ``concentration``; every run on a network shares one layout
 of it and its kernel.  ``integrate`` takes one run or many.  A word's input
 is a chain of symbol blocks of ``3 tau``, so runs with the same tolerances
@@ -448,71 +449,42 @@ class _CompiledNetwork:
 class _Piece:
     """The drift of B columns over one piece each, for ``solve_ivp``.
 
-    Column c runs network ``nets[c]`` over ``[a[c], b[c]]``, with no corner
-    of its signal inside; ``ends`` holds an encoded column's inputs at a and
-    b, shape (B, 2, inputs), padded with zeros to the most inputs of any
-    column.  A column's row holds its free species, padded with zeros to
-    the most of any column (``rows``); see ``brn.column_drift``.
+    Column c runs from ``a[c]`` to its signal's next corner or its
+    segment's end; ``drift`` is the columns' compiled ``ColumnDrift``, a
+    row its free species padded to ``drift.rows``.  An encoded input is
+    linear between two corners, ``u(t) = u0 + slope (t - a)``, one row of
+    ``u0`` and ``slope`` per column, padded to ``drift``'s held species; a
+    piece with no ramp writes its inputs into its buffer once.  Another
+    kind of signal runs alone, read at every evaluation: ``signal`` is the
+    signal and the names of its inputs.
 
-    An encoded input is linear between two corners: ``u(t) = u(a) + slope (t - a)``.
-    A piece with no ramp writes its inputs once per selection of columns.
-    Another kind of signal runs alone and reads its species from the signal.
+    ``select(cols)`` is the piece of some of its columns.  ``at(times)``
+    takes one row of times per evaluation to come, one time per column, and
+    computes what depends on time alone for every row at once: the rates
+    and the inputs.  ``f(i, y)`` is then the drift at row i, with one row
+    of y per column.
     """
 
-    def __init__(self, nets: Sequence[_CompiledNetwork], signals, a, b, ends):
-        self.nets = list(nets)
-        self.rows = max(net.n_free for net in self.nets)
-        self.a = np.asarray(a, dtype=float)
-        if ends is None:
-            self.signals = list(signals)
-            self.held = max(len(net.driven_names) for net in self.nets)
-            self.ramp = False
-        else:
-            self.signals = None
-            self.held = ends.shape[2]
-            self.u0 = ends[:, 0]
-            self.slope = (ends[:, 1] - ends[:, 0]) / (np.asarray(b, dtype=float) - self.a)[:, None]
-            self.ramp = bool(self.slope.any())
-        self.needs_t = self.ramp or self.signals is not None or \
-            not all(net.kernel.k_static for net in self.nets)
-        self.compiled = ColumnDrift.of([net.kernel for net in self.nets], self.rows, self.held)
+    def __init__(self, drift: ColumnDrift, a: np.ndarray, u0=None, slope=None, signal=None):
+        self.drift, self.a, self.u0, self.slope, self.signal = drift, a, u0, slope, signal
+        self.rows = drift.rows
+        self.ramp = slope is not None and bool(slope.any())
+        self.needs_t = self.ramp or signal is not None or drift.rates is not None
+        self.x = np.ones((drift.n_cols, drift.width))  # the last column is the 1.0 pad
+        if u0 is not None:
+            self.x[:, self.rows:-1] = u0
+        self.rate = self.inputs = None
 
-    def select(self, cols: np.ndarray) -> "_Selection":
-        """The drift of the columns ``cols``."""
-        return _Selection(self, cols)
-
-
-class _Selection:
-    """The drift of some columns of a piece, evaluated at the rows of a table of times.
-
-    ``at(times)`` takes one row of times per evaluation to come, one time
-    per column, and computes what depends on time alone for every row at
-    once: the rates and the inputs.  ``f(i, y)`` is then the drift at row i,
-    with one row of y per column.
-    """
-
-    def __init__(self, piece: _Piece, cols: np.ndarray):
-        self.rows = piece.rows
-        compiled = piece.compiled.select(cols)
-        self.rates, self.drift = compiled.rates, compiled.drift
-        self.x = np.empty((len(cols), self.rows + piece.held + 1))
-        self.x[:, -1] = 1.0
-        self.shape = (len(cols), self.rows)
-        self.rate = self.inputs = self.ramp = self.signal = None
-        if piece.signals is not None:
-            (c,) = cols
-            self.signal = piece.signals[c], piece.nets[c].driven_names
-        else:
-            self.x[:, self.rows:-1] = piece.u0[cols]
-            if piece.ramp:
-                self.ramp = piece.slope[cols], piece.a[cols], piece.u0[cols]
+    def select(self, cols: np.ndarray) -> "_Piece":
+        if len(cols) == self.drift.n_cols:
+            return self
+        return _Piece(self.drift.select(cols), self.a[cols], self.u0[cols], self.slope[cols])
 
     def at(self, times: np.ndarray) -> None:
-        if self.rates is not None:
-            self.rate = self.rates(times)
-        if self.ramp is not None:
-            slope, a, u0 = self.ramp
-            self.inputs = slope * (times - a)[..., None] + u0
+        if self.drift.rates is not None:
+            self.rate = self.drift.rates(times)
+        if self.ramp:
+            self.inputs = self.slope * (times - self.a)[..., None] + self.u0
         elif self.signal is not None:
             signal, names = self.signal
             self.inputs = np.array([[[signal.concentration(nm, float(t)) for nm in names]] for t in times[:, 0]])
@@ -522,7 +494,7 @@ class _Selection:
         x[:, :self.rows] = y
         if self.inputs is not None:
             x[:, self.rows:-1] = self.inputs[i]
-        return self.drift(x, None if self.rate is None else self.rate[i]).reshape(self.shape)
+        return self.drift.drift(x, None if self.rate is None else self.rate[i]).reshape(-1, self.rows)
 
 
 @dataclass(frozen=True)
@@ -686,8 +658,9 @@ def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, ma
                         probes: "_Probes | None" = None) -> list[tuple[_Steps | None, np.ndarray, SolverStats]]:
     """Integrate each column over its own pieces; round r takes every column's r-th piece in one call.
 
-    Each call's steps go to ``probes`` when given, else to a fresh
-    ``_StepLog``.  Returns, per column, its packed steps (None when
+    The columns' drift is compiled once, and each round selects its columns
+    from it.  Each call's steps go to ``probes`` when given, else to a
+    fresh ``_StepLog``.  Returns, per column, its packed steps (None when
     ``probes`` read them), its end state and what they cost.
     """
     encoded = all(isinstance(col.signal, InputSignal) for col in columns)
@@ -698,22 +671,29 @@ def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, ma
         for j, nm in enumerate(col.net.driven_names):
             values[:, j] = col.signal.concentration(nm, col.bounds)
         inputs.append(values)
-    y = np.zeros((len(columns), max(col.net.n_free for col in columns)))
+    rows = max(col.net.n_free for col in columns)
+    y = np.zeros((len(columns), rows))
     for c, col in enumerate(columns):
         y[c, :col.net.n_free] = col.y0
+    compiled = ColumnDrift.compile([col.net.kernel for col in columns], rows, held)
     pieces: list[list[_Steps]] = [[] for _ in columns]
     stats = [SolverStats() for _ in columns]
     for r in range(max(len(col.bounds) for col in columns) - 1):
         live = [c for c, col in enumerate(columns) if len(col.bounds) - 1 > r]
         a = np.array([columns[c].bounds[r] for c in live])
         b = np.array([columns[c].bounds[r + 1] for c in live])
-        ends = np.array([inputs[c][r:r + 2] for c in live]) if encoded else None
-        drift = _Piece([columns[c].net for c in live], [columns[c].signal for c in live], a, b, ends)
+        drift = compiled.select(np.array(live))
+        if encoded:
+            ends = np.array([inputs[c][r:r + 2] for c in live])
+            piece = _Piece(drift, a, ends[:, 0], (ends[:, 1] - ends[:, 0]) / (b - a)[:, None])
+        else:
+            (c,) = live
+            piece = _Piece(drift, a, signal=(columns[c].signal, columns[c].net.driven_names))
         if probes is not None:
             probes.live = live
         widths = [columns[c].net.n_free for c in live]
         consumer = _StepLog() if probes is None else probes
-        sol = solve_ivp(drift, a, b, y[live, :drift.rows], rtol=rtol, atol=atol, max_step=max_step,
+        sol = solve_ivp(piece, a, b, y[live], rtol=rtol, atol=atol, max_step=max_step,
                         widths=widths, consumer=consumer)
         if probes is None:
             for c, steps in zip(live, consumer.steps(sol.ends, widths)):
@@ -881,9 +861,9 @@ class _Probes:
     so a step boundary from the step ending there and time 0 from the first
     step, at x = 0, as ``DenseTable`` reads them.  The steps that hold probes
     wait, across the batch's pieces, until they hold ``_PENDING_PROBES``
-    probes, a step of another width comes, or the batch ends (``flush``),
-    and are then evaluated together; no step is held longer.  ``live`` maps
-    the current call's columns to segments.
+    probes or the batch ends (``flush``), and are then evaluated together;
+    no step is held longer.  Every call of the batch pads its rows to one
+    width.  ``live`` maps the current call's columns to segments.
     """
 
     def __init__(self, readings: _Readings, times: list[np.ndarray], reader: np.ndarray, slot: np.ndarray):
@@ -901,8 +881,6 @@ class _Probes:
         self.pending = 0
 
     def __call__(self, rows, cols, t_old, t_new, stack):
-        if self.stacks and self.stacks[0].shape[2] != stack.shape[2]:
-            self.flush()  # the steps waiting are of a wider or narrower batch
         live, pos, nxt = self.live, self.pos, self.next
         hits = []
         for i, c, a, b in zip(rows, cols, t_old, t_new):

@@ -234,16 +234,18 @@ def test_fluxes_are_read_from_the_drift_entries():
 
 
 def test_a_kernel_and_its_batches_are_freed_without_the_cycle_collector(example_nfa):
-    # a batch of one kernel is kept by the kernel and its selections are the kernel's
-    # batches; nothing may point back, or they live until a collection
+    # nothing keeps a batch but its user, and nothing in a batch or a selection
+    # points back, or they would live until a collection
     kernel = MassActionKernel(translate(example_nfa, {"k1": 2.0, "k2": 3.0, "k3": 5.0, "k4": 7.0}).brn, rows=4)
-    freed = weakref.ref(kernel)
     gc.disable()
     try:
-        batch = ColumnDrift.of([kernel] * 3, 4, kernel.n_species - 4)
-        assert batch.select(np.array([0, 2])) is ColumnDrift.of([kernel] * 2, 4, kernel.n_species - 4)
-        del kernel, batch
-        assert freed() is None
+        batch = ColumnDrift.compile([kernel] * 3, 4, kernel.n_species - 4)
+        selected = batch.select(np.array([0, 2]))
+        assert selected is not batch and selected.n_cols == 2
+        assert not any(isinstance(value, ColumnDrift) for value in vars(kernel).values())
+        freed = [weakref.ref(obj) for obj in (kernel, batch, selected)]
+        del kernel, batch, selected
+        assert [ref() for ref in freed] == [None] * 3
     finally:
         gc.enable()
 

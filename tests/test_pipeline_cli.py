@@ -168,6 +168,33 @@ def test_the_perturbed_corpus_integrates_as_one_batch(monkeypatch):
     assert len(calls) == 28
 
 
+def test_a_perturbed_network_is_shared_across_word_lengths_unless_its_knots_span_them(example_nfa, planned,
+                                                                                      monkeypatch):
+    # sinusoid rates do not depend on t_end: one perturbed network per automaton;
+    # piecewise knots span [0, t_end]: one per distinct word length
+    calls = []
+    real_perturb_rates = pipeline.perturb_rates
+
+    def counting_perturb_rates(brn, profile, *, t_end=None):
+        calls.append(t_end)
+        return real_perturb_rates(brn, profile, t_end=t_end)
+
+    monkeypatch.setattr(pipeline, "perturb_rates", counting_perturb_rates)
+    other = parse_nfa("states: p0 p1\nalphabet: 0\ninitial: p0\naccepting: p1\ntrans: p0 0 p1\ntrans: p1 0 p1\n")
+    other_params = plan_parameters(other.num_transitions, PLAN_EPS, PLAN_ETA, PLAN_DELTA).params
+    sinusoid = [_manifest(nfa, w, params, perturbed=True, seed=7)
+                for nfa, params in ((example_nfa, planned), (other, other_params))
+                for w in all_words(nfa.alphabet, 2)]
+    corpus_reports(sinusoid)
+    assert calls == [None, None]
+    calls.clear()
+    profile = PerturbationProfile(delta=planned.delta, mode="piecewise", seed=21)
+    piecewise = [RunManifest(nfa=example_nfa, word=w, params=planned, profile=profile)
+                 for w in all_words(example_nfa.alphabet, 2)]
+    corpus_reports(piecewise)
+    assert calls == sorted({m.sim_config().t_end for m in piecewise})
+
+
 def test_a_corpus_keeps_no_step_table(example_nfa, planned, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a corpus run built a dense table")

@@ -465,20 +465,26 @@ OTHER_NFAS = (
 )
 
 
-@settings(max_examples=12, deadline=None)
-@given(size=st.integers(2, 8), data=st.data())
-def test_a_column_packs_the_same_bits_alone_and_anywhere_in_a_batch(example_nfa, planned, size, data):
-    # columns of three networks of different sizes, each under one of three rate kinds
+def _nine_networks(example_nfa, planned) -> dict:
+    """Three networks of different sizes, each under one of three rate kinds (piecewise knots over 9 tau)."""
     from nfa2crn.nfa import parse_nfa
 
-    tau = planned.tau
     nets = {}
     for nfa in (example_nfa, *map(parse_nfa, OTHER_NFAS)):
         out = translate(nfa, planned.rates)
         for mode in ("none", "sinusoid", "piecewise"):
             profile = PerturbationProfile(delta=planned.delta, mode=mode,
                                           omega=2 * math.pi / planned.tau, seed=11)
-            nets[nfa, mode] = out, simulate._CompiledNetwork(perturb_rates(out.brn, profile, t_end=9 * tau))
+            nets[nfa, mode] = out, simulate._CompiledNetwork(perturb_rates(out.brn, profile, t_end=9 * planned.tau))
+    return nets
+
+
+@settings(max_examples=12, deadline=None)
+@given(size=st.integers(2, 8), data=st.data())
+def test_a_column_packs_the_same_bits_alone_and_anywhere_in_a_batch(example_nfa, planned, size, data):
+    # columns of three networks of different sizes, each under one of three rate kinds
+    tau = planned.tau
+    nets = _nine_networks(example_nfa, planned)
     keys = list(nets)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     columns = []
@@ -557,29 +563,70 @@ def test_a_watched_run_reads_its_dense_trace_to_the_bit(example_nfa, planned, da
     assert of_trace.stats == readout.stats
 
 
-def test_a_piece_compiles_its_drift_once(example_nfa, planned, monkeypatch):
-    # runs on two networks leave their batch at different steps; the drift of
-    # what is left is read from the piece's tables
+def test_a_round_compiles_its_drift_once(example_nfa, planned, monkeypatch):
+    # runs on two networks leave their batch at different steps; each batch of
+    # segments compiles its drift once, and what is left is read from its table
     from nfa2crn.nfa import parse_nfa
 
-    compiled = []
+    compiled, batches, selected = [], [], []
+    real_compile, real_select = simulate.ColumnDrift.compile, simulate.ColumnDrift.select
+    real_integrate_segments = simulate._integrate_segments
 
-    class Counted(simulate.ColumnDrift):
-        def __init__(self, *args):
-            compiled.append(len(args[0]))
-            super().__init__(*args)
+    def counted_compile(kernels, rows, held):
+        compiled.append(len(kernels))
+        return real_compile(kernels, rows, held)
+
+    def counted_select(self, cols):
+        selected.append((self.n_cols, len(cols)))
+        return real_select(self, cols)
+
+    def counted_integrate_segments(columns, *args, **kwargs):
+        batches.append(len(columns))
+        return real_integrate_segments(columns, *args, **kwargs)
 
     calls = _recording(monkeypatch)
-    monkeypatch.setattr(simulate, "ColumnDrift", Counted)
+    monkeypatch.setattr(simulate.ColumnDrift, "compile", staticmethod(counted_compile))
+    monkeypatch.setattr(simulate.ColumnDrift, "select", counted_select)
+    monkeypatch.setattr(simulate, "_integrate_segments", counted_integrate_segments)
     outs = [translate(nfa, planned.rates) for nfa in (example_nfa, parse_nfa(OTHER_NFAS[1]))]
     brns = [perturb_rates(out.brn, PerturbationProfile(delta=planned.delta, mode="sinusoid",
                                                        omega=2 * math.pi / planned.tau, seed=1)) for out in outs]
     signals = [encode(SignalSpec(w, epsilon=planned.epsilon, tau=planned.tau)) for w in (("1",), ("0",))]
     config = SimConfig(t_end=5 * planned.tau)
     together = integrate(brns, [out.initial for out in outs], signals, [config] * 2)
-    assert compiled == [2] * len(calls)
+    assert batches == [2, 2] and compiled == batches
+    assert len(calls) > len(batches)
+    # a column left a batch: the drift of the other was selected from the table
+    assert (2, 1) in selected
     for brn, out, signal, trace in zip(brns, outs, signals, together):
         assert integrate(brn, out.initial, signal, config).values.tobytes() == trace.values.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_selection_weighs_its_entries_as_the_whole_batch_does(example_nfa, planned, data):
+    # any columns of a batch of the nine networks, at any times: the selection's
+    # weights are the batch's weights of those columns' entries, to the bit
+    nets = _nine_networks(example_nfa, planned)
+    keys = list(nets)
+    picks = data.draw(st.lists(st.integers(0, len(keys) - 1), min_size=1, max_size=8))
+    kernels = [nets[keys[i]][1].kernel for i in picks]
+    rows = max(kernel.rows for kernel in kernels)
+    batch = simulate.ColumnDrift.compile(kernels, rows, max(k.n_species - k.rows for k in kernels))
+    cols = np.array(sorted(data.draw(st.sets(st.integers(0, len(kernels) - 1), min_size=1))))
+    selection = batch.select(cols)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    x = rng.uniform(0.0, 1.2, (len(kernels), batch.width))
+    x[:, -1] = 1.0
+    times = rng.uniform(0.0, 9 * planned.tau, (3, len(kernels)))
+    rate = None if batch.rates is None else batch.rates(times)
+    selected_rate = None if selection.rates is None else selection.rates(times[:, cols])
+    entries = np.isin(batch.column, cols)
+    for i in range(len(times)):
+        whole, part = (None if r is None else r[i] for r in (rate, selected_rate))
+        assert selection.weights(x[cols], part).tobytes() == batch.weights(x, whole)[entries].tobytes()
+        assert selection.drift(x[cols], part).tobytes() == \
+            batch.drift(x, whole).reshape(len(kernels), rows)[cols].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["none", "sinusoid", "piecewise"])
@@ -597,11 +644,12 @@ def test_piece_drift_matches_the_drift_read_from_the_signal(example_nfa, planned
     bounds = [simulate._bounds(signal.critical_times(), 0.0, 8 * tau) for signal in signals]
     inputs = [np.array([signal.concentration(nm, b) for nm in net.driven_names]).T
               for signal, b in zip(signals, bounds)]
+    compiled = simulate.ColumnDrift.compile([net.kernel] * size, net.n_free, len(net.driven_names))
     rng = np.random.default_rng(size)
     for r in range(len(bounds[0]) - 1):
         a, b = np.array([bs[r] for bs in bounds]), np.array([bs[r + 1] for bs in bounds])
-        piece = simulate._Piece([net] * size, signals, a, b, np.array([u[r:r + 2] for u in inputs]))
-        drift = piece.select(np.arange(size))
+        u0, u1 = (np.array([u[j] for u in inputs]) for j in (r, r + 1))
+        drift = simulate._Piece(compiled, a, u0, (u1 - u0) / (b - a)[:, None])
         for _ in range(3):
             t, y = rng.uniform(a, b), rng.uniform(0.0, 1.2, (size, net.n_free))
             drift.at(t[None])
