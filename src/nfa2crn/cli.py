@@ -215,8 +215,17 @@ def _cmd_verify_corpus(args) -> int:
     reports = corpus_reports(manifests, processes=args.jobs)
     failures = [r for r in reports if not r["verified"]]
     print(f"corpus: {len(reports)} runs, {len(reports) - len(failures)} verified, {len(failures)} failed")
+
+    def run(r):
+        return f"word={r['manifest']['word']} nfa_states={r['manifest']['nfa']['states']}"
+
+    # the least certified margin and phi slack, each with the first run to reach it
+    margin, at_margin = min(((m, r) for r in reports for side in ("high_margin", "low_margin")
+                             if (m := r["maintenance"][side]) is not None), key=lambda pair: pair[0])
+    slack, at_slack = min(((e["slack"], r) for r in reports for e in r["phi"]), key=lambda pair: pair[0])
+    print(f"worst: maintenance margin {margin:.6g} {run(at_margin)}; phi slack {slack:.6g} {run(at_slack)}")
     for r in failures[:20]:
-        print(f"  FAIL word={r['manifest']['word']} nfa_states={r['manifest']['nfa']['states']}")
+        print(f"  FAIL {run(r)}")
     return EXIT_OK if not failures else EXIT_MISMATCH
 
 

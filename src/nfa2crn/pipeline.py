@@ -3,9 +3,9 @@
 A manifest fixes everything a run depends on (automaton, word, parameters,
 adversaries, tolerances, seed), and the report it produces embeds the full
 parameter set, the constraint slack table, the per-state verdicts versus the
-set-automaton oracle, block-boundary level checks, maintenance margins past
-the decision horizon, and conservation statistics.  Identical manifests give
-byte-identical reports.
+set-automaton oracle, block-boundary level checks, maintenance margins
+certified for every time past the decision horizon, and conservation
+statistics.  Identical manifests give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .simulate import (
     conservation_deviation,
     decide,
     integrate,
+    phi_slack,
 )
 from .translate import (
     TranslationOutput,
@@ -86,7 +87,7 @@ class RunManifest:
     seed: int = 0
     rel_tol: float = 1e-8
     abs_tol: float = 1e-11
-    extra_phases: float = 1.0  # horizon beyond the decision time, in phases
+    extra_phases: float = 0.0  # horizon beyond the decision time, in phases (the tail is certified, not integrated)
     nfa_path: str | None = None
     out_dir: str | None = None
 
@@ -143,8 +144,9 @@ def run_end_to_end(manifest: RunManifest) -> RunResult:
 
     The report's ``verified`` flag is true only when every per-state verdict
     matches membership in the reachable set, nothing is undetermined, the
-    block-boundary levels hold at every prefix, and the margins past the
-    decision horizon stay clear of the thresholds.  The result's trace
+    block-boundary levels hold at every prefix, and the margins are
+    certified to stay clear of the thresholds at every time past the
+    decision horizon (see ``_verify``).  The result's trace
     keeps the run's steps, so it reads any time, and the report is read
     from it.
     """
@@ -220,8 +222,7 @@ def _run_all(manifests: Sequence[RunManifest], traces: bool = False) -> list[Run
         # that validate's grid always holds, so checking that grid alone is exact
         admissible = _once(shared, s.sig_spec, lambda: validate(s.signal, s.sig_spec, samples_per_phase=1).admissible)
         trace = next(kept) if keep else None
-        readout = next(readouts) if trace is None else Readout.of(
-            trace, _watch(s), s.x0, [sp.name for sp in s.brn.species if not sp.is_input])
+        readout = next(readouts) if trace is None else Readout.of(trace, _watch(s), s.x0)
         results.append(_verify(s, readout, trace, constraints, admissible))
     return results
 
@@ -241,11 +242,10 @@ def _pairs(nfa: Nfa) -> list[tuple[str, str]]:
 
 
 def _watch(setup: _Setup) -> Watch:
-    """What a run's report reads: the states at the decision time and at every block boundary,
-    each state's extremes over the maintenance window, and the conserved pairs."""
+    """What a run's report reads: the states at the decision time and at every block boundary, and its pairs."""
     manifest, t_dec = setup.manifest, setup.sig_spec.decision_time
     blocks = (3 * k * manifest.params.tau for k in range(len(manifest.word) + 1))
-    return Watch(points=(t_dec, *blocks), window=t_dec - 1e-12, pairs=tuple(_pairs(manifest.nfa)))
+    return Watch(points=(t_dec, *blocks), pairs=tuple(_pairs(manifest.nfa)))
 
 
 def _verify(setup: _Setup, readout: Readout, trace: Trace | None, constraints: ConstraintReport,
@@ -262,22 +262,33 @@ def _verify(setup: _Setup, readout: Readout, trace: Trace | None, constraints: C
     verdicts_match = decision.verdicts == expected
 
     phi = [{"prefix": list(word[:k]), "t": 3 * k * params.tau,
-            "holds": bool(check_phi(readout, nfa, word[:k], params.gamma, params.tau))}
+            "holds": bool(check_phi(readout, nfa, word[:k], params.gamma, params.tau)),
+            "slack": phi_slack(readout, nfa, word[:k], params.gamma, params.tau)}
            for k in range(len(word) + 1)]
     phi_all = all(entry["holds"] for entry in phi)
 
-    # margins against the worst admissible observation over the whole
-    # maintenance window [ (3n+1) tau, t_end ]
+    # From 3n tau on the inputs are 0, so each state moves only under its
+    # majority pair: Y' = Y Yb (k4u Y - k4d Yb), with Y + Yb = p and both
+    # rates within delta of k4.  A state above p (k4 + delta) / (2 k4) never
+    # falls and one below p (k4 - delta) / (2 k4) never rises, so wherever
+    # that sign condition holds at t_dec the state there is the worst one
+    # over every later time, under every admissible rate adversary.
     t0 = sig_spec.decision_time
+    k4, delta = params.k4, max(params.delta, manifest.profile.delta)
+    level = dict(zip(readout.names, readout.state_at(t0).tolist()))
+    sign_slack = {}
     high_margin = low_margin = math.inf
     for q in nfa.states:
         name = state_species_name(q)
+        y, p = level[name], x0[name] + x0[dual_state_species_name(q)]
         if q in target:
-            high_margin = min(high_margin, readout.low[name] - (HIGH_THRESHOLD + params.eta))
+            sign_slack[q] = y - p * (k4 + delta) / (2 * k4)
+            high_margin = min(high_margin, y - (HIGH_THRESHOLD + params.eta))
         else:
-            low_margin = min(low_margin, (LOW_THRESHOLD - params.eta) - readout.high[name])
-    maintenance_ok = (high_margin == math.inf or high_margin > 0) and \
-                     (low_margin == math.inf or low_margin > 0)
+            sign_slack[q] = p * (k4 - delta) / (2 * k4) - y
+            low_margin = min(low_margin, (LOW_THRESHOLD - params.eta) - y)
+    certified = all(slack > 0 for slack in sign_slack.values())
+    maintenance_ok = certified and high_margin > 0 and low_margin > 0
 
     dev, totals = conservation_deviation(readout, x0, _pairs(nfa))
     totals_ok = all(1 - params.epsilon - 1e-12 <= c0 <= 1 + 2 * params.epsilon + 1e-12
@@ -298,9 +309,10 @@ def _verify(setup: _Setup, readout: Readout, trace: Trace | None, constraints: C
         "phi": phi,
         "phi_all": phi_all,
         "maintenance": {
-            "window": [t0, readout.t_end],
             "high_margin": None if high_margin == math.inf else high_margin,
             "low_margin": None if low_margin == math.inf else low_margin,
+            "sign_slack": sign_slack,
+            "certified": certified,
             "ok": maintenance_ok,
         },
         "conservation": {

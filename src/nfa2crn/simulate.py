@@ -34,11 +34,12 @@ them, and each ``integrate`` call chooses what its runs keep.  Without a
 steps (``DenseTable``), which reads any set of times with one search and one
 vectorised quartic per symbol block, and its ``Trace`` reads any time.  With
 a ``Watch`` a run keeps only what the watch names, as a ``Readout``: its
-states at a few times, each species' extremes over a window of the sample
-grid and the largest drift of paired sums.  Each time is read from the step
-that holds it, with the table's arithmetic, soon after that step is
-accepted, so the values are the trace's to the bit and no run holds its
-steps; ``Readout.of`` reads the same from a trace.
+states at a few times and the largest drift of paired sums over its steps'
+start states and its end state.  Each time is read from the step that holds
+it, with the table's arithmetic, and the start states are folded in batches,
+soon after their steps are accepted, so the values are the trace's to the
+bit and no run holds its steps or a sample grid; ``Readout.of`` reads the
+same from a trace.
 """
 
 from __future__ import annotations
@@ -74,13 +75,14 @@ __all__ = [
     "integrate",
     "decide",
     "check_phi",
+    "phi_slack",
     "conservation_deviation",
 ]
 
-# a run's sample grid: t_end split into this many equal intervals
+# a trace's sample grid: t_end split into this many equal intervals
 SAMPLE_INTERVALS = 400
-# a watched batch's probe times are evaluated about this many at a time
-_PENDING_PROBES = 512
+# a watched batch reads the steps it holds once they are about this many
+_PENDING_STEPS = 64
 
 # Dormand-Prince 5(4), as in scipy's RK45: nodes, stage weights (row s
 # combines stages 0..s-1), the fifth-order weights, the error weights and
@@ -200,10 +202,11 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
     Each iteration hands its accepted steps to ``consumer(rows, cols, t_old,
     t_new, stack)``: their rows in ``stack`` (the start states, then the
     seven stages, of the columns running; padded), their columns, start
-    times and end times: a ``_StepLog`` keeps them, ``_Probes`` reads a
-    few times from them.  Raises IntegratorFault, with the time and state,
-    on step-size underflow, a non-finite state or error norm, or a state
-    below ``-10 * atol`` (the lowest one, once every column arrived).
+    times and end times: a ``_StepLog`` keeps them, ``_Readings`` reads a
+    few times and the pair maxima from them.  Raises IntegratorFault, with
+    the time and state, on step-size underflow, a non-finite state or error
+    norm, or a state below ``-10 * atol`` (the lowest one, once every column
+    arrived).
     """
     y = np.array(y0, dtype=float)
     n_cols, n = y.shape
@@ -587,12 +590,9 @@ def trace_from_csv(fileobj) -> Trace:
     if data.size == 0:
         raise ValueError("trace CSV has no rows")
     times, values = data[:, 0], data[:, 1:]
-    from scipy.interpolate import interp1d
-
-    rows_at = interp1d(times, values, axis=0, kind="linear", bounds_error=False,
-                       fill_value=(values[0], values[-1]))
+    # np.interp holds the first and the last row outside the sampled times
     return Trace(names=tuple(header[1:]), times=times, values=values, t_end=float(times[-1]),
-                 _dense=lambda t: np.maximum(rows_at(t), 0.0))
+                 _dense=lambda t: np.maximum(np.column_stack([np.interp(t, times, v) for v in values.T]), 0.0))
 
 
 def _packed(pieces: Sequence[_Steps]) -> _Steps:
@@ -616,14 +616,16 @@ class DenseTable:
     twice and runs share the blocks they have in common; each segment a set
     of times touches takes one vectorised quartic.  Calling the table gives
     full states: integrated species clamped at zero, inputs filled in by
-    ``fill(t, free_values)``.
+    ``fill(t, free_values)``.  ``free_names`` names the integrated species,
+    and ``end`` holds them at the run's end, as the solver left them.
     """
 
-    def __init__(self, segments: Sequence[_Steps], fill):
+    def __init__(self, segments: Sequence[_Steps], fill, free_names: Sequence[str] = (), end: np.ndarray | None = None):
         self.ts = np.concatenate([[0.0], *(ends for ends, _, _ in segments)])
         self._segments = segments
         self._first_step = np.cumsum([0, *(len(ends) for ends, _, _ in segments)])
         self._fill = fill
+        self.free_names, self.end = list(free_names), end
 
     def free(self, t: np.ndarray) -> np.ndarray:
         """The integrated species at the times t, one row per time, as the solver left them."""
@@ -643,6 +645,12 @@ class DenseTable:
     def __call__(self, t: np.ndarray) -> np.ndarray:
         return self._fill(t, np.maximum(self.free(t), 0.0))
 
+    def deviation(self, a: str, b: str, c0: float) -> float:
+        """The largest ``|a + b - c0|`` over every step's start state and the end state, as the solver left them."""
+        i, j = self.free_names.index(a), self.free_names.index(b)
+        return max(float(np.max(np.abs(y[:, i] + y[:, j] - c0))) for y in (*(y for _, y, _ in self._segments),
+                                                                            self.end[None]))
+
 
 @dataclass
 class _Column:
@@ -655,13 +663,13 @@ class _Column:
 
 
 def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, max_step: float,
-                        probes: "_Probes | None" = None) -> list[tuple[_Steps | None, np.ndarray, SolverStats]]:
+                        readings: _Readings | None = None) -> list[tuple[_Steps | None, np.ndarray, SolverStats]]:
     """Integrate each column over its own pieces; round r takes every column's r-th piece in one call.
 
     The columns' drift is compiled once, and each round selects its columns
-    from it.  Each call's steps go to ``probes`` when given, else to a
+    from it.  Each call's steps go to ``readings`` when given, else to a
     fresh ``_StepLog``.  Returns, per column, its packed steps (None when
-    ``probes`` read them), its end state and what they cost.
+    ``readings`` read them), its end state and what they cost.
     """
     encoded = all(isinstance(col.signal, InputSignal) for col in columns)
     held = max(len(col.net.driven_names) for col in columns)
@@ -689,13 +697,13 @@ def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, ma
         else:
             (c,) = live
             piece = _Piece(drift, a, signal=(columns[c].signal, columns[c].net.driven_names))
-        if probes is not None:
-            probes.live = live
+        if readings is not None:
+            readings.live = live
         widths = [columns[c].net.n_free for c in live]
-        consumer = _StepLog() if probes is None else probes
+        consumer = _StepLog() if readings is None else readings
         sol = solve_ivp(piece, a, b, y[live], rtol=rtol, atol=atol, max_step=max_step,
                         widths=widths, consumer=consumer)
-        if probes is None:
+        if readings is None:
             for c, steps in zip(live, consumer.steps(sol.ends, widths)):
                 pieces[c].append(steps)
         for i, c in enumerate(live):
@@ -703,8 +711,8 @@ def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, ma
             accepted, rejected = len(sol.ends[i]), int(sol.rejected[i])
             stats[c] += SolverStats(1, 2 + 6 * (accepted + rejected), accepted, rejected,
                                     float(np.diff(sol.ends[i], prepend=a[i]).min()))
-    if probes is not None:
-        probes.flush()
+    if readings is not None:
+        readings.close(y)
     return [(_packed(p) if p else None, y[c, :col.net.n_free], stats[c])
             for c, (col, p) in enumerate(zip(columns, pieces))]
 
@@ -718,16 +726,14 @@ def _bounds(corners: np.ndarray, a: float, b: float) -> np.ndarray:
 class Watch:
     """What a run keeps of its trajectory in place of a ``Trace``.
 
-    ``points``: times whose full states are kept.  ``window``: each
-    integrated species' min and max over the sample-grid times at or after
-    it.  ``pairs``: for each pair (a, b) of integrated species, the max over
-    the grid of ``|a + b - c0|``, c0 being the pair's initial total.  The
-    states kept are the run's ``Trace`` states to the bit, and the extremes
-    and maxima are those of its grid.
+    ``points``: times whose full states are kept.  ``pairs``: for each pair
+    (a, b) of integrated species, the max of ``|a + b - c0|`` over the
+    start state of every step and the end state, c0 being the pair's
+    initial total.  The states kept are the run's ``Trace`` states to the
+    bit, and the maxima are those of its step table.
     """
 
     points: tuple[float, ...]
-    window: float
     pairs: tuple[tuple[str, str], ...]
 
 
@@ -736,16 +742,12 @@ class Readout:
     """What a watched run kept (see ``Watch``): read as its steps were accepted, or from its trace.
 
     ``state_at(t)`` is the full state at a watched point, as
-    ``Trace.state_at`` reads it.  ``low`` and ``high`` map each integrated
-    species to its extremes over the window; ``deviation`` maps each watched
-    pair to its largest drift from its initial total.
+    ``Trace.state_at`` reads it; ``deviation`` maps each watched pair to
+    its largest drift from its initial total.
     """
 
     names: tuple[str, ...]
-    t_end: float
     points: dict[float, np.ndarray]
-    low: dict[str, float]
-    high: dict[str, float]
     deviation: dict[tuple[str, str], float]
     stats: SolverStats
 
@@ -753,14 +755,13 @@ class Readout:
         self._index = {nm: i for i, nm in enumerate(self.names)}
 
     @classmethod
-    def of(cls, trace: Trace, watch: Watch, x0: ConcState, free: Sequence[str]) -> "Readout":
-        """What ``watch`` names, read from a run's trace and grid; ``free`` names its integrated species."""
-        window = trace.values[trace.times >= watch.window]
-        return cls(names=trace.names, t_end=trace.t_end, points={t: trace.state_at(t) for t in watch.points},
-                   low={nm: float(window[:, trace._index[nm]].min()) for nm in free},
-                   high={nm: float(window[:, trace._index[nm]].max()) for nm in free},
-                   deviation={(a, b): _grid_deviation(trace, a, b, x0[a] + x0[b]) for a, b in watch.pairs},
-                   stats=trace.stats)
+    def of(cls, trace: Trace, watch: Watch, x0: ConcState) -> "Readout":
+        """What ``watch`` names, read from a trace's step table (a trace read from CSV: from its rows)."""
+        table = trace._dense
+        read = table.deviation if isinstance(table, DenseTable) else \
+            lambda a, b, c0: float(np.max(np.abs(trace.column(a) + trace.column(b) - c0)))
+        return cls(names=trace.names, points={t: trace.state_at(t) for t in watch.points},
+                   deviation={(a, b): read(a, b, x0[a] + x0[b]) for a, b in watch.pairs}, stats=trace.stats)
 
     def state_at(self, t: float) -> np.ndarray:
         try:
@@ -770,29 +771,35 @@ class Readout:
 
 
 class _Readings:
-    """What the watched runs of one ``integrate`` call keep, filled in as their steps are accepted.
+    """A ``solve_ivp`` consumer: what the watched runs of one ``integrate`` call keep, read from their steps.
 
     Run r's probes are its watched points, clamped to its end as a trace
-    clamps them, then its grid times; its slot s is its s-th probe.  Each
-    probe lies in the segment whose last step ends at or after it.
+    clamps them; its slot s is its s-th point, and each lies in the segment
+    whose last step ends at or after it.  ``batch(users)`` starts on a batch
+    of segments, segment c being segment s of each run r in ``users[c]``:
+    its probes, in time order, and ``pos[c]``, its first one not read yet.
+    A probe is read from the first step that ends at or after it, so a step
+    boundary from the step ending there and time 0 from the first step, at
+    x = 0, as ``DenseTable`` reads them.  Runs share a segment only when
+    they share its network and initial state, so ``batch_deviation[c]``,
+    the largest ``|a + b - c0|`` over its steps' start states and its end
+    state, holds for every run that takes it, and a run's pair maxima are
+    the largest of its segments'.  The stacks of the accepted steps wait,
+    across the batch's pieces, until they hold ``_PENDING_STEPS`` rows or
+    the batch ends (``close``), and are then read together, so an iteration
+    adds no array operation.  Every call of a batch pads its rows to one
+    width, and ``live`` maps the current call's columns to segments.
     """
 
     def __init__(self, runs, plans: Sequence["_Plan"], watches: Sequence[Watch]):
         self.watches = list(watches)
         self.width = [plan.net.n_free for plan in plans]
-        self.times, self.segment = [], []
-        for (_, _, _, config), plan, watch in zip(runs, plans, self.watches):
-            times = np.concatenate([_in_range(np.array(watch.points, dtype=float), config.t_end),
-                                    np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1)])
-            self.times.append(times)
-            self.segment.append(np.searchsorted([b for _, _, _, b in plan.segments()[:-1]], times, side="left"))
-        self.n_points = np.array([len(w.points) for w in self.watches])
-        self.first_window = np.array([np.searchsorted(times[len(w.points):], w.window, side="left")
-                                      for times, w in zip(self.times, self.watches)])
-        self.rows = [np.empty((len(w.points), n)) for w, n in zip(self.watches, self.width)]
+        self.points = [_in_range(np.array(w.points, dtype=float), config.t_end)
+                       for (*_, config), w in zip(runs, self.watches)]
+        self.segment = [np.searchsorted([b for *_, b in plan.segments()[:-1]], times, side="left")
+                        for plan, times in zip(plans, self.points)]
         n_runs, n_pairs = len(plans), max([1, *(len(w.pairs) for w in self.watches)])
-        self.low = np.full((n_runs, max(self.width)), math.inf)
-        self.high = np.full((n_runs, max(self.width)), -math.inf)
+        self.rows = np.zeros((n_runs, max(len(w.points) for w in self.watches), max(self.width)))
         self.deviation = np.full((n_runs, n_pairs), -math.inf)
         # each pair's species in its run's row and its initial total; padding reads species 0, never read back
         self.pairs = np.zeros((2, n_runs, n_pairs), dtype=int)
@@ -803,117 +810,94 @@ class _Readings:
                 self.pairs[:, r, m] = place[a], place[b]
                 self.c0[r, m] = x0[a] + x0[b]
 
-    def probes(self, users: Sequence[Sequence[tuple[int, int]]]) -> "_Probes":
-        """The probes of a batch of segments; segment c is segment s of each run r in ``users[c]``."""
+    def batch(self, users: Sequence[Sequence[tuple[int, int]]]) -> "_Readings":
         times, readers, slots = [], [], []
         for column in users:
             slot = [np.flatnonzero(self.segment[r] == s) for r, s in column]
-            t = np.concatenate([self.times[r][p] for (r, _), p in zip(column, slot)])
+            t = np.concatenate([self.points[r][p] for (r, _), p in zip(column, slot)])
             order = np.argsort(t, kind="stable")
             times.append(t[order])
             readers.append(np.repeat([r for r, _ in column], [len(p) for p in slot])[order])
             slots.append(np.concatenate(slot)[order])
-        return _Probes(self, times, np.concatenate(readers), np.concatenate(slots))
-
-    def add(self, reader: np.ndarray, slot: np.ndarray, values: np.ndarray) -> None:
-        """Fold the values at some probes (one row each: integrated species, padded) into their runs' readings."""
-        slot = slot - self.n_points[reader]  # a grid index; negative for a point
-        for p in np.flatnonzero(slot < 0).tolist():
-            r = int(reader[p])
-            self.rows[r][slot[p] + self.n_points[r]] = values[p, :self.width[r]]
-        grid = np.flatnonzero(slot >= 0)
-        grid = grid[np.argsort(reader[grid], kind="stable")]  # grouped by run
-        reader, slot, values = reader[grid], slot[grid], values[grid]
-        row = np.arange(len(reader))[:, None]
-        a, b = self.pairs[:, reader]
-        _fold(np.maximum, self.deviation, reader, np.abs(values[row, a] + values[row, b] - self.c0[reader]))
-        window = slot >= self.first_window[reader]
-        n = values.shape[1]
-        _fold(np.minimum, self.low[:, :n], reader[window], values[window])
-        _fold(np.maximum, self.high[:, :n], reader[window], values[window])
-
-    def readouts(self, runs, plans: Sequence["_Plan"], stats: Sequence[SolverStats]) -> list[Readout]:
-        """Each run's ``Readout``, once every probe has been read; inputs filled in from the signals."""
-        out = []
-        for r, ((brn, _, signal, config), plan, watch) in enumerate(zip(runs, plans, self.watches)):
-            net, n_points = plan.net, len(watch.points)
-            rows = net.states(signal, self.times[r][:n_points], self.rows[r]) if n_points else []
-            out.append(Readout(
-                names=brn.species_names, t_end=config.t_end, points=dict(zip(watch.points, rows)),
-                low=dict(zip(net.free_names, self.low[r, :net.n_free].tolist())),
-                high=dict(zip(net.free_names, self.high[r, :net.n_free].tolist())),
-                deviation=dict(zip(watch.pairs, self.deviation[r].tolist())), stats=stats[r]))
-        return out
-
-
-def _fold(ufunc, acc: np.ndarray, reader: np.ndarray, values: np.ndarray) -> None:
-    """``acc[r] = ufunc(acc[r], ufunc over the rows of values read by r)``, for sorted readers."""
-    if len(reader):
-        first = np.flatnonzero(np.diff(reader, prepend=-1))
-        acc[reader[first]] = ufunc(acc[reader[first]], ufunc.reduceat(values, first, axis=0))
-
-
-class _Probes:
-    """A ``solve_ivp`` consumer: reads a batch of segments' probe times from their accepted steps.
-
-    Segment c's probes are in time order; ``pos[c]`` is its first one not
-    read yet.  A probe is read from the first step that ends at or after it,
-    so a step boundary from the step ending there and time 0 from the first
-    step, at x = 0, as ``DenseTable`` reads them.  The steps that hold probes
-    wait, across the batch's pieces, until they hold ``_PENDING_PROBES``
-    probes or the batch ends (``flush``), and are then evaluated together;
-    no step is held longer.  Every call of the batch pads its rows to one
-    width.  ``live`` maps the current call's columns to segments.
-    """
-
-    def __init__(self, readings: _Readings, times: list[np.ndarray], reader: np.ndarray, slot: np.ndarray):
-        self.readings, self.reader, self.slot = readings, reader, slot
+        self.users, self.reader, self.slot = users, np.concatenate(readers), np.concatenate(slots)
         self.flat = np.concatenate(times)
         self.base = np.cumsum([0, *map(len, times)]).tolist()
         self.times = [t.tolist() for t in times]
         self.pos = [0] * len(times)
         self.next = [t[0] if t else math.inf for t in self.times]
+        first = [column[0][0] for column in users]
+        self.batch_pairs, self.batch_c0 = self.pairs[:, first], self.c0[first]
+        self.batch_deviation = np.full(self.batch_c0.shape, -math.inf)
         self.live: list[int] = []
         self._clear()
+        return self
 
     def _clear(self):
-        self.stacks, self.first, self.count, self.t_old, self.t_new = [], [], [], [], []
-        self.pending = 0
+        # the stacks held, each accepted step's row in them and its segment, and the steps that hold probes
+        self.stacks, self.starts, self.owner = [], [], []
+        self.hits, self.first, self.count, self.t_old, self.t_new = [], [], [], [], []
+        self.held = 0
 
     def __call__(self, rows, cols, t_old, t_new, stack):
         live, pos, nxt = self.live, self.pos, self.next
-        hits = []
         for i, c, a, b in zip(rows, cols, t_old, t_new):
             s = live[c]
+            self.starts.append(self.held + i)
+            self.owner.append(s)
             if nxt[s] <= b:
                 times = self.times[s]
                 j = bisect_right(times, b, pos[s])
+                self.hits.append(self.held + i)
                 self.first.append(self.base[s] + pos[s])
                 self.count.append(j - pos[s])
-                self.pending += j - pos[s]
                 self.t_old.append(a)
                 self.t_new.append(b)
                 pos[s] = j
                 nxt[s] = times[j] if j < len(times) else math.inf
-                hits.append(i)
-        if hits:
-            self.stacks.append(stack if len(hits) == stack.shape[1] else stack[:, hits])
-            if self.pending >= _PENDING_PROBES:
-                self.flush()
+        self.stacks.append(stack)
+        self.held += stack.shape[1]
+        if self.held >= _PENDING_STEPS:
+            self.flush()
 
     def flush(self) -> None:
-        """Evaluate the waiting steps at their probe times, as ``DenseTable`` does, and hand the values on."""
-        if not self.pending:
+        """Read the steps held: their probes, as ``DenseTable`` does, and their start states' pair deviations."""
+        if not self.stacks:
             return
         stack = self.stacks[0] if len(self.stacks) == 1 else np.concatenate(self.stacks, axis=1)
-        count = np.array(self.count)
-        step = np.repeat(np.arange(len(count)), count)
-        probe = np.arange(len(step)) + np.repeat(np.array(self.first) - (np.cumsum(count) - count), count)
-        t_old = np.array(self.t_old)[step]
-        h = np.array(self.t_new)[step] - t_old
-        values = _interpolate(h, (self.flat[probe] - t_old) / h, stack[0, step], _quartic(stack[1:])[step])
+        if self.hits:
+            count = np.array(self.count)
+            step = np.repeat(self.hits, count)
+            probe = np.arange(len(step)) + np.repeat(np.array(self.first) - (np.cumsum(count) - count), count)
+            t_old = np.repeat(self.t_old, count)
+            h = np.repeat(self.t_new, count) - t_old
+            values = _interpolate(h, (self.flat[probe] - t_old) / h, stack[0, step], _quartic(stack[1:, step]))
+            self.rows[self.reader[probe], self.slot[probe], :values.shape[1]] = np.maximum(values, 0.0)
+        self._deviate(stack[0, self.starts], np.array(self.owner))
         self._clear()
-        self.readings.add(self.reader[probe], self.slot[probe], np.maximum(values, 0.0))
+
+    def _deviate(self, y: np.ndarray, owner: np.ndarray) -> None:
+        """Fold the pair deviations of some states (one row each: integrated species, padded) into their segments'."""
+        a, b = self.batch_pairs[:, owner]
+        row = np.arange(len(owner))[:, None]
+        np.maximum.at(self.batch_deviation, owner, np.abs(y[row, a] + y[row, b] - self.batch_c0[owner]))
+
+    def close(self, y_end: np.ndarray) -> None:
+        """Read what is still held and each segment's end state (one row each, padded), and fold each
+        segment's pair maxima into the runs that take it."""
+        self.flush()
+        self._deviate(y_end, np.arange(len(y_end)))
+        runs, segment = zip(*((r, c) for c, column in enumerate(self.users) for r, _ in column))
+        np.maximum.at(self.deviation, list(runs), self.batch_deviation[list(segment)])
+
+    def readouts(self, runs, plans: Sequence["_Plan"], stats: Sequence[SolverStats]) -> list[Readout]:
+        """Each run's ``Readout``, once every batch is closed."""
+        out = []
+        for r, ((brn, _, signal, _), plan, watch) in enumerate(zip(runs, plans, self.watches)):
+            n_points, net = len(watch.points), plan.net
+            rows = net.states(signal, self.points[r], self.rows[r, :n_points, :net.n_free]) if n_points else []
+            out.append(Readout(names=brn.species_names, points=dict(zip(watch.points, rows)),
+                               deviation=dict(zip(watch.pairs, self.deviation[r].tolist())), stats=stats[r]))
+        return out
 
 
 def integrate(brn, x0, signal, config, watch=None):
@@ -1024,17 +1008,18 @@ def _integrate_runs(runs, watches=None) -> list:
                 columns = [_Column(plan.net, plan.signal, segments[parent][1] if parent else plan.y0,
                                    _bounds(plan.corners, a, b))
                            for plan, parent, a, b, _ in batch.values()]
-                probes = None if readings is None else readings.probes([users for *_, users in batch.values()])
+                watched = None if readings is None else readings.batch([users for *_, users in batch.values()])
                 segments.update(zip(batch, _integrate_segments(
-                    columns, rtol, atol, tau / 3.0 if tau else np.inf, probes)))
+                    columns, rtol, atol, tau / 3.0 if tau else np.inf, watched)))
 
     stats = [sum((segments[key][2] for key, *_ in plan.segments()), SolverStats()) for plan in plans]
     if readings is not None:
         return readings.readouts(runs, plans, stats)
     traces = []
     for (brn, _, _, config), plan, cost in zip(runs, plans, stats):
-        dense = DenseTable([segments[key][0] for key, *_ in plan.segments()],
-                           partial(plan.net.states, plan.signal))
+        keys = [key for key, *_ in plan.segments()]
+        dense = DenseTable([segments[key][0] for key in keys], partial(plan.net.states, plan.signal),
+                           plan.net.free_names, segments[keys[-1]][1])
         t_grid = np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1)
         traces.append(Trace(names=brn.species_names, times=t_grid, values=dense(t_grid),
                             t_end=config.t_end, _dense=dense, stats=cost))
@@ -1105,16 +1090,17 @@ def decide(trace: Trace | Readout, nfa: Nfa, spec: SignalSpec, scheme: Observati
 def check_phi(trace: Trace | Readout, nfa: Nfa, prefix: Sequence[str], gamma: float,
               tau: float) -> bool:
     """Block-boundary levels: reached states at or above 1-gamma, others at or below gamma."""
+    return phi_slack(trace, nfa, prefix, gamma, tau) >= 0
+
+
+def phi_slack(trace: Trace | Readout, nfa: Nfa, prefix: Sequence[str], gamma: float, tau: float) -> float:
+    """How far the block-boundary levels clear ``check_phi``'s bounds: the least of ``y - (1 - gamma)``
+    over the reached states and ``gamma - y`` over the others (negative where one fails)."""
     if not 0 < gamma < 0.5:
         raise ValueError("gamma must lie in (0, 1/2)")
     target = extended_transition(nfa, nfa.initial, tuple(prefix))
-    for q, y in zip(nfa.states, _levels(trace, nfa, 3 * len(prefix) * tau)):
-        if q in target:
-            if y < 1 - gamma:
-                return False
-        elif y > gamma:
-            return False
-    return True
+    return min(float(y - (1 - gamma)) if q in target else float(gamma - y)
+               for q, y in zip(nfa.states, _levels(trace, nfa, 3 * len(prefix) * tau)))
 
 
 def _levels(trace: Trace | Readout, nfa: Nfa, t: float) -> np.ndarray:
@@ -1123,21 +1109,13 @@ def _levels(trace: Trace | Readout, nfa: Nfa, t: float) -> np.ndarray:
 
 
 def conservation_deviation(trace: Trace | Readout, x0: ConcState, pairs: Sequence[tuple[str, str]]):
-    """Max deviation of paired sums from their initial totals over the sampled grid.
+    """Max deviation of paired sums from their initial totals, over every step's start state and the end state.
 
     Returns (max deviation, dict of initial totals keyed by the pair's first
-    name).  A ``Readout`` gives the maxima it kept for the pairs its watch named.
+    name).  A ``Readout`` gives the maxima it kept for the pairs its watch
+    named; a trace is read as ``Readout.of`` reads it.
     """
-    totals = {}
-    worst = 0.0
-    for a, b in pairs:
-        c0 = x0[a] + x0[b]
-        totals[a] = c0
-        dev = trace.deviation[a, b] if isinstance(trace, Readout) else _grid_deviation(trace, a, b, c0)
-        worst = max(worst, dev)
-    return worst, totals
-
-
-def _grid_deviation(trace: Trace, a: str, b: str, c0: float) -> float:
-    """The largest ``|a + b - c0|`` over a trace's sample grid."""
-    return float(np.max(np.abs(trace.column(a) + trace.column(b) - c0)))
+    if isinstance(trace, Trace):
+        trace = Readout.of(trace, Watch((), tuple(pairs)), x0)
+    totals = {a: x0[a] + x0[b] for a, b in pairs}
+    return max([0.0, *(trace.deviation[pair] for pair in pairs)]), totals

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from nfa2crn.pipeline import (
     random_nfa,
     run_end_to_end,
 )
+from nfa2crn.signals import SignalSpec
 
 DATA = Path(__file__).parent / "data"
 NFA_PATH = str(DATA / "second_to_last_one.nfa")
@@ -282,8 +285,66 @@ def test_long_word_and_extended_maintenance(example_nfa, planned):
     result = run_end_to_end(m)
     assert result.verified
     assert result.decision.accept is False  # second-to-last symbol is 0
-    window = result.report["maintenance"]["window"]
-    assert window[1] - window[0] == pytest.approx(4.0 * planned.tau)
+    assert result.trace.t_end == pytest.approx(result.decision.t_dec + 4.0 * planned.tau)
+    maintenance = result.report["maintenance"]
+    assert maintenance["certified"] and maintenance["ok"]
+    assert list(maintenance["sign_slack"]) == list(example_nfa.states)
+    assert min(maintenance["sign_slack"].values()) > 0.49
+    # the certified margins are the levels at t_dec, whatever tail was integrated past it
+    reachable = set(result.report["oracle"]["reachable"])
+    level = {q: result.trace.value(f"Y_{q}", result.decision.t_dec) for q in example_nfa.states}
+    assert maintenance["high_margin"] == min(level[q] for q in reachable) - (2 / 3 + planned.eta)
+    assert maintenance["low_margin"] == min((1 / 3 - planned.eta) - level[q]
+                                            for q in example_nfa.states if q not in reachable)
+
+
+@pytest.mark.parametrize("mode", ["sinusoid", "piecewise"])
+def test_the_certified_levels_bound_the_integrated_tail(example_nfa, planned, mode):
+    # three phases past t_dec: no in-set state falls below its level at t_dec,
+    # no out-of-set state rises above it
+    for seed, word in enumerate([(), ("1",), ("0", "1"), ("1", "0"), ("1", "1", "0")]):
+        profile = PerturbationProfile(delta=planned.delta, mode=mode, omega=2 * math.pi / planned.tau, seed=seed)
+        result = run_end_to_end(RunManifest(nfa=example_nfa, word=word, params=planned, profile=profile,
+                                            initial_mode="worst-case-signed", seed=seed, extra_phases=3.0))
+        assert result.report["maintenance"]["certified"] and result.verified
+        trace, t_dec = result.trace, result.decision.t_dec
+        # the sample grid past t_dec, and a finer grid read from the steps
+        tail = np.concatenate([trace.times[trace.times >= t_dec], np.linspace(t_dec, trace.t_end, 1001)])
+        for q in example_nfa.states:
+            start, levels = trace.value(f"Y_{q}", t_dec), trace.value(f"Y_{q}", tail)
+            if q in result.report["oracle"]["reachable"]:
+                assert levels.min() >= start - 1e-9
+            else:
+                assert levels.max() <= start + 1e-9
+
+
+def test_a_state_short_of_its_majority_tipping_point_is_not_certified(example_nfa, planned):
+    from nfa2crn.analysis import check_constraints
+
+    setup = pipeline._setup(_manifest(example_nfa, ("1", "0"), planned), {})
+    readout = simulate.integrate(setup.brn, setup.x0, setup.signal, setup.sim, pipeline._watch(setup))
+    t_dec = setup.sig_spec.decision_time
+
+    def report(x0, **levels):
+        # the run's readout, with some states at t_dec set by hand
+        state = readout.state_at(t_dec).copy()
+        for name, value in levels.items():
+            state[readout._index[name]] = value
+        handmade = replace(readout, points={**readout.points, t_dec: state})
+        return pipeline._verify(replace(setup, x0=x0), handmade, None, check_constraints(planned), True).report
+
+    x0 = setup.x0
+    r = report(x0)
+    assert r["maintenance"]["certified"] and r["verified"]
+    # "10" reaches A and C; the tipping point of a pair of total 1 is 0.5 (k4 + delta) / k4
+    for levels in ({"Y_C": 0.5}, {"Y_B": 0.5}):
+        r = report(x0, **levels)
+        assert not r["maintenance"]["certified"] and not r["maintenance"]["ok"] and not r["verified"]
+    # a pair of total 1.5 tips at 0.75: C reads in-set with a positive margin, yet may still fall
+    r = report(x0.replace(Yb_C=x0["Yb_C"] + 0.5), Y_C=0.74)
+    assert r["verdicts_match"] and r["phi_all"] and r["maintenance"]["high_margin"] > 0
+    assert r["maintenance"]["sign_slack"]["C"] < 0
+    assert not r["maintenance"]["certified"] and not r["verified"]
 
 
 def test_wider_automaton_end_to_end():
@@ -438,3 +499,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "0 failed" in out
+        # the line after the summary names the worst certified margin and the worst phi slack, with their runs
+        worst = out.splitlines()[1]
+        match = re.fullmatch(r"worst: maintenance margin (\S+) word=(\[.*?\]) nfa_states=(\[.*?\]); "
+                             r"phi slack (\S+) word=(\[.*?\]) nfa_states=(\[.*?\])", worst)
+        assert match, worst
+        margin, slack = float(match[1]), float(match[4])
+        assert 0.25 < margin < 0.3 and 0.2 < slack < 0.3
+        for word, states in ((match[2], match[3]), (match[5], match[6])):
+            assert len(ast.literal_eval(word)) <= 1 and ast.literal_eval(states)
+
+    def test_decide_reads_a_run_trace_csv_as_linear_interpolation_does(self, tmp_path, capsys):
+        from scipy.interpolate import interp1d
+
+        assert main(["run", NFA_PATH, "10", "--adversary", "sinusoid", "--out", str(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        with open(tmp_path / "trace.csv") as fh:
+            trace = simulate.trace_from_csv(fh)
+        # the reference: scipy's linear interpolation with the end rows held outside, clamped at 0
+        rows_at = interp1d(trace.times, trace.values, axis=0, kind="linear", bounds_error=False,
+                           fill_value=(trace.values[0], trace.values[-1]))
+        reference = simulate.Trace(trace.names, trace.times, trace.values, trace.t_end,
+                                   lambda t: np.maximum(rows_at(t), 0.0))
+        t = np.random.default_rng(0).uniform(0, trace.t_end, 500)
+        assert np.allclose(trace._states(t), reference._states(t), rtol=0, atol=1e-12)
+        nfa = parse_nfa(EXAMPLE_NFA_TEXT)
+        spec = SignalSpec(("1", "0"), epsilon=report["manifest"]["params"]["epsilon"],
+                          tau=report["manifest"]["params"]["tau"])
+        for scheme in (ObservationScheme(), ObservationScheme(eta=0.05, mode="worst-case")):
+            ours, theirs = (simulate.decide(tr, nfa, spec, scheme) for tr in (trace, reference))
+            assert ours.verdicts == theirs.verdicts == report["decision"]["verdicts"]
+            assert ours.accept == theirs.accept
+            for q, value in theirs.observed.items():
+                assert ours.observed[q] == pytest.approx(value, abs=1e-12)

@@ -425,6 +425,10 @@ def test_trace_csv_roundtrip(example_nfa, planned):
     assert again.names == trace.names
     assert np.allclose(again.values, trace.values)
     assert again.value("Y_A", trace.times[5]) == pytest.approx(trace.values[5][0])
+    # a reloaded trace has no steps: its pairs drift over its rows
+    pairs = [(f"Y_{q}", f"Yb_{q}") for q in "ABC"]
+    rows = max(np.abs(again.column(a) + again.column(b) - 1.0).max() for a, b in pairs)
+    assert conservation_deviation(again, out.initial, pairs)[0] == rows
 
 
 def test_decision_stable_under_tolerance_refinement(example_nfa, planned):
@@ -528,7 +532,7 @@ def test_a_watched_run_reads_its_dense_trace_to_the_bit(example_nfa, planned, da
         manifests.append(pipeline.RunManifest(
             nfa=nfa, word=tuple(rng.choice(nfa.alphabet, int(rng.integers(0, 4))).tolist()), params=planned,
             profile=profile, initial_mode=str(rng.choice(["exact", "random"])), seed=int(rng.integers(3)),
-            extra_phases=float(rng.choice([1.0, 2.5]))))
+            extra_phases=float(rng.choice([0.0, 2.5]))))
     shared = {}
     setups = [pipeline._setup(m, shared) for m in manifests]
     watches = [pipeline._watch(s) for s in setups]
@@ -539,28 +543,38 @@ def test_a_watched_run_reads_its_dense_trace_to_the_bit(example_nfa, planned, da
     trace = integrate(setup.brn, setup.x0, setup.signal, setup.sim)
     for t in watch.points:
         assert readout.state_at(t).tobytes() == trace.state_at(t).tobytes()
-    window = trace.times >= watch.window
-    assert set(readout.low) == set(readout.high) == {nm for nm in trace.names if not nm.startswith("X_")}
-    for name in readout.low:
-        # the extremes are compared as values: which of 0.0 and -0.0 a reduction keeps is not part of them
-        assert readout.low[name] == trace.column(name)[window].min()
-        assert readout.high[name] == trace.column(name)[window].max()
-    for a, b in watch.pairs:
-        deviation = np.max(np.abs(trace.column(a) + trace.column(b) - (setup.x0[a] + setup.x0[b])))
-        assert np.float64(readout.deviation[a, b]).tobytes() == deviation.tobytes()
     assert readout.stats == trace.stats
-    # the same read from the trace: points and pair maxima to the bit, extremes as values
-    free = [nm for nm in trace.names if not nm.startswith("X_")]
-    of_trace = simulate.Readout.of(trace, watch, setup.x0, free)
-    assert of_trace.names == readout.names and of_trace.t_end == readout.t_end
+    # the same read from the trace's step table: points and pair maxima to the bit
+    of_trace = simulate.Readout.of(trace, watch, setup.x0)
+    assert of_trace.names == readout.names
     assert list(of_trace.points) == list(readout.points)
     for t in watch.points:
         assert of_trace.state_at(t).tobytes() == readout.state_at(t).tobytes()
-    assert of_trace.low == readout.low and of_trace.high == readout.high
-    assert list(of_trace.deviation) == list(readout.deviation)
+    assert list(of_trace.deviation) == list(readout.deviation) == list(watch.pairs)
     for pair, value in readout.deviation.items():
         assert np.float64(of_trace.deviation[pair]).tobytes() == np.float64(value).tobytes()
     assert of_trace.stats == readout.stats
+
+
+def test_the_pair_drift_is_the_largest_over_the_step_starts_and_the_end_state(example_nfa, planned, monkeypatch):
+    # read independently from the steps each solver call logged and its end state
+    from nfa2crn import pipeline
+
+    profile = PerturbationProfile(delta=planned.delta, mode="sinusoid", omega=2 * math.pi / planned.tau, seed=2)
+    manifest = pipeline.RunManifest(nfa=example_nfa, word=("1", "0"), params=planned, profile=profile,
+                                    initial_mode="worst-case-signed", seed=2, extra_phases=1.5)
+    setup = pipeline._setup(manifest, {})
+    watch = pipeline._watch(setup)
+    [readout] = integrate([setup.brn], [setup.x0], [setup.signal], [setup.sim], [watch])
+    consumers = []
+    calls = _recording(monkeypatch, consumers)
+    trace = integrate(setup.brn, setup.x0, setup.signal, setup.sim)
+    states = np.vstack([*(stack[0] for log in consumers for stack in log.stacks), calls[-1][2].y_end[0]])
+    free = [nm for nm in trace.names if not nm.startswith("X_")]
+    for a, b in watch.pairs:
+        drift = np.abs(states[:, free.index(a)] + states[:, free.index(b)] - (setup.x0[a] + setup.x0[b]))
+        assert readout.deviation[a, b] == drift.max()
+    assert conservation_deviation(trace, setup.x0, watch.pairs)[0] == max(readout.deviation.values()) > 0
 
 
 def test_a_round_compiles_its_drift_once(example_nfa, planned, monkeypatch):
