@@ -32,7 +32,6 @@ from .simulate import (
     Readout,
     SimConfig,
     Trace,
-    Watch,
     check_phi,
     conservation_deviation,
     decide,
@@ -87,14 +86,13 @@ class RunManifest:
     seed: int = 0
     rel_tol: float = 1e-8
     abs_tol: float = 1e-11
-    extra_phases: float = 0.0  # horizon beyond the decision time, in phases (the tail is certified, not integrated)
     nfa_path: str | None = None
     out_dir: str | None = None
 
     def sim_config(self) -> SimConfig:
-        n = len(self.word)
-        t_end = (3 * n + 1 + self.extra_phases) * self.params.tau
-        return SimConfig(t_end=t_end, rel_tol=self.rel_tol, abs_tol=self.abs_tol)
+        """The run's integration: to the decision time (the tail past it is certified, not integrated)."""
+        return SimConfig(t_end=(3 * len(self.word) + 1) * self.params.tau, rel_tol=self.rel_tol,
+                         abs_tol=self.abs_tol)
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,7 +106,6 @@ class RunManifest:
             "seed": self.seed,
             "rel_tol": self.rel_tol,
             "abs_tol": self.abs_tol,
-            "extra_phases": self.extra_phases,
         }
 
 
@@ -203,8 +200,9 @@ def _run_all(manifests: Sequence[RunManifest], traces: bool = False) -> list[Run
 
     Runs whose trace is returned (``traces``) or written (``out_dir``) keep
     their steps and integrate together; their reports read their traces.
-    The others keep only what their reports check (see ``_watch``), so a
-    corpus's memory grows with its runs' checks, not with their steps.
+    The others keep only what their reports check, a ``Readout`` of their
+    pairs (see ``_pairs``), so a corpus's memory grows with its runs'
+    checks, not with their steps.
     Networks, constraint reports and signal checks are made once per
     distinct input and shared.
     """
@@ -213,8 +211,8 @@ def _run_all(manifests: Sequence[RunManifest], traces: bool = False) -> list[Run
     keeps = [traces or bool(s.manifest.out_dir) for s in setups]
     with _stage("integrate"):
         kept = iter(_integrate([s for s, keep in zip(setups, keeps) if keep]))
-        watched = [s for s, keep in zip(setups, keeps) if not keep]
-        readouts = iter(_integrate(watched, [_watch(s) for s in watched]))
+        others = [s for s, keep in zip(setups, keeps) if not keep]
+        readouts = iter(_integrate(others, [_pairs(s.manifest.nfa) for s in others]))
     results = []
     for s, keep in zip(setups, keeps):
         constraints = _once(shared, s.manifest.params, lambda: check_constraints(s.manifest.params))
@@ -222,30 +220,23 @@ def _run_all(manifests: Sequence[RunManifest], traces: bool = False) -> list[Run
         # that validate's grid always holds, so checking that grid alone is exact
         admissible = _once(shared, s.sig_spec, lambda: validate(s.signal, s.sig_spec, samples_per_phase=1).admissible)
         trace = next(kept) if keep else None
-        readout = next(readouts) if trace is None else Readout.of(trace, _watch(s), s.x0)
+        readout = next(readouts) if trace is None else Readout.of(trace, _pairs(s.manifest.nfa), s.x0)
         results.append(_verify(s, readout, trace, constraints, admissible))
     return results
 
 
-def _integrate(setups: Sequence[_Setup], watches: Sequence[Watch] | None = None) -> list:
-    """``integrate`` the runs together: their traces, or their readouts when watched; none for no runs."""
+def _integrate(setups: Sequence[_Setup], pairs: Sequence | None = None) -> list:
+    """``integrate`` the runs together: their traces, or their readouts given their pairs; none for no runs."""
     if not setups:
         return []
     return integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups],
-                     [s.sim for s in setups], watches)
+                     [s.sim for s in setups], pairs)
 
 
 def _pairs(nfa: Nfa) -> list[tuple[str, str]]:
     """The conserved pairs a report checks: each state and its dual, each portal and its dual."""
     pairs = [(state_species_name(q), dual_state_species_name(q)) for q in nfa.states]
     return pairs + [(portal_species_name(q), dual_portal_species_name(q)) for q in nfa.states]
-
-
-def _watch(setup: _Setup) -> Watch:
-    """What a run's report reads: the states at the decision time and at every block boundary, and its pairs."""
-    manifest, t_dec = setup.manifest, setup.sig_spec.decision_time
-    blocks = (3 * k * manifest.params.tau for k in range(len(manifest.word) + 1))
-    return Watch(points=(t_dec, *blocks), pairs=tuple(_pairs(manifest.nfa)))
 
 
 def _verify(setup: _Setup, readout: Readout, trace: Trace | None, constraints: ConstraintReport,

@@ -29,24 +29,22 @@ own species, so its arithmetic is the one it has alone.  Blocks are shared
 only within one network.
 
 The stepper hands each iteration's accepted steps to a consumer as it makes
-them, and each ``integrate`` call chooses what its runs keep.  Without a
-``Watch`` a run keeps its steps: its dense output is a table of its solver
-steps (``DenseTable``), which reads any set of times with one search and one
-vectorised quartic per symbol block, and its ``Trace`` reads any time.  With
-a ``Watch`` a run keeps only what the watch names, as a ``Readout``: its
-states at a few times and the largest drift of paired sums over its steps'
-start states and its end state.  Each time is read from the step that holds
-it, with the table's arithmetic, and the start states are folded in batches,
-soon after their steps are accepted, so the values are the trace's to the
-bit and no run holds its steps or a sample grid; ``Readout.of`` reads the
-same from a trace.
+them, and each ``integrate`` call chooses what its runs keep.  A run keeps
+its steps, or, given the conserved pairs to check, a ``Readout``.  Its steps
+make its dense output, a table of its solver steps (``DenseTable``), which
+reads any set of times with one search and one vectorised quartic per symbol
+block, and its ``Trace`` reads any time.  A ``Readout`` holds the states
+where the solver stops anyway: the start, the end of each symbol block and
+the end of the run, as the solver left them.  It also holds each pair's
+largest drift over its steps' start states and its end state, folded in
+batches soon after the steps are accepted, so no run holds its steps or a
+sample grid; ``Readout.of`` reads the same bits from a trace's step table.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -67,7 +65,6 @@ __all__ = [
     "SolverStats",
     "DenseTable",
     "Solution",
-    "Watch",
     "Readout",
     "Decision",
     "IntegratorFault",
@@ -81,7 +78,7 @@ __all__ = [
 
 # a trace's sample grid: t_end split into this many equal intervals
 SAMPLE_INTERVALS = 400
-# a watched batch reads the steps it holds once they are about this many
+# a batch folds the start states it holds into its pair maxima once they are about this many
 _PENDING_STEPS = 64
 
 # Dormand-Prince 5(4), as in scipy's RK45: nodes, stage weights (row s
@@ -202,8 +199,8 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
     Each iteration hands its accepted steps to ``consumer(rows, cols, t_old,
     t_new, stack)``: their rows in ``stack`` (the start states, then the
     seven stages, of the columns running; padded), their columns, start
-    times and end times: a ``_StepLog`` keeps them, ``_Readings`` reads a
-    few times and the pair maxima from them.  Raises IntegratorFault, with
+    times and end times: a ``_StepLog`` keeps them, ``_Readings`` folds
+    their start states into pair maxima.  Raises IntegratorFault, with
     the time and state, on step-size underflow, a non-finite state or error
     norm, or a state below ``-10 * atol`` (the lowest one, once every column
     arrived).
@@ -645,6 +642,13 @@ class DenseTable:
     def __call__(self, t: np.ndarray) -> np.ndarray:
         return self._fill(t, np.maximum(self.free(t), 0.0))
 
+    def kept(self) -> tuple[np.ndarray, np.ndarray]:
+        """The run's start and each segment's end, and the full states there: each segment's first
+        start state, then ``end``, clamped at zero, inputs filled in."""
+        times = self.ts[self._first_step]
+        free = np.vstack([*(y[0] for _, y, _ in self._segments), self.end])
+        return times, self._fill(times, np.maximum(free, 0.0))
+
     def deviation(self, a: str, b: str, c0: float) -> float:
         """The largest ``|a + b - c0|`` over every step's start state and the end state, as the solver left them."""
         i, j = self.free_names.index(a), self.free_names.index(b)
@@ -722,28 +726,17 @@ def _bounds(corners: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.concatenate([[a], corners[(corners > a) & (corners < b)], [b]])
 
 
-@dataclass(frozen=True)
-class Watch:
-    """What a run keeps of its trajectory in place of a ``Trace``.
-
-    ``points``: times whose full states are kept.  ``pairs``: for each pair
-    (a, b) of integrated species, the max of ``|a + b - c0|`` over the
-    start state of every step and the end state, c0 being the pair's
-    initial total.  The states kept are the run's ``Trace`` states to the
-    bit, and the maxima are those of its step table.
-    """
-
-    points: tuple[float, ...]
-    pairs: tuple[tuple[str, str], ...]
-
-
 @dataclass
 class Readout:
-    """What a watched run kept (see ``Watch``): read as its steps were accepted, or from its trace.
+    """What a run keeps in place of a ``Trace``: its states where the solver stopped, and its pairs' drift.
 
-    ``state_at(t)`` is the full state at a watched point, as
-    ``Trace.state_at`` reads it; ``deviation`` maps each watched pair to
-    its largest drift from its initial total.
+    ``points`` maps the run's start, the end of each of its symbol blocks
+    and its end to the full state there: the solver's start state and its
+    segments' end states, clamped at zero, inputs filled in from the
+    signal.  ``state_at(t)`` reads one of them and raises ValueError at
+    any other time.  ``deviation`` maps each checked pair (a, b) to the
+    largest ``|a + b - c0|`` over the start state of every step and the end
+    state, c0 being the pair's initial total.
     """
 
     names: tuple[str, ...]
@@ -755,161 +748,90 @@ class Readout:
         self._index = {nm: i for i, nm in enumerate(self.names)}
 
     @classmethod
-    def of(cls, trace: Trace, watch: Watch, x0: ConcState) -> "Readout":
-        """What ``watch`` names, read from a trace's step table (a trace read from CSV: from its rows)."""
+    def of(cls, trace: Trace, pairs: Sequence[tuple[str, str]], x0: ConcState) -> "Readout":
+        """A trace's readout, read from its step table to the same bits (a trace read from CSV: from its rows)."""
         table = trace._dense
-        read = table.deviation if isinstance(table, DenseTable) else \
-            lambda a, b, c0: float(np.max(np.abs(trace.column(a) + trace.column(b) - c0)))
-        return cls(names=trace.names, points={t: trace.state_at(t) for t in watch.points},
-                   deviation={(a, b): read(a, b, x0[a] + x0[b]) for a, b in watch.pairs}, stats=trace.stats)
+        if isinstance(table, DenseTable):
+            (times, states), read = table.kept(), table.deviation
+        else:
+            times, states = trace.times, trace.values
+            read = lambda a, b, c0: float(np.max(np.abs(trace.column(a) + trace.column(b) - c0)))
+        return cls(names=trace.names, points=dict(zip(times.tolist(), states)),
+                   deviation={(a, b): read(a, b, x0[a] + x0[b]) for a, b in pairs}, stats=trace.stats)
 
     def state_at(self, t: float) -> np.ndarray:
         try:
             return self.points[float(t)]
         except KeyError:
-            raise ValueError(f"t={t} is not a watched time") from None
+            raise ValueError(f"t={t} is not a kept time") from None
 
 
 class _Readings:
-    """A ``solve_ivp`` consumer: what the watched runs of one ``integrate`` call keep, read from their steps.
+    """A ``solve_ivp`` consumer: the checked pairs' largest drift in each segment of one batch.
 
-    Run r's probes are its watched points, clamped to its end as a trace
-    clamps them; its slot s is its s-th point, and each lies in the segment
-    whose last step ends at or after it.  ``batch(users)`` starts on a batch
-    of segments, segment c being segment s of each run r in ``users[c]``:
-    its probes, in time order, and ``pos[c]``, its first one not read yet.
-    A probe is read from the first step that ends at or after it, so a step
-    boundary from the step ending there and time 0 from the first step, at
-    x = 0, as ``DenseTable`` reads them.  Runs share a segment only when
-    they share its network and initial state, so ``batch_deviation[c]``,
-    the largest ``|a + b - c0|`` over its steps' start states and its end
-    state, holds for every run that takes it, and a run's pair maxima are
-    the largest of its segments'.  The stacks of the accepted steps wait,
-    across the batch's pieces, until they hold ``_PENDING_STEPS`` rows or
-    the batch ends (``close``), and are then read together, so an iteration
-    adds no array operation.  Every call of a batch pads its rows to one
-    width, and ``live`` maps the current call's columns to segments.
+    Column c is a segment of the runs that share ``plans[c]``'s network,
+    initial state and pairs, so ``deviation[c]``, each pair's largest
+    ``|a + b - c0|`` over its steps' start states and its end state, holds
+    for every run that takes it.  The start states of the accepted steps
+    wait, across the batch's pieces, until they hold ``_PENDING_STEPS`` rows
+    or the batch ends (``close``), and are then read together, so an
+    iteration adds no array operation.  Every call of a batch pads its rows
+    to one width, and ``live`` maps the current call's columns to segments.
     """
 
-    def __init__(self, runs, plans: Sequence["_Plan"], watches: Sequence[Watch]):
-        self.watches = list(watches)
-        self.width = [plan.net.n_free for plan in plans]
-        self.points = [_in_range(np.array(w.points, dtype=float), config.t_end)
-                       for (*_, config), w in zip(runs, self.watches)]
-        self.segment = [np.searchsorted([b for *_, b in plan.segments()[:-1]], times, side="left")
-                        for plan, times in zip(plans, self.points)]
-        n_runs, n_pairs = len(plans), max([1, *(len(w.pairs) for w in self.watches)])
-        self.rows = np.zeros((n_runs, max(len(w.points) for w in self.watches), max(self.width)))
-        self.deviation = np.full((n_runs, n_pairs), -math.inf)
-        # each pair's species in its run's row and its initial total; padding reads species 0, never read back
-        self.pairs = np.zeros((2, n_runs, n_pairs), dtype=int)
-        self.c0 = np.zeros((n_runs, n_pairs))
-        for r, ((_, x0, _, _), plan, watch) in enumerate(zip(runs, plans, self.watches)):
+    def __init__(self, plans: Sequence["_Plan"]):
+        n_pairs = max([1, *(len(plan.pairs) for plan in plans)])
+        # each pair's species in its column's row and its initial total; padding reads species 0, never read back
+        self.pairs = np.zeros((2, len(plans), n_pairs), dtype=int)
+        self.c0 = np.zeros((len(plans), n_pairs))
+        for c, plan in enumerate(plans):
             place = {nm: j for j, nm in enumerate(plan.net.free_names)}
-            for m, (a, b) in enumerate(watch.pairs):
-                self.pairs[:, r, m] = place[a], place[b]
-                self.c0[r, m] = x0[a] + x0[b]
-
-    def batch(self, users: Sequence[Sequence[tuple[int, int]]]) -> "_Readings":
-        times, readers, slots = [], [], []
-        for column in users:
-            slot = [np.flatnonzero(self.segment[r] == s) for r, s in column]
-            t = np.concatenate([self.points[r][p] for (r, _), p in zip(column, slot)])
-            order = np.argsort(t, kind="stable")
-            times.append(t[order])
-            readers.append(np.repeat([r for r, _ in column], [len(p) for p in slot])[order])
-            slots.append(np.concatenate(slot)[order])
-        self.users, self.reader, self.slot = users, np.concatenate(readers), np.concatenate(slots)
-        self.flat = np.concatenate(times)
-        self.base = np.cumsum([0, *map(len, times)]).tolist()
-        self.times = [t.tolist() for t in times]
-        self.pos = [0] * len(times)
-        self.next = [t[0] if t else math.inf for t in self.times]
-        first = [column[0][0] for column in users]
-        self.batch_pairs, self.batch_c0 = self.pairs[:, first], self.c0[first]
-        self.batch_deviation = np.full(self.batch_c0.shape, -math.inf)
+            for m, (a, b) in enumerate(plan.pairs):
+                self.pairs[:, c, m] = place[a], place[b]
+                self.c0[c, m] = plan.y0[place[a]] + plan.y0[place[b]]
+        self.deviation = np.full(self.c0.shape, -math.inf)
         self.live: list[int] = []
-        self._clear()
-        return self
-
-    def _clear(self):
-        # the stacks held, each accepted step's row in them and its segment, and the steps that hold probes
-        self.stacks, self.starts, self.owner = [], [], []
-        self.hits, self.first, self.count, self.t_old, self.t_new = [], [], [], [], []
-        self.held = 0
+        self.starts, self.rows, self.owner, self.held = [], [], [], 0
 
     def __call__(self, rows, cols, t_old, t_new, stack):
-        live, pos, nxt = self.live, self.pos, self.next
-        for i, c, a, b in zip(rows, cols, t_old, t_new):
-            s = live[c]
-            self.starts.append(self.held + i)
-            self.owner.append(s)
-            if nxt[s] <= b:
-                times = self.times[s]
-                j = bisect_right(times, b, pos[s])
-                self.hits.append(self.held + i)
-                self.first.append(self.base[s] + pos[s])
-                self.count.append(j - pos[s])
-                self.t_old.append(a)
-                self.t_new.append(b)
-                pos[s] = j
-                nxt[s] = times[j] if j < len(times) else math.inf
-        self.stacks.append(stack)
+        self.starts.append(stack[0])
+        self.rows.extend(self.held + i for i in rows)
+        self.owner.extend(self.live[c] for c in cols)
         self.held += stack.shape[1]
         if self.held >= _PENDING_STEPS:
             self.flush()
 
     def flush(self) -> None:
-        """Read the steps held: their probes, as ``DenseTable`` does, and their start states' pair deviations."""
-        if not self.stacks:
-            return
-        stack = self.stacks[0] if len(self.stacks) == 1 else np.concatenate(self.stacks, axis=1)
-        if self.hits:
-            count = np.array(self.count)
-            step = np.repeat(self.hits, count)
-            probe = np.arange(len(step)) + np.repeat(np.array(self.first) - (np.cumsum(count) - count), count)
-            t_old = np.repeat(self.t_old, count)
-            h = np.repeat(self.t_new, count) - t_old
-            values = _interpolate(h, (self.flat[probe] - t_old) / h, stack[0, step], _quartic(stack[1:, step]))
-            self.rows[self.reader[probe], self.slot[probe], :values.shape[1]] = np.maximum(values, 0.0)
-        self._deviate(stack[0, self.starts], np.array(self.owner))
-        self._clear()
+        """Fold the start states held into their segments' pair maxima."""
+        if self.starts:
+            y = self.starts[0] if len(self.starts) == 1 else np.concatenate(self.starts)
+            self._deviate(y[self.rows], np.array(self.owner))
+            self.starts, self.rows, self.owner, self.held = [], [], [], 0
 
     def _deviate(self, y: np.ndarray, owner: np.ndarray) -> None:
         """Fold the pair deviations of some states (one row each: integrated species, padded) into their segments'."""
-        a, b = self.batch_pairs[:, owner]
+        a, b = self.pairs[:, owner]
         row = np.arange(len(owner))[:, None]
-        np.maximum.at(self.batch_deviation, owner, np.abs(y[row, a] + y[row, b] - self.batch_c0[owner]))
+        np.maximum.at(self.deviation, owner, np.abs(y[row, a] + y[row, b] - self.c0[owner]))
 
     def close(self, y_end: np.ndarray) -> None:
-        """Read what is still held and each segment's end state (one row each, padded), and fold each
-        segment's pair maxima into the runs that take it."""
+        """Fold in what is still held and each segment's end state (one row each, padded)."""
         self.flush()
         self._deviate(y_end, np.arange(len(y_end)))
-        runs, segment = zip(*((r, c) for c, column in enumerate(self.users) for r, _ in column))
-        np.maximum.at(self.deviation, list(runs), self.batch_deviation[list(segment)])
-
-    def readouts(self, runs, plans: Sequence["_Plan"], stats: Sequence[SolverStats]) -> list[Readout]:
-        """Each run's ``Readout``, once every batch is closed."""
-        out = []
-        for r, ((brn, _, signal, _), plan, watch) in enumerate(zip(runs, plans, self.watches)):
-            n_points, net = len(watch.points), plan.net
-            rows = net.states(signal, self.points[r], self.rows[r, :n_points, :net.n_free]) if n_points else []
-            out.append(Readout(names=brn.species_names, points=dict(zip(watch.points, rows)),
-                               deviation=dict(zip(watch.pairs, self.deviation[r].tolist())), stats=stats[r]))
-        return out
 
 
-def integrate(brn, x0, signal, config, watch=None):
+def integrate(brn, x0, signal, config, pairs=None):
     """Integrate the driven system from x0 over [0, t_end], for one run or many.
 
     Given a network, an initial state, a signal and a ``SimConfig``, returns
     the run's ``Trace``, which keeps its steps.  Given four equally long
     lists instead (one entry per run), integrates the runs together and
     returns their traces in order; each is the one its run gives alone, to
-    the bit.  Given a ``Watch`` too (a list of them for many runs), returns
-    ``Readout``s instead of traces: a run keeps only what its watch names,
-    read as its steps are accepted, and none keeps its steps.
+    the bit.  Given ``pairs`` too, the conserved pairs to check (names of
+    integrated species; a list of them for many runs), returns ``Readout``s
+    instead of traces: a run keeps only its states at its start, at the end
+    of each of its symbol blocks and at its end, and its pairs' maxima,
+    folded as its steps are accepted; none keeps its steps.
 
     Species of input kind are clamped to the signal at all times (their
     entries in x0 are ignored); everything else follows the mass-action
@@ -919,26 +841,27 @@ def integrate(brn, x0, signal, config, watch=None):
     a spec.  A run's trajectory is a chain of segments: the symbol blocks of
     its word that end by ``t_end``, then the tail.  Runs with the same
     tolerances and ``tau`` integrate together whatever their networks: runs
-    on one network share every block whose word prefix and free initial
-    state they share, each level of their word tries is one batch of
+    on one network share every block whose word prefix, free initial state
+    and pairs they share, each level of their word tries is one batch of
     distinct blocks, and their distinct tails are one batch.  The
     trace samples ``SAMPLE_INTERVALS + 1`` evenly spaced times.  Raises
     IntegratorFault as ``solve_ivp`` does; negative excursions within ten
     times the absolute tolerance are clamped to zero in the outputs.
     """
     if isinstance(config, SimConfig):
-        return _integrate_runs([(brn, x0, signal, config)], None if watch is None else [watch])[0]
+        return _integrate_runs([(brn, x0, signal, config)], None if pairs is None else [pairs])[0]
     return _integrate_runs(list(zip(brn, x0, signal, config, strict=True)),
-                           None if watch is None else list(watch))
+                           None if pairs is None else list(pairs))
 
 
 @dataclass
 class _Plan:
     """How one run's trajectory splits into segments: its symbol blocks, then its tail.
 
-    A block's key is the run's origin (its batch and free initial state) and
-    the word prefix up to it; the tail's key adds what else the tail
-    depends on.  Runs share every segment whose key they share.
+    A block's key is the run's origin (its batch, free initial state and
+    checked pairs) and the word prefix up to it; the tail's key adds what
+    else the tail depends on.  Runs share every segment whose key they
+    share.
     """
 
     net: _CompiledNetwork
@@ -950,6 +873,7 @@ class _Plan:
     tail: tuple | None  # the tail's key; None when the last block ends at t_end
     tau: float | None
     t_end: float
+    pairs: tuple | None  # the conserved pairs it checks; None when it keeps its steps
 
     def segments(self) -> list[tuple]:
         """Each segment's key, its parent's key (None for the first), start and end."""
@@ -964,7 +888,7 @@ class _Plan:
         return out
 
 
-def _integrate_runs(runs, watches=None) -> list:
+def _integrate_runs(runs, pairs=None) -> list:
     nets: list[tuple[Brn, _CompiledNetwork]] = []  # one layout per distinct network
     plans: list[_Plan] = []
     batches: dict[tuple, list[int]] = {}  # tolerances and tau -> runs, of any networks
@@ -981,49 +905,58 @@ def _integrate_runs(runs, watches=None) -> list:
         y0 = np.asarray(x0.values, dtype=float)[net.free_idx]
         # another kind of signal runs in a batch of its own
         batch = (config.rel_tol, config.abs_tol, tau, None if spec is not None else r)
-        # blocks are shared only within one network
-        origin = (g, batch, y0.tobytes())
+        run_pairs = None if pairs is None else tuple(map(tuple, pairs[r]))
+        # blocks are shared only within one network, and a segment's pair maxima only by runs that check them
+        origin = (g, batch, y0.tobytes(), run_pairs)
         # a tail depends on the rest of the word too
         tail = (origin, blocks, spec.word if spec is not None else None, config.t_end) \
             if 3 * len(blocks) * (tau or 0.0) < config.t_end else None
         plans.append(_Plan(net, signal, np.asarray(signal.critical_times(), dtype=float), origin,
-                           y0, blocks, tail, tau, config.t_end))
+                           y0, blocks, tail, tau, config.t_end, run_pairs))
         batches.setdefault(batch, []).append(r)
-    readings = None if watches is None else _Readings(runs, plans, watches)
 
     segments: dict[tuple, tuple[_Steps | None, np.ndarray, SolverStats]] = {}
+    deviation: dict[tuple, np.ndarray] = {}  # a segment's pair maxima (padded), when its runs keep no steps
     for (rtol, atol, tau, _), members in batches.items():
         # the word trie level by level: the distinct blocks of level k, each
         # from its parent's end state; then the distinct tails.  A batch maps
-        # a segment key to its first run, parent, start and end, and to the
-        # runs that take it (with its place among each one's segments).
+        # a segment key to its first run's plan, its parent, start and end.
         depth = max(len(plans[r].blocks) for r in members)
         levels: list[dict] = [{} for _ in range(depth + 1)]
         for r in members:
-            for s, (key, parent, a, b) in enumerate(plans[r].segments()):
-                k = len(key[1]) - 1 if len(key) == 2 else depth
-                levels[k].setdefault(key, (plans[r], parent, a, b, []))[4].append((r, s))
+            for key, parent, a, b in plans[r].segments():
+                levels[len(key[1]) - 1 if len(key) == 2 else depth].setdefault(key, (plans[r], parent, a, b))
         for batch in levels:
             if batch:
                 columns = [_Column(plan.net, plan.signal, segments[parent][1] if parent else plan.y0,
                                    _bounds(plan.corners, a, b))
-                           for plan, parent, a, b, _ in batch.values()]
-                watched = None if readings is None else readings.batch([users for *_, users in batch.values()])
+                           for plan, parent, a, b in batch.values()]
+                readings = None if pairs is None else _Readings([plan for plan, *_ in batch.values()])
                 segments.update(zip(batch, _integrate_segments(
-                    columns, rtol, atol, tau / 3.0 if tau else np.inf, watched)))
+                    columns, rtol, atol, tau / 3.0 if tau else np.inf, readings)))
+                if readings is not None:
+                    deviation.update(zip(batch, readings.deviation))
 
-    stats = [sum((segments[key][2] for key, *_ in plan.segments()), SolverStats()) for plan in plans]
-    if readings is not None:
-        return readings.readouts(runs, plans, stats)
-    traces = []
-    for (brn, _, _, config), plan, cost in zip(runs, plans, stats):
-        keys = [key for key, *_ in plan.segments()]
+    out = []
+    for (brn, _, _, config), plan in zip(runs, plans):
+        run_segments = plan.segments()
+        keys = [key for key, *_ in run_segments]
+        cost = sum((segments[key][2] for key in keys), SolverStats())
+        if pairs is not None:
+            # the start and each segment's end, as the solver left them
+            times = np.array([0.0, *(b for *_, b in run_segments)])
+            free = np.vstack([plan.y0, *(segments[key][1] for key in keys)])
+            states = plan.net.states(plan.signal, times, np.maximum(free, 0.0))
+            worst = np.max([deviation[key][:len(plan.pairs)] for key in keys], axis=0)
+            out.append(Readout(names=brn.species_names, points=dict(zip(times.tolist(), states)),
+                               deviation=dict(zip(plan.pairs, worst.tolist())), stats=cost))
+            continue
         dense = DenseTable([segments[key][0] for key in keys], partial(plan.net.states, plan.signal),
                            plan.net.free_names, segments[keys[-1]][1])
         t_grid = np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1)
-        traces.append(Trace(names=brn.species_names, times=t_grid, values=dense(t_grid),
-                            t_end=config.t_end, _dense=dense, stats=cost))
-    return traces
+        out.append(Trace(names=brn.species_names, times=t_grid, values=dense(t_grid),
+                         t_end=config.t_end, _dense=dense, stats=cost))
+    return out
 
 
 @dataclass
@@ -1112,10 +1045,10 @@ def conservation_deviation(trace: Trace | Readout, x0: ConcState, pairs: Sequenc
     """Max deviation of paired sums from their initial totals, over every step's start state and the end state.
 
     Returns (max deviation, dict of initial totals keyed by the pair's first
-    name).  A ``Readout`` gives the maxima it kept for the pairs its watch
-    named; a trace is read as ``Readout.of`` reads it.
+    name).  A ``Readout`` gives the maxima it kept for its pairs; a trace is
+    read as ``Readout.of`` reads it.
     """
     if isinstance(trace, Trace):
-        trace = Readout.of(trace, Watch((), tuple(pairs)), x0)
+        trace = Readout.of(trace, pairs, x0)
     totals = {a: x0[a] + x0[b] for a, b in pairs}
     return max([0.0, *(trace.deviation[pair] for pair in pairs)]), totals

@@ -281,37 +281,51 @@ def test_long_word_and_extended_maintenance(example_nfa, planned):
                     profile=PerturbationProfile(delta=planned.delta, mode="sinusoid",
                                                 omega=2 * math.pi / planned.tau, seed=3),
                     scheme=ObservationScheme(eta=planned.eta, mode="worst-case"),
-                    initial_mode="worst-case-signed", seed=3, extra_phases=4.0)
+                    initial_mode="worst-case-signed", seed=3)
     result = run_end_to_end(m)
     assert result.verified
     assert result.decision.accept is False  # second-to-last symbol is 0
-    assert result.trace.t_end == pytest.approx(result.decision.t_dec + 4.0 * planned.tau)
+    t_dec = result.decision.t_dec
+    assert result.trace.t_end == t_dec
     maintenance = result.report["maintenance"]
     assert maintenance["certified"] and maintenance["ok"]
     assert list(maintenance["sign_slack"]) == list(example_nfa.states)
     assert min(maintenance["sign_slack"].values()) > 0.49
-    # the certified margins are the levels at t_dec, whatever tail was integrated past it
+    # the certified margins are the levels at t_dec, as the solver left them there
     reachable = set(result.report["oracle"]["reachable"])
-    level = {q: result.trace.value(f"Y_{q}", result.decision.t_dec) for q in example_nfa.states}
+    table = result.trace._dense
+    level = {q: float(max(table.end[table.free_names.index(f"Y_{q}")], 0.0)) for q in example_nfa.states}
     assert maintenance["high_margin"] == min(level[q] for q in reachable) - (2 / 3 + planned.eta)
     assert maintenance["low_margin"] == min((1 / 3 - planned.eta) - level[q]
                                             for q in example_nfa.states if q not in reachable)
+    # a tail integrated four phases past t_dec reads those levels there and keeps the verdicts at its end
+    setup = pipeline._setup(m, {})
+    tail = simulate.integrate(setup.brn, setup.x0, setup.signal, replace(setup.sim, t_end=t_dec + 4.0 * planned.tau))
+    assert tail.t_end == pytest.approx(t_dec + 4.0 * planned.tau)
+    for q in example_nfa.states:
+        assert tail.value(f"Y_{q}", t_dec) == pytest.approx(level[q], abs=1e-10)
+    late = simulate.decide(tail, example_nfa, setup.sig_spec, m.scheme, t=tail.t_end)
+    assert late.verdicts == result.decision.verdicts and late.accept is False
 
 
 @pytest.mark.parametrize("mode", ["sinusoid", "piecewise"])
 def test_the_certified_levels_bound_the_integrated_tail(example_nfa, planned, mode):
-    # three phases past t_dec: no in-set state falls below its level at t_dec,
-    # no out-of-set state rises above it
+    # three phases integrated past t_dec: no in-set state falls below its
+    # certified level at t_dec, no out-of-set state rises above it
     for seed, word in enumerate([(), ("1",), ("0", "1"), ("1", "0"), ("1", "1", "0")]):
         profile = PerturbationProfile(delta=planned.delta, mode=mode, omega=2 * math.pi / planned.tau, seed=seed)
-        result = run_end_to_end(RunManifest(nfa=example_nfa, word=word, params=planned, profile=profile,
-                                            initial_mode="worst-case-signed", seed=seed, extra_phases=3.0))
+        m = RunManifest(nfa=example_nfa, word=word, params=planned, profile=profile,
+                        initial_mode="worst-case-signed", seed=seed)
+        result = run_end_to_end(m)
         assert result.report["maintenance"]["certified"] and result.verified
-        trace, t_dec = result.trace, result.decision.t_dec
+        t_dec = result.decision.t_dec
+        setup = pipeline._setup(m, {})
+        trace = simulate.integrate(setup.brn, setup.x0, setup.signal,
+                                   replace(setup.sim, t_end=t_dec + 3.0 * planned.tau))
         # the sample grid past t_dec, and a finer grid read from the steps
         tail = np.concatenate([trace.times[trace.times >= t_dec], np.linspace(t_dec, trace.t_end, 1001)])
         for q in example_nfa.states:
-            start, levels = trace.value(f"Y_{q}", t_dec), trace.value(f"Y_{q}", tail)
+            start, levels = result.trace.value(f"Y_{q}", t_dec), trace.value(f"Y_{q}", tail)
             if q in result.report["oracle"]["reachable"]:
                 assert levels.min() >= start - 1e-9
             else:
@@ -322,7 +336,7 @@ def test_a_state_short_of_its_majority_tipping_point_is_not_certified(example_nf
     from nfa2crn.analysis import check_constraints
 
     setup = pipeline._setup(_manifest(example_nfa, ("1", "0"), planned), {})
-    readout = simulate.integrate(setup.brn, setup.x0, setup.signal, setup.sim, pipeline._watch(setup))
+    readout = simulate.integrate(setup.brn, setup.x0, setup.signal, setup.sim, pipeline._pairs(example_nfa))
     t_dec = setup.sig_spec.decision_time
 
     def report(x0, **levels):

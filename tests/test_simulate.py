@@ -517,7 +517,9 @@ def test_a_column_packs_the_same_bits_alone_and_anywhere_in_a_batch(example_nfa,
 @given(data=st.data())
 def test_a_watched_run_reads_its_dense_trace_to_the_bit(example_nfa, planned, data):
     # a batch of runs on three networks under three rate kinds, from exact and
-    # random initial states, with the run under test anywhere in it
+    # random initial states, to t_dec or past it, with the run under test anywhere in it
+    from dataclasses import replace
+
     from nfa2crn import pipeline
     from nfa2crn.nfa import parse_nfa
 
@@ -531,50 +533,82 @@ def test_a_watched_run_reads_its_dense_trace_to_the_bit(example_nfa, planned, da
                                       seed=int(rng.integers(3)))
         manifests.append(pipeline.RunManifest(
             nfa=nfa, word=tuple(rng.choice(nfa.alphabet, int(rng.integers(0, 4))).tolist()), params=planned,
-            profile=profile, initial_mode=str(rng.choice(["exact", "random"])), seed=int(rng.integers(3)),
-            extra_phases=float(rng.choice([0.0, 2.5]))))
+            profile=profile, initial_mode=str(rng.choice(["exact", "random"])), seed=int(rng.integers(3))))
     shared = {}
     setups = [pipeline._setup(m, shared) for m in manifests]
-    watches = [pipeline._watch(s) for s in setups]
-    readouts = integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups],
-                         [s.sim for s in setups], watches)
+    sims = [replace(s.sim, t_end=s.sig_spec.decision_time + float(rng.choice([0.0, 2.5])) * planned.tau)
+            for s in setups]
+    pairs = [pipeline._pairs(m.nfa) for m in manifests]
+    readouts = integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups], sims, pairs)
     r = data.draw(st.integers(0, len(setups) - 1))
-    setup, watch, readout = setups[r], watches[r], readouts[r]
-    trace = integrate(setup.brn, setup.x0, setup.signal, setup.sim)
-    for t in watch.points:
-        assert readout.state_at(t).tobytes() == trace.state_at(t).tobytes()
+    setup, sim, readout = setups[r], sims[r], readouts[r]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recording(mp)
+        trace = integrate(setup.brn, setup.x0, setup.signal, sim)
+    # the kept times: the start, the end of every symbol block, the end
+    blocks = [3 * k * planned.tau for k in range(len(setup.manifest.word) + 1)]
+    assert list(readout.points) == [*blocks, sim.t_end]
+    # each kept state is the start state or the end state of the solver call that ended its segment, clamped at 0
+    free = simulate._CompiledNetwork(setup.brn).free_idx
+    ends = {float(t1[0]): sol.y_end[0] for _, t1, sol in calls}
+    assert readout.state_at(0.0)[free].tobytes() == np.maximum(setup.x0.values[free], 0.0).tobytes()
+    for t in list(readout.points)[1:]:
+        assert readout.state_at(t)[free].tobytes() == np.maximum(ends[t], 0.0).tobytes()
     assert readout.stats == trace.stats
     # the same read from the trace's step table: points and pair maxima to the bit
-    of_trace = simulate.Readout.of(trace, watch, setup.x0)
+    of_trace = simulate.Readout.of(trace, pairs[r], setup.x0)
     assert of_trace.names == readout.names
     assert list(of_trace.points) == list(readout.points)
-    for t in watch.points:
+    for t in readout.points:
         assert of_trace.state_at(t).tobytes() == readout.state_at(t).tobytes()
-    assert list(of_trace.deviation) == list(readout.deviation) == list(watch.pairs)
+    assert list(of_trace.deviation) == list(readout.deviation) == pairs[r]
     for pair, value in readout.deviation.items():
         assert np.float64(of_trace.deviation[pair]).tobytes() == np.float64(value).tobytes()
     assert of_trace.stats == readout.stats
 
 
+def test_a_readout_reads_only_its_kept_times(example_nfa, planned):
+    from nfa2crn import pipeline
+
+    setup = pipeline._setup(pipeline.RunManifest(nfa=example_nfa, word=("1", "0"), params=planned), {})
+    [readout] = integrate([setup.brn], [setup.x0], [setup.signal], [setup.sim], [pipeline._pairs(example_nfa)])
+    tau, t_dec = planned.tau, setup.sig_spec.decision_time
+    assert list(readout.points) == [0.0, 3 * tau, 6 * tau, t_dec]
+    for t in (0.5 * tau, 4 * tau, t_dec + tau):
+        with pytest.raises(ValueError, match="not a kept time"):
+            readout.state_at(t)
+    assert decide(readout, example_nfa, setup.sig_spec, setup.manifest.scheme).accept is True
+    with pytest.raises(ValueError, match="not a kept time"):
+        decide(readout, example_nfa, setup.sig_spec, setup.manifest.scheme, t=t_dec + tau)
+
+
 def test_the_pair_drift_is_the_largest_over_the_step_starts_and_the_end_state(example_nfa, planned, monkeypatch):
-    # read independently from the steps each solver call logged and its end state
+    # read independently from the steps each solver call logged and its end state, over a tail past t_dec
+    from dataclasses import replace
+
     from nfa2crn import pipeline
 
     profile = PerturbationProfile(delta=planned.delta, mode="sinusoid", omega=2 * math.pi / planned.tau, seed=2)
     manifest = pipeline.RunManifest(nfa=example_nfa, word=("1", "0"), params=planned, profile=profile,
-                                    initial_mode="worst-case-signed", seed=2, extra_phases=1.5)
+                                    initial_mode="worst-case-signed", seed=2)
     setup = pipeline._setup(manifest, {})
-    watch = pipeline._watch(setup)
-    [readout] = integrate([setup.brn], [setup.x0], [setup.signal], [setup.sim], [watch])
+    sim = replace(setup.sim, t_end=setup.sig_spec.decision_time + 1.5 * planned.tau)
+    pairs = pipeline._pairs(example_nfa)
+    [readout] = integrate([setup.brn], [setup.x0], [setup.signal], [sim], [pairs])
     consumers = []
     calls = _recording(monkeypatch, consumers)
-    trace = integrate(setup.brn, setup.x0, setup.signal, setup.sim)
+    trace = integrate(setup.brn, setup.x0, setup.signal, sim)
     states = np.vstack([*(stack[0] for log in consumers for stack in log.stacks), calls[-1][2].y_end[0]])
     free = [nm for nm in trace.names if not nm.startswith("X_")]
-    for a, b in watch.pairs:
+    for a, b in pairs:
         drift = np.abs(states[:, free.index(a)] + states[:, free.index(b)] - (setup.x0[a] + setup.x0[b]))
         assert readout.deviation[a, b] == drift.max()
-    assert conservation_deviation(trace, setup.x0, watch.pairs)[0] == max(readout.deviation.values()) > 0
+    assert conservation_deviation(trace, setup.x0, pairs)[0] == max(readout.deviation.values()) > 0
+    # two runs of one network that check different pairs keep each its own pairs' maxima
+    halves = pairs[:3], pairs[3:]
+    both = integrate([setup.brn] * 2, [setup.x0] * 2, [setup.signal] * 2, [sim] * 2, halves)
+    for half, kept in zip(halves, both):
+        assert kept.deviation == {pair: readout.deviation[pair] for pair in half}
 
 
 def test_a_round_compiles_its_drift_once(example_nfa, planned, monkeypatch):
