@@ -364,28 +364,30 @@ class MassActionKernel:
     others are held.  ``stoich`` has one row per buffer species and one
     column per reaction, its net effect.
 
-    The kernel is compiled per nonzero entry of ``stoich``, in reaction
-    order: an entry's weight is its reaction's factors multiplied in order,
-    times the reaction's rate, times the entry's coefficient, ``((f1 f2) f3
-    k) c``, and a species' rate of change adds the weights of its entries in
-    reaction order (``bincount`` adds each bin's weights in the order given).
-    ``fluxes`` reads the same tables: a reaction's flux is the weight of its
-    first entry before the coefficient, so the fluxes of an all-ones buffer
-    are the rates (every reaction has an entry among the drift's rows when
-    the held species are catalysts only, as a network's inputs are).
+    The kernel is compiled in two halves.  Per reaction: its factor slots
+    (one row per factor, padded), its base rate ``k_base`` and its rate
+    terms.  Per nonzero entry of ``stoich`` among the drift's rows, in
+    reaction order: its species, coefficient and reaction (``entries``).
+    A reaction's flux is its factors multiplied in order, times its rate,
+    ``((f1 f2) f3) k``, computed once per evaluation; an entry's weight is
+    its reaction's flux times its coefficient, and a species' rate of
+    change adds the weights of its entries in reaction order (``bincount``
+    adds each bin's weights in the order given).  So each entry weighs
+    ``(((f1 f2) f3) k) c``, and the fluxes of an all-ones buffer are the
+    rates.
 
     Rates are evaluated for a table of times, one row per evaluation to
-    come.  Constant and offset rates are one number per entry.  Sinusoid
-    rates add ``amp * sin(omega t + phase)`` once per reaction (zero
-    amplitude on the other reactions), read by its entries; piecewise rates
-    sharing one knot grid take one search per time and one lerp per entry.
-    A rate law of another kind raises ``TypeError``.
+    come, one rate per reaction.  Constant and offset rates are ``k_base``
+    alone.  Sinusoid rates add ``amp * sin(omega t + phase)`` (zero
+    amplitude on the other reactions); piecewise rates sharing one knot
+    grid take one search per time and one lerp per reaction.  A rate law of
+    another kind raises ``TypeError``.
 
-    ``ColumnDrift.compile`` lays the entries of one kernel per column side
-    by side, kernels of any networks, so a column's weights and sums are
-    those it has alone whatever the batch holds: a column's result does not
-    depend on the batch's size or on its position (a BLAS product's
-    summation order would).  The kernel keeps no batch.
+    ``ColumnDrift.compile`` lays the reactions and entries of one kernel per
+    column side by side, kernels of any networks, so a column's fluxes and
+    sums are those it has alone whatever the batch holds: a column's result
+    does not depend on the batch's size or on its position (a BLAS
+    product's summation order would).  The kernel keeps no batch.
     """
 
     def __init__(self, brn: Brn, order: Sequence[str] | None = None, rows: int | None = None):
@@ -397,13 +399,13 @@ class MassActionKernel:
         self.n_reactions = n_rxn
 
         width = max([sum(r.reactants.values()) for r in brn.reactions], default=1)
-        slots = np.full((max(width, 1), n_rxn), n, dtype=int)
+        self.slots = np.full((max(width, 1), n_rxn), n, dtype=int)
         self.stoich = np.zeros((n, n_rxn))
         for j, rxn in enumerate(brn.reactions):
             k = 0
             for nm, count in rxn.reactants.items():
                 for _ in range(count):
-                    slots[k, j] = pos[nm]
+                    self.slots[k, j] = pos[nm]
                     k += 1
             for nm, d in net_effect(rxn).items():
                 self.stoich[pos[nm], j] = d
@@ -426,30 +428,24 @@ class MassActionKernel:
             else:
                 raise TypeError(f"no mass-action kernel for rate law {type(law).__name__}")
         self.sinusoid = sinusoid if sinusoid[0].any() else None
-
-        # every entry of the drift's rows in reaction order: its factors, species, coefficient and reaction
-        reaction, species = np.nonzero(self.stoich.T)
-        reaction, species = reaction[species < self.rows], species[species < self.rows]
-        self._entries = _Entries(slots[:, reaction], species, self.stoich[species, reaction], reaction,
-                                 self.k_base[reaction])
-        # each reaction's first entry, whose weight is the reaction's flux
-        self._first = np.flatnonzero(np.diff(reaction, prepend=-1))
-        # per knot grid: the entries it rates (None for all), its knots, and per
-        # entry a table whose row i serves the times with i knots at or before
-        # them: its left knot, slope and offset.  The first and last rows are
-        # flat (slope 0).  The lerp is np.interp's formula, so the rates are
-        # the same to the bit
+        # per knot grid: the reactions it rates, its knots, and per reaction a
+        # table whose row i serves the times with i knots at or before them:
+        # its left knot, slope and offset.  The first and last rows are flat
+        # (slope 0).  The lerp is np.interp's formula, so the rates are the
+        # same to the bit
         self.grids = []
         for times, members in pwl_by_grid.items():
-            member = np.full(n_rxn, -1)
-            member[[j for j, _ in members]] = np.arange(len(members))
-            at = np.flatnonzero(member[reaction] >= 0)
-            offsets = np.array([off for _, off in members]).T[:, member[reaction[at]]]
-            flat = np.zeros((1, len(at)))
+            offsets = np.array([off for _, off in members]).T
+            flat = np.zeros((1, len(members)))
             self.grids.append((
-                None if len(at) == len(reaction) else at, np.array(times), np.array([times[0], *times]),
+                np.array([j for j, _ in members]), np.array(times), np.array([times[0], *times]),
                 np.concatenate([flat, np.diff(offsets, axis=0) / np.diff(times)[:, None], flat]),
                 np.concatenate([offsets[:1], offsets])))
+
+        # every entry of the drift's rows in reaction order: its species, coefficient and reaction
+        reaction, species = np.nonzero(self.stoich.T)
+        keep = species < self.rows
+        self.entries = species[keep], self.stoich[species[keep], reaction[keep]], reaction[keep]
 
     def buffer(self, values=None) -> np.ndarray:
         """A state buffer: ``values`` in buffer order (uninitialised if None), then the 1.0 pad."""
@@ -460,11 +456,9 @@ class MassActionKernel:
         return x
 
     def fluxes(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Each reaction's rate at time t times its monomial over the buffer x: its first entry's weight."""
-        if len(self._first) != self.n_reactions:
-            raise ValueError("a reaction changes only held species, so the drift's entries hold no flux for it")
+        """Each reaction's rate at time t times its monomial over the buffer x."""
         batch = ColumnDrift.compile([self], self.rows, self.n_species - self.rows)
-        return _at(t, batch.rates, batch.weights)(x)[self._first]
+        return _at(t, batch.rates, batch.fluxes)(x)
 
     def drift(self) -> Callable:
         """The drift ``f(t, x)`` of one buffer at a time: the rates of change of the first ``rows`` species."""
@@ -472,37 +466,28 @@ class MassActionKernel:
         return lambda t, x: _at(t, batch.rates, batch.drift)(x)
 
 
-def _at(t: float, rates: Callable | None, weights: Callable) -> Callable:
-    """``weights`` of one buffer with the rates at time t."""
+def _at(t: float, rates: Callable | None, f: Callable) -> Callable:
+    """``f`` of one buffer with the rates at time t."""
     rate = None if rates is None else rates(np.array([[t]], dtype=float))[0]
-    return lambda x: weights(x, rate)
-
-
-@dataclass(frozen=True)
-class _Entries:
-    """A kernel's entries: factor slots (one row per factor), species, coefficient, reaction and constant rate."""
-
-    factors: np.ndarray
-    species: np.ndarray
-    coef: np.ndarray
-    reaction: np.ndarray
-    k: np.ndarray
+    return lambda x: f(x, rate)
 
 
 @dataclass(eq=False)
 class ColumnDrift:
-    """The drift of one buffer per kernel, stacked: a table of the batch's entries.
+    """The drift of one buffer per kernel, stacked: a table of the batch's reactions and entries.
 
     Column c's buffer holds the first ``kernels[c].rows`` species, then
     zeros up to ``rows``, then its other species up to ``held``, then the
     1.0 pad: x has shape (B, rows + held + 1).  ``rates(times)`` takes one
     row of times per evaluation to come, one time per column, and gives each
-    entry's rate in every row; it is None when every kernel's rates are
-    constant.  ``drift(x, rate)`` takes one row of ``rates(times)`` (None
-    without it) and returns the rates of change of each column's ``rows``
-    leading species, flat, column after column; padding species have no
-    entries, so their rates are exactly 0.  ``weights(x, rate)`` is each
-    entry's monomial times its rate.
+    reaction's rate in every row; it is None when every kernel's rates are
+    constant.  ``fluxes(x, rate)`` takes one row of ``rates(times)`` (None
+    without it) and returns each reaction's flux, ``((f1 f2) f3) k``, once
+    per reaction.  ``drift(x, rate)`` weighs each entry with its reaction's
+    flux times its coefficient and adds the weights of each species in
+    reaction order; it returns the rates of change of each column's
+    ``rows`` leading species, flat, column after column.  Padding species
+    have no entries, so their rates are exactly 0.
 
     ``compile`` builds the table once per batch; ``select(cols)`` gives the
     drift of some of its columns, side by side in batch order, by indexing
@@ -513,137 +498,129 @@ class ColumnDrift:
     width: int
     rows: int
     n_cols: int
-    # per entry: its column, factor positions in the flat buffer, how many of them are not pads,
-    # rate, coefficient, species and reaction
-    column: np.ndarray
+    # per reaction: its column, factor positions in the flat buffer, how many of them are not pads,
+    # base rate and sinusoid terms (amplitude, frequency, phase; None if every amplitude is 0)
+    reaction_column: np.ndarray
     factors: np.ndarray
     depth: np.ndarray
     k: np.ndarray
-    coef: np.ndarray
-    species: np.ndarray
-    reaction: np.ndarray
-    # per reaction: its column and sinusoid terms (base rate, amplitude, frequency, phase)
-    reaction_column: np.ndarray
-    sinusoid: tuple | None
-    # per knot grid: entries per column, columns, rates every entry of its kernel, knots, lefts, slopes, offsets
+    sinusoid: np.ndarray | None
+    # per knot grid: its reactions in the batch (one row per column), its columns, knots, lefts, slopes, offsets
     grids: list
+    # per entry: its column, species, coefficient and reaction
+    column: np.ndarray
+    species: np.ndarray
+    coef: np.ndarray
+    reaction: np.ndarray
 
     def __post_init__(self):
         self.rates = self._rates()
-        self.weights, self.drift = self._sums()
+        self.fluxes, self.drift = self._sums()
 
     @classmethod
     def compile(cls, kernels: Sequence[MassActionKernel], rows: int, held: int) -> "ColumnDrift":
         """The drift of one buffer per kernel, kernels of any networks, side by side."""
         width = rows + held + 1
-        entries = [k._entries for k in kernels]
-        counts = [len(e.species) for e in entries]
-        starts = np.cumsum([0, *counts])
-        column = np.repeat(np.arange(len(kernels)), counts)
+        reactions = [k.n_reactions for k in kernels]
+        starts = np.cumsum([0, *reactions])
+        reaction_column = np.repeat(np.arange(len(kernels)), reactions)
         # a monomial shorter than the longest reads its own column's pad
-        factors = np.repeat((column * width + width - 1)[None], max(len(e.factors) for e in entries), axis=0)
-        for c, (kernel, e) in enumerate(zip(kernels, entries)):
+        factors = np.repeat((reaction_column * width + width - 1)[None], max(len(k.slots) for k in kernels), axis=0)
+        for c, kernel in enumerate(kernels):
             # a kernel's buffer position in the stacked layout: leading rows, held species, pad
             place = np.concatenate([np.arange(kernel.rows), rows + np.arange(kernel.n_species - kernel.rows),
                                     [width - 1]]) + c * width
-            factors[:len(e.factors), starts[c]:starts[c + 1]] = place[e.factors]
-        reactions = [k.n_reactions for k in kernels]
-        first_reaction = np.cumsum([0, *reactions])
+            factors[:len(kernel.slots), starts[c]:starts[c + 1]] = place[kernel.slots]
+        depth = np.concatenate([(k.slots != k.n_species).sum(axis=0) for k in kernels])
         sinusoid = None
         if any(k.sinusoid is not None for k in kernels):
             # a rate with no sinusoid term is exact: k + 0 sin(0 t + 0) = k
-            sinusoid = (np.concatenate([k.k_base for k in kernels]),
-                        *np.concatenate([np.zeros((3, n)) if k.sinusoid is None else k.sinusoid
-                                         for k, n in zip(kernels, reactions)], axis=1))
-        grids = []  # per kernel and knot grid: its entries in the batch per column, its columns, the tables
+            sinusoid = np.concatenate([np.zeros((3, n)) if k.sinusoid is None else k.sinusoid
+                                       for k, n in zip(kernels, reactions)], axis=1)
+        grids = []  # per kernel and knot grid: its reactions in the batch per column, its columns, the tables
         for kernel in dict.fromkeys(kernels):
             cols = np.array([c for c, other in enumerate(kernels) if other is kernel])
-            for at, *tables in kernel.grids:
-                local = np.arange(len(kernel._entries.k)) if at is None else at
-                grids.append((starts[cols][:, None] + local, cols, at is None, *tables))
-        depth = np.concatenate([(e.factors != k.n_species).sum(axis=0) for k, e in zip(kernels, entries)])
-        return cls(width, rows, len(kernels), column, factors, depth, np.concatenate([e.k for e in entries]),
-                   np.concatenate([e.coef for e in entries]), np.concatenate([e.species for e in entries]),
-                   np.concatenate([e.reaction + first_reaction[c] for c, e in enumerate(entries)]),
-                   np.repeat(np.arange(len(kernels)), reactions), sinusoid, grids)
+            for members, *tables in kernel.grids:
+                grids.append((starts[cols][:, None] + members, cols, *tables))
+        species, coef, reaction = zip(*(k.entries for k in kernels))
+        return cls(width, rows, len(kernels), reaction_column, factors, depth,
+                   np.concatenate([k.k_base for k in kernels]), sinusoid, grids,
+                   np.repeat(np.arange(len(kernels)), [len(s) for s in species]), np.concatenate(species),
+                   np.concatenate(coef), np.concatenate([r + starts[c] for c, r in enumerate(reaction)]))
 
     def select(self, cols: np.ndarray) -> "ColumnDrift":
-        """The drift of the columns ``cols`` (increasing batch indices), each keeping its entries in order."""
+        """The drift of the columns ``cols`` (increasing batch indices), each keeping its table rows in order."""
         if len(cols) == self.n_cols:
             return self
         keep = np.zeros(self.n_cols, dtype=bool)
         keep[cols] = True
         place = np.cumsum(keep) - 1
-        entry = keep[self.column]
-        old = self.column[entry]
-        column = place[old]
-        depth = self.depth[entry]
-        # an entry's factors lie in its own column's buffer, which moves by whole widths;
+        reacting = keep[self.reaction_column]
+        renumber = np.cumsum(reacting) - 1
+        old = self.reaction_column[reacting]
+        reaction_column = place[old]
+        depth = self.depth[reacting]
+        # a reaction's factors lie in its own column's buffer, which moves by whole widths;
         # factor rows that only read pads multiply by 1.0, so they are dropped; the rows
         # are made contiguous again, since a gather through a strided index is slower
-        factors = np.ascontiguousarray(self.factors[:max(int(depth.max()), 1), entry] + (column - old) * self.width)
-        reacting = keep[self.reaction_column]
+        factors = np.ascontiguousarray(self.factors[:depth.max(initial=1), reacting]
+                                       + (reaction_column - old) * self.width)
         sinusoid = None
-        if self.sinusoid is not None and self.sinusoid[1][reacting].any():
-            sinusoid = tuple(part[reacting] for part in self.sinusoid)
-        grids = []
-        if self.grids:
-            renumber = np.cumsum(entry) - 1
-            grids = [(renumber[spots[keep[cols_k]]], place[cols_k[keep[cols_k]]], every, *tables)
-                     for spots, cols_k, every, *tables in self.grids if keep[cols_k].any()]
-        return ColumnDrift(self.width, self.rows, len(cols), column, factors, depth, self.k[entry],
-                           self.coef[entry], self.species[entry], (np.cumsum(reacting) - 1)[self.reaction[entry]],
-                           place[self.reaction_column[reacting]], sinusoid, grids)
+        if self.sinusoid is not None and self.sinusoid[0, reacting].any():
+            sinusoid = self.sinusoid[:, reacting]
+        grids = [(renumber[members[keep[cols_k]]], place[cols_k[keep[cols_k]]], *tables)
+                 for members, cols_k, *tables in self.grids if keep[cols_k].any()]
+        entry = keep[self.column]
+        return ColumnDrift(self.width, self.rows, len(cols), reaction_column, factors, depth, self.k[reacting],
+                           sinusoid, grids, place[self.column[entry]], self.species[entry], self.coef[entry],
+                           renumber[self.reaction[entry]])
 
     def _sums(self) -> tuple[Callable, Callable]:
-        """``(weights, drift)`` over the table."""
+        """``(fluxes, drift)`` over the table."""
         first, rest = self.factors[0], self.factors[1:]
-        k, coef = self.k, self.coef
+        k, coef, reaction = self.k, self.coef, self.reaction
         bins = self.species + self.column * self.rows
         length = self.n_cols * self.rows
 
-        def weights(x, rate):
+        def fluxes(x, rate):
             flat = x.ravel()
-            w = flat[first]
+            v = flat[first]
             for slots in rest:
-                w *= flat[slots]
-            w *= k if rate is None else rate
-            return w
+                v *= flat[slots]
+            v *= k if rate is None else rate
+            return v
 
         def drift(x, rate):
-            w = weights(x, rate)
+            w = fluxes(x, rate)[reaction]
             w *= coef
             return np.bincount(bins, w, minlength=length)
-        return weights, drift
+        # bincount of no weights would count in integers
+        return fluxes, drift if len(bins) else lambda x, rate: np.zeros(length)
 
     def _rates(self) -> Callable | None:
-        """Each entry's rate in every row of times: sinusoid rates evaluated once per reaction, lerps per entry."""
+        """Each reaction's rate in every row of times: sinusoids and lerps evaluated once per reaction."""
         if self.sinusoid is None and not self.grids:
             return None
-        k_entry, reading, sinusoid = self.k, self.reaction, self.sinusoid
-        if sinusoid is not None:
-            sinusoid = (sinusoid[0], self.reaction_column, *sinusoid[1:])
-        grids = []
-        for spots, cols, every, *tables in self.grids:
-            # a grid that rates every entry of every column adds to all of them in order
-            everywhere = len(cols) == self.n_cols
-            grids.append((None if every and everywhere else spots.ravel(), None if everywhere else cols, *tables))
+        k_base, column, sinusoid = self.k, self.reaction_column, self.sinusoid
+        # a grid that rates every reaction of every column adds to all of them in order
+        grids = [(None if members.size == len(k_base) else members.ravel(),
+                  None if len(cols) == self.n_cols else cols, *tables) for members, cols, *tables in self.grids]
 
         def rates(times):
             if sinusoid is None:
-                k = k_entry
+                k = k_base
             else:
-                k_base, column, amp, omega, phase = sinusoid
-                k = (k_base + amp * np.sin(omega * times[:, column] + phase))[:, reading]
-            for spots, cols, knots, lefts, slopes, offsets in grids:
+                amp, omega, phase = sinusoid
+                k = k_base + amp * np.sin(omega * times[:, column] + phase)
+            for members, cols, knots, lefts, slopes, offsets in grids:
                 t = times if cols is None else times[:, cols]
                 i = knots.searchsorted(t, side="right")
                 offset = (slopes[i] * (t - lefts[i])[..., None] + offsets[i]).reshape(len(times), -1)
-                if spots is None:
+                if members is None:
                     k = k + offset
                 else:
-                    k = np.repeat(k[None], len(times), axis=0) if k is k_entry else k
-                    k[:, spots] += offset
+                    k = np.repeat(k[None], len(times), axis=0) if k is k_base else k
+                    k[:, members] += offset
             return k
         return rates
 

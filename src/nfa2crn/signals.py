@@ -116,18 +116,9 @@ class InputSignal:
         return tuple(self._present)
 
     def concentration(self, name: str, t):
-        """The species' level at t: a float for a float t (the same bits, cheaper), else an array."""
+        """The species' level at t: a float for a scalar t, else an array."""
         present = self._present.get(name)
         tau = self.spec.tau
-        if isinstance(t, float):
-            if present is None or not t >= 0.0:
-                return 0.0
-            k = int(t // tau)
-            if k >= len(present) or not present[k]:
-                return 0.0
-            local = t / tau - k
-            v = min(3.0 * local, 3.0 * (1.0 - local), 1.0)
-            return v if v > 0.0 else 0.0
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros_like(t_arr)
         if present is not None:

@@ -439,10 +439,8 @@ class _CompiledNetwork:
         """Full states at the times t, one row per time: free species given, inputs from the signal."""
         values = np.empty((len(t), self.n_species))
         values[:, self.free_idx] = free_vals
-        # one time reads the signal's float path, which gives the same values cheaper
-        at = float(t[0]) if len(t) == 1 else t
         for pos, nm in zip(self.driven_idx, self.driven_names):
-            values[:, pos] = signal.concentration(nm, at)
+            values[:, pos] = signal.concentration(nm, t)
         return values
 
 

@@ -231,10 +231,12 @@ def _clamped_drift(net, signal):
     return f
 
 
-def test_drift_matches_the_monomial_products_to_the_bit(example_nfa, planned):
+@pytest.mark.parametrize("mode", ["none", "sinusoid", "piecewise"])
+def test_drift_matches_the_monomial_products_to_the_bit(example_nfa, planned, mode):
     out = translate(example_nfa, planned.rates)
-    brn = perturb_rates(out.brn, PerturbationProfile(delta=planned.delta, mode="sinusoid",
-                                                     omega=2 * math.pi / planned.tau, seed=2))
+    # piecewise knots end before the last draws, so the flat tail is read too
+    brn = perturb_rates(out.brn, PerturbationProfile(delta=planned.delta, mode=mode,
+                                                     omega=2 * math.pi / planned.tau, seed=2), t_end=6.0)
     signal = encode(SignalSpec(("1", "0"), epsilon=planned.epsilon, tau=planned.tau))
     net = simulate._CompiledNetwork(brn)
     drift = net.kernel.drift()
@@ -250,7 +252,10 @@ def test_drift_matches_the_monomial_products_to_the_bit(example_nfa, planned):
                        for name, count in rxn.reactants.items() for _ in range(count)]
             for k, f in enumerate(factors):
                 monomials[j] = f if k == 0 else monomials[j] * f
-        flux = _rates(net, t) * monomials
+        # one rate per reaction, its rate law's value
+        rates = _rates(net, t)
+        assert rates.tobytes() == np.array([rxn.rate.value(t) for rxn in brn.reactions], dtype=float).tobytes()
+        flux = rates * monomials
         # each species' drift summed over its reactions in reaction order
         stoich = net.kernel.stoich[:net.n_free]
         expected = np.zeros(net.n_free)
@@ -654,7 +659,8 @@ def test_a_round_compiles_its_drift_once(example_nfa, planned, monkeypatch):
 @given(data=st.data())
 def test_a_selection_weighs_its_entries_as_the_whole_batch_does(example_nfa, planned, data):
     # any columns of a batch of the nine networks, at any times: the selection's
-    # weights are the batch's weights of those columns' entries, to the bit
+    # fluxes are the batch's fluxes of those columns' reactions, and its drift
+    # the batch's drift of those columns, to the bit
     nets = _nine_networks(example_nfa, planned)
     keys = list(nets)
     picks = data.draw(st.lists(st.integers(0, len(keys) - 1), min_size=1, max_size=8))
@@ -669,10 +675,10 @@ def test_a_selection_weighs_its_entries_as_the_whole_batch_does(example_nfa, pla
     times = rng.uniform(0.0, 9 * planned.tau, (3, len(kernels)))
     rate = None if batch.rates is None else batch.rates(times)
     selected_rate = None if selection.rates is None else selection.rates(times[:, cols])
-    entries = np.isin(batch.column, cols)
+    reactions = np.isin(batch.reaction_column, cols)
     for i in range(len(times)):
         whole, part = (None if r is None else r[i] for r in (rate, selected_rate))
-        assert selection.weights(x[cols], part).tobytes() == batch.weights(x, whole)[entries].tobytes()
+        assert selection.fluxes(x[cols], part).tobytes() == batch.fluxes(x, whole)[reactions].tobytes()
         assert selection.drift(x[cols], part).tobytes() == \
             batch.drift(x, whole).reshape(len(kernels), rows)[cols].tobytes()
 
