@@ -8,13 +8,18 @@ times between levels, together with linear-drive bounds for the reset,
 compute, and copy phases, combine into an inequality system over
 (epsilon, eta, delta, tau, gamma, gamma*, k1..k4).  That system is written
 once, as a lazy walk over its inequalities in report order: the checker
-records every entry with its intermediates, and the planner screens each
-point of a fixed grid with the same walk, stopping at the point's first
-failing inequality, to find a feasible, comfortably slack point.
+records every entry with its intermediates, and the planner screens a fixed
+grid with the same walk to find a feasible, comfortably slack point.  The
+screen tests each part of feasibility once per block of the grid variables
+it reads (the leak guard per (tau, gamma*, k4, k1); the walk's majority
+entries, a sub-walk, per (tau, gamma*, k4, k2)), and a failure skips every
+candidate of the block; the candidates left run the full walk, which stops
+at their first failing inequality.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -256,23 +261,21 @@ class ParameterSet:
         return json.dumps(self.to_json_dict(), **kwargs)
 
 
-def _conc_cap(params: ParameterSet, p_policy: str) -> float:
+def _conc_cap(epsilon: float, p_policy: str) -> float:
     # conserved totals lie in [1-eps, 1+2eps]; either band edge can bind
     if p_policy == "upper":
-        return 1.0 + 2.0 * params.epsilon
+        return 1.0 + 2.0 * epsilon
     if p_policy == "lower":
-        return 1.0 - params.epsilon
+        return 1.0 - epsilon
     raise ValueError(f"unknown p policy {p_policy!r}")
 
 
-def _decay_declarations(params: ParameterSet, p: float) -> AmParams:
-    return AmParams(a=params.k4 - params.delta, b=params.k4 + params.delta,
-                    c=2 * params.epsilon * (params.k2 + params.delta), p=p)
+def _decay_declarations(epsilon: float, delta: float, k2: float, k4: float, p: float) -> AmParams:
+    return AmParams(a=k4 - delta, b=k4 + delta, c=2 * epsilon * (k2 + delta), p=p)
 
 
-def _growth_declarations(params: ParameterSet, p: float) -> AmParams:
-    return AmParams(a=params.k4 + params.delta, b=params.k4 - params.delta,
-                    c=2 * params.epsilon * (params.k2 + params.delta), p=p)
+def _growth_declarations(epsilon: float, delta: float, k2: float, k4: float, p: float) -> AmParams:
+    return AmParams(a=k4 + delta, b=k4 - delta, c=2 * epsilon * (k2 + delta), p=p)
 
 
 def _copy_pump_rate(params: ParameterSet, copy_rate: str) -> float:
@@ -395,7 +398,7 @@ def phase_bounds(params: ParameterSet, phase: str, *, z0: float | None = None,
     if phase == "compute-high":
         y0_val = y0 if y0 is not None else 1 - params.gamma_star
         alpha, beta = _compute_high_constants(params, y0_val)
-        decl = _decay_declarations(params, p_val)
+        decl = _decay_declarations(eps, dl, params.k2, params.k4, p_val)
         try:
             e2 = am_equilibria(decl, "decay").e2
             source_holds = y0_val >= e2
@@ -411,7 +414,7 @@ def phase_bounds(params: ParameterSet, phase: str, *, z0: float | None = None,
     if phase == "compute-low":
         y0_val = y0 if y0 is not None else params.gamma_star
         z0_val = z0 if z0 is not None else _reset_bound_value(params)
-        decl = _growth_declarations(params, p_val)
+        decl = _growth_declarations(eps, dl, params.k2, params.k4, p_val)
         try:
             e2 = am_equilibria(decl, "growth").e2
             source_holds = y0_val <= e2
@@ -445,7 +448,7 @@ def phase_bounds(params: ParameterSet, phase: str, *, z0: float | None = None,
         )
 
     if phase == "am-high":
-        decl = _decay_declarations(params, p_val)
+        decl = _decay_declarations(eps, dl, params.k2, params.k4, p_val)
         y1 = y0 if y0 is not None else 1 - params.gamma
         y2 = 1 - params.gamma_star
         eq = am_equilibria(decl, "decay")
@@ -457,7 +460,7 @@ def phase_bounds(params: ParameterSet, phase: str, *, z0: float | None = None,
             {"window": window, "phase-long-enough": travel <= tau},
         )
 
-    decl = _growth_declarations(params, p_val)
+    decl = _growth_declarations(eps, dl, params.k2, params.k4, p_val)
     y1 = y0 if y0 is not None else params.gamma
     y2 = params.gamma_star
     eq = am_equilibria(decl, "growth")
@@ -528,45 +531,16 @@ class ConstraintReport:
         }
 
 
-def _checks(params: ParameterSet, p_policy: str, copy_rate: str):
-    """The inequality system as one lazy walk, in report order.
+def _majority(eps: float, dl: float, tau: float, gamma: float, gstar: float,
+              k2: float, k4: float, p: float):
+    """The walk's majority entries: both discriminants, then each variant's restore window and travel.
 
-    Yields ``(name, slack, description, strict, details)`` per inequality and
-    receives that entry's verdict back.  An entry whose expression needs an
-    earlier one to hold (rates and epsilon in range, a discriminant, a basin
-    window, a positive copy pump or portal drain) is yielded as skipped, with
-    slack -inf, when that verdict was false.  A caller that stops at the first
-    failing entry evaluates nothing past it.
+    ``_checks`` reaches them only with the rates above delta and epsilon in
+    range; the planner drives them once per grid block sharing these arguments.
     """
-    eps, eta, dl, tau = params.epsilon, params.eta, params.delta, params.tau
-    gamma, gstar = params.gamma, params.gamma_star
-    p = _conc_cap(params, p_policy)
     skipped = float("-inf")
-
-    yield "epsilon-range", min(eps, 0.5 - eps), "0 < epsilon < 1/2", True, {}
-    yield "eta-range", min(eta, 0.5 - eta), "0 < eta < 1/2", True, {}
-    rates_ok = yield ("rates-exceed-delta", min(params.k1, params.k2, params.k3, params.k4) - dl,
-                      "every rate constant exceeds delta", True, {})
-    yield "gamma-range", 0.5 - gamma, "gamma < 1/2", True, {}
-    yield "base-case", gamma - eps, "gamma >= epsilon (initial levels within gamma)", False, {}
-    yield ("gamma-star-window", min(gstar - eps, gamma - gstar),
-           "epsilon < gamma* < gamma", True, {})
-    yield ("decision-high", (1 - gamma) - (HIGH_THRESHOLD + eta),
-           "1 - gamma >= 2/3 + eta (high readings clear the upper threshold)", False, {})
-    yield ("decision-low", (LOW_THRESHOLD - eta) - gamma,
-           "gamma <= 1/3 - eta (low readings stay under the lower threshold)", False, {})
-
-    if not rates_ok or not 0 < eps < 0.5:
-        for name in ("majority-discriminant-decay", "majority-discriminant-growth",
-                     "restore-high-window", "restore-high-travel",
-                     "restore-low-window", "restore-low-travel",
-                     "portal-fill-level", "copy-high-pump", "copy-high-threshold",
-                     "copy-low-drain", "copy-low-threshold"):
-            yield name, skipped, "skipped: rates or epsilon out of range", False, {}
-        return
-
-    decay_decl = _decay_declarations(params, p)
-    growth_decl = _growth_declarations(params, p)
+    decay_decl = _decay_declarations(eps, dl, k2, k4, p)
+    growth_decl = _growth_declarations(eps, dl, k2, k4, p)
     disc_decay = p * p * decay_decl.a ** 2 / (4 * (decay_decl.a + decay_decl.b)) - decay_decl.c
     disc_growth = p * p * growth_decl.b ** 2 / (4 * (growth_decl.a + growth_decl.b)) - growth_decl.c
     decay_ok = yield ("majority-discriminant-decay", disc_decay,
@@ -610,6 +584,46 @@ def _checks(params: ParameterSet, p_policy: str, copy_rate: str):
         yield "restore-low-window", skipped, "skipped: discriminant violated", False, {}
         yield "restore-low-travel", skipped, "skipped: discriminant violated", False, {}
 
+
+def _checks(params: ParameterSet, p_policy: str, copy_rate: str):
+    """The inequality system as one lazy walk, in report order.
+
+    Yields ``(name, slack, description, strict, details)`` per inequality and
+    receives that entry's verdict back.  An entry whose expression needs an
+    earlier one to hold (rates and epsilon in range, a discriminant, a basin
+    window, a positive copy pump or portal drain) is yielded as skipped, with
+    slack -inf, when that verdict was false.  A caller that stops at the first
+    failing entry evaluates nothing past it.
+    """
+    eps, eta, dl, tau = params.epsilon, params.eta, params.delta, params.tau
+    gamma, gstar = params.gamma, params.gamma_star
+    p = _conc_cap(eps, p_policy)
+    skipped = float("-inf")
+
+    yield "epsilon-range", min(eps, 0.5 - eps), "0 < epsilon < 1/2", True, {}
+    yield "eta-range", min(eta, 0.5 - eta), "0 < eta < 1/2", True, {}
+    rates_ok = yield ("rates-exceed-delta", min(params.k1, params.k2, params.k3, params.k4) - dl,
+                      "every rate constant exceeds delta", True, {})
+    yield "gamma-range", 0.5 - gamma, "gamma < 1/2", True, {}
+    yield "base-case", gamma - eps, "gamma >= epsilon (initial levels within gamma)", False, {}
+    yield ("gamma-star-window", min(gstar - eps, gamma - gstar),
+           "epsilon < gamma* < gamma", True, {})
+    yield ("decision-high", (1 - gamma) - (HIGH_THRESHOLD + eta),
+           "1 - gamma >= 2/3 + eta (high readings clear the upper threshold)", False, {})
+    yield ("decision-low", (LOW_THRESHOLD - eta) - gamma,
+           "gamma <= 1/3 - eta (low readings stay under the lower threshold)", False, {})
+
+    if not rates_ok or not 0 < eps < 0.5:
+        for name in ("majority-discriminant-decay", "majority-discriminant-growth",
+                     "restore-high-window", "restore-high-travel",
+                     "restore-low-window", "restore-low-travel",
+                     "portal-fill-level", "copy-high-pump", "copy-high-threshold",
+                     "copy-low-drain", "copy-low-threshold"):
+            yield name, skipped, "skipped: rates or epsilon out of range", False, {}
+        return
+
+    yield from _majority(eps, dl, tau, gamma, gstar, params.k2, params.k4, p)
+
     # high chain: compute fills the portal, then the copy phase must lift y past 1-gamma
     z0_hi = _compute_high_bound_value(params, 1 - gstar)
     yield ("portal-fill-level", z0_hi, "compute phase leaves the target portal filled",
@@ -639,9 +653,8 @@ def _checks(params: ParameterSet, p_policy: str, copy_rate: str):
         yield "copy-low-threshold", skipped, "skipped: portal drain not positive", False, {}
 
 
-def _verdicts(params: ParameterSet, p_policy: str, copy_rate: str):
-    """Drive the walk: each entry with its verdict, which is sent back to the walk."""
-    walk = _checks(params, p_policy, copy_rate)
+def _verdicts(walk):
+    """Drive a walk: each entry with its verdict, which is sent back to the walk."""
     entry = next(walk)
     while True:
         _, slack, _, strict, _ = entry
@@ -655,7 +668,7 @@ def _verdicts(params: ParameterSet, p_policy: str, copy_rate: str):
 
 def _holds(params: ParameterSet, p_policy: str) -> bool:
     """Whether the whole system holds, stopping at the first failing entry."""
-    return all(ok for _, ok in _verdicts(params, p_policy, "actual"))
+    return all(ok for _, ok in _verdicts(_checks(params, p_policy, "actual")))
 
 
 def check_constraints(params: ParameterSet, *, p_policy: str = "upper",
@@ -670,7 +683,7 @@ def check_constraints(params: ParameterSet, *, p_policy: str = "upper",
     """
     checks = [ConstraintCheck(name, bool(ok), float(slack), description,
                               {k: float(v) for k, v in details.items()})
-              for (name, slack, description, _, details), ok in _verdicts(params, p_policy, copy_rate)]
+              for (name, slack, description, _, details), ok in _verdicts(_checks(params, p_policy, copy_rate))]
     return ConstraintReport(params=params, checks=checks, p_policy=p_policy, copy_rate=copy_rate)
 
 
@@ -702,11 +715,10 @@ _K1_TAU = (5.0, 7.0, 10.0, 14.0, 19.0)
 _LEAK_GUARD_FRACTION = 0.5
 
 
-def _leak_ok(params: ParameterSet) -> bool:
+def _leak_ok(d: int, delta: float, gamma: float, gstar: float, k1: float, k4: float) -> bool:
     # trace-safety guard: while a low state feeds a compute phase, the portal
     # gain before the majority dynamics drain the source must stay small
-    leak = params.d * (params.k1 + params.delta) * params.gamma_star / (params.k4 - params.delta)
-    return leak <= _LEAK_GUARD_FRACTION * params.gamma
+    return d * (k1 + delta) * gstar / (k4 - delta) <= _LEAK_GUARD_FRACTION * gamma
 
 
 def _diagnosis(params: ParameterSet) -> tuple[float, str, str]:
@@ -718,7 +730,7 @@ def _diagnosis(params: ParameterSet) -> tuple[float, str, str]:
     """
     slacks = {}
     for policy in ("upper", "lower"):
-        verdicts = list(_verdicts(params, policy, "actual"))
+        verdicts = list(_verdicts(_checks(params, policy, "actual")))
         slacks[policy] = [(name, float(slack)) for (name, slack, *_), _ in verdicts]
         if not all(ok for _, ok in verdicts):
             return _min_slack(slacks[policy]), min(slacks[policy], key=lambda e: e[1])[0], policy
@@ -738,11 +750,19 @@ def plan_parameters(d: int, epsilon: float, eta: float, delta: float,
     are scanned over a fixed grid of dimensionless products (rates scale as
     1/tau, so tau defaults to 1 or to the given budget, which must be
     positive).  The first candidate in deterministic grid order that passes
-    the leak guard and the system at both band edges wins; the constraint
-    walk stops each candidate at its first failing inequality, and only the
+    the leak guard and the system at both band edges wins, and only the
     winner gets a full report.  Infeasible inputs, an empty grid included,
     produce a result naming the binding constraint instead of a guess, with
     the report of the candidate of largest minimum slack when there is one.
+
+    The screen tests each part of that conjunction in the outermost grid loop
+    whose variables it reads, and a failure skips the loops inside: the leak
+    guard per (tau, gamma*, k4, k1), the walk's majority entries
+    (``_majority``) at both band edges per (tau, gamma*, k4, k2), then the
+    full walk per remaining (k3, k1).  The majority entries run there even
+    for rates the walk's gate would stop, but a candidate that passes the
+    walk passes that gate and then meets the same entries; so only failing
+    candidates are skipped, and the first to pass is unchanged.
     """
     if not 0 < epsilon < 0.5:
         return PlanResult(False, None, None, f"epsilon={epsilon} outside (0, 1/2)", "epsilon-range")
@@ -778,32 +798,41 @@ def plan_parameters(d: int, epsilon: float, eta: float, delta: float,
             "rates-exceed-delta",
         )
 
-    def grid():
+    def columns():
+        """The grid in scan order, per (tau, gamma*, k4): its k2, k3 and k1 values, k1 innermost."""
         for tau, k4s in k4s_by_tau:
+            k3s, k1s = [k3t / tau for k3t in _K3_TAU], [k1t / tau for k1t in _K1_TAU]
             for gstar in gstars:
                 for k4 in k4s:
-                    for ratio in _K2_OVER_K4:
-                        for k3t in _K3_TAU:
-                            for k1t in _K1_TAU:
-                                yield ParameterSet(
-                                    epsilon=epsilon, eta=eta, delta=delta, tau=tau,
-                                    gamma=gamma, gamma_star=gstar,
-                                    k1=k1t / tau, k2=ratio * k4, k3=k3t / tau, k4=k4, d=d,
-                                )
+                    yield tau, gstar, k4, [ratio * k4 for ratio in _K2_OVER_K4], k3s, k1s
 
-    # feasibility is a conjunction of pure predicates: cheapest first
-    for params in grid():
-        if _leak_ok(params) and _holds(params, "upper") and _holds(params, "lower"):
-            return PlanResult(True, params, check_constraints(params, p_policy="upper"),
-                              "feasible parameter set found", None)
+    def candidate(tau, gstar, k4, k2, k3, k1):
+        return ParameterSet(epsilon=epsilon, eta=eta, delta=delta, tau=tau, gamma=gamma,
+                            gamma_star=gstar, k1=k1, k2=k2, k3=k3, k4=k4, d=d)
+
+    for tau, gstar, k4, k2s, k3s, k1s in columns():
+        k1s = [k1 for k1 in k1s if _leak_ok(d, delta, gamma, gstar, k1, k4)]
+        if not k1s:
+            continue
+        for k2 in k2s:
+            if not all(ok for policy in ("upper", "lower") for _, ok in _verdicts(
+                    _majority(epsilon, delta, tau, gamma, gstar, k2, k4, _conc_cap(epsilon, policy)))):
+                continue
+            for k3, k1 in itertools.product(k3s, k1s):
+                params = candidate(tau, gstar, k4, k2, k3, k1)
+                if _holds(params, "upper") and _holds(params, "lower"):
+                    return PlanResult(True, params, check_constraints(params, p_policy="upper"),
+                                      "feasible parameter set found", None)
 
     # every candidate fails: rank them by the slacks of full walks to name the
     # closest one's binding constraint, and report that one alone
     best: tuple[float, ParameterSet, str, str] | None = None
-    for params in grid():
-        min_slack, binding, policy = _diagnosis(params)
-        if best is None or min_slack > best[0]:
-            best = (min_slack, params, binding, policy)
+    for tau, gstar, k4, k2s, k3s, k1s in columns():
+        for k2, k3, k1 in itertools.product(k2s, k3s, k1s):
+            params = candidate(tau, gstar, k4, k2, k3, k1)
+            min_slack, binding, policy = _diagnosis(params)
+            if best is None or min_slack > best[0]:
+                best = (min_slack, params, binding, policy)
     _, params, binding, policy = best
     return PlanResult(
         False, None, check_constraints(params, p_policy=policy),

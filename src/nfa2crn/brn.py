@@ -231,9 +231,11 @@ class Reaction:
         return f"{side(self.reactants)} ->{{{label}}} {side(self.products)}"
 
     def to_json_dict(self) -> dict:
+        # [name, count] pairs keep the order the kernel multiplies factors and
+        # adds entries in, which an object written with sort_keys would lose
         out = {
-            "reactants": dict(sorted(self.reactants.items())),
-            "products": dict(sorted(self.products.items())),
+            "reactants": [[name, c] for name, c in self.reactants.items()],
+            "products": [[name, c] for name, c in self.products.items()],
         }
         if self.rate.is_constant:
             out["k"] = self.rate.nominal
@@ -311,7 +313,8 @@ class Brn:
                 rate = rate_law_from_json(r["rate"])
             else:
                 rate = ConstantRate(float(r["k"]))
-            reactions.append(Reaction(r["reactants"], r["products"], rate))
+            # older files hold each side as an object of counts
+            reactions.append(Reaction(dict(r["reactants"]), dict(r["products"]), rate))
         return cls(species, tuple(reactions))
 
     def dumps(self, **kwargs) -> str:

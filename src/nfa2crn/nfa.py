@@ -181,19 +181,26 @@ def parse_nfa_json(text: str) -> Nfa:
         raise NfaFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise NfaFormatError("top-level JSON value must be an object")
-    try:
-        transitions = frozenset(tuple(t) for t in data.get("transitions", []))
-        if any(len(t) != 3 for t in transitions):
-            raise NfaFormatError("each transition must be a [source, symbol, target] triple")
-        return Nfa(
-            states=tuple(data["states"]),
-            alphabet=tuple(data["alphabet"]),
-            transitions=transitions,
-            initial=frozenset(data.get("initial", [])),
-            accepting=frozenset(data.get("accepting", [])),
-        )
-    except KeyError as exc:
-        raise NfaFormatError(f"missing field {exc.args[0]!r}") from exc
+
+    def strings(value) -> bool:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+    for name in ("states", "alphabet"):
+        if name not in data:
+            raise NfaFormatError(f"missing field {name!r}")
+    for name in ("states", "alphabet", "initial", "accepting"):
+        if not strings(data.get(name, [])):
+            raise NfaFormatError(f"{name!r} must be a list of strings")
+    transitions = data.get("transitions", [])
+    if not isinstance(transitions, list) or not all(strings(t) and len(t) == 3 for t in transitions):
+        raise NfaFormatError("'transitions' must be a list of [source, symbol, target] string triples")
+    return Nfa(
+        states=tuple(data["states"]),
+        alphabet=tuple(data["alphabet"]),
+        transitions=frozenset(tuple(t) for t in transitions),
+        initial=frozenset(data.get("initial", [])),
+        accepting=frozenset(data.get("accepting", [])),
+    )
 
 
 def load_nfa(path) -> Nfa:

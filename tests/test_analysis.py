@@ -471,6 +471,9 @@ class TestPlanner:
         cases = [(d, 1e-5, 0.05, 1e-3) for d in range(14)]
         cases += [(d, 1e-4, 0.05, 1e-3) for d in range(14)]
         cases += [(5, 0.01, 0.05, 0.001)]
+        # the smallest k1 on the grid is at or below delta: candidates fail the
+        # rates gate, which must not skip the majority screen of their block
+        cases += [(0, 1e-5, 0.05, 5.0), (1, 1e-5, 0.05, 5.0), (1, 1e-5, 0.05, 5.5), (1, 1e-5, 0.05, 6.0)]
         for case in cases:
             assert plan_parameters(*case).to_json_dict() == _reference_plan(*case), case
         assert not plan_parameters(5, 0.01, 0.05, 0.001).feasible

@@ -23,6 +23,7 @@ from nfa2crn.brn import (
     reaction_rate,
     vector_field,
 )
+from nfa2crn.perturb import PerturbationProfile, perturb_rates
 from nfa2crn.translate import translate
 
 
@@ -253,10 +254,25 @@ def test_a_kernel_and_its_batches_are_freed_without_the_cycle_collector(example_
 
 
 def test_json_roundtrip(example_nfa):
-    out = translate(example_nfa, {"k1": 2.0, "k2": 3.0, "k3": 5.0, "k4": 7.0})
-    again = Brn.loads(out.brn.dumps())
-    assert again.species_names == out.brn.species_names
-    assert [r.to_json_dict() for r in again.reactions] == [r.to_json_dict() for r in out.brn.reactions]
+    nominal = translate(example_nfa, {"k1": 2.0, "k2": 3.0, "k3": 5.0, "k4": 7.0}).brn
+    kernel = MassActionKernel(nominal)
+    rng = np.random.default_rng(0)
+    for mode in ("none", "sinusoid", "piecewise"):
+        brn = perturb_rates(nominal, PerturbationProfile(delta=0.5, mode=mode, omega=2.0, seed=3), t_end=10.0)
+        again = Brn.loads(brn.dumps())
+        assert again.species_names == brn.species_names
+        assert [r.to_json_dict() for r in again.reactions] == [r.to_json_dict() for r in brn.reactions]
+        # a network read back multiplies each monomial and adds each entry in
+        # the same order, so its drift keeps every bit
+        drifts = [MassActionKernel(net).drift() for net in (brn, again)]
+        for t in rng.uniform(0.0, 10.0, 200):
+            x = kernel.buffer(rng.uniform(0.0, 1.5, kernel.n_species))
+            assert drifts[0](t, x).tobytes() == drifts[1](t, x).tobytes(), mode
+        # a file written with each side as an object of counts still reads
+        old = brn.to_json_dict()
+        for r in old["reactions"]:
+            r["reactants"], r["products"] = dict(r["reactants"]), dict(r["products"])
+        assert Brn.from_json_dict(old) == brn
 
 
 def test_pretty_notation():

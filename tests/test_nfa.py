@@ -66,6 +66,39 @@ def test_json_mirror_roundtrip(example_nfa):
     assert again == example_nfa
 
 
+_JSON_BASE = {"states": ["A", "B"], "alphabet": ["x"], "transitions": [["A", "x", "B"]],
+              "initial": ["A"], "accepting": ["B"]}
+
+
+@pytest.mark.parametrize("change", [
+    {"transitions": [1]},
+    {"transitions": [["A", ["x"], "A"]]},
+    {"transitions": [["A", "x"]]},
+    {"transitions": "AxB"},
+    {"states": "AB"},
+    {"alphabet": [0]},
+    {"initial": "A"},
+    {"accepting": None},
+])
+def test_json_malformed_rejected(change):
+    with pytest.raises(NfaFormatError):
+        parse_nfa_json(json.dumps({**_JSON_BASE, **change}))
+
+
+def test_json_missing_field_rejected():
+    with pytest.raises(NfaFormatError, match="missing field 'alphabet'"):
+        parse_nfa_json(json.dumps({"states": ["A"]}))
+
+
+def test_cli_reports_malformed_json_as_usage_error(tmp_path, capsys):
+    from nfa2crn.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_JSON_BASE, "transitions": [1]}))
+    assert main(["run", str(path), "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_extended_transition_examples(example_nfa):
     assert extended_transition(example_nfa, {"A"}, ()) == {"A"}
     assert extended_transition(example_nfa, {"A"}, ("1",)) == {"A", "B"}
