@@ -9,12 +9,8 @@ compute, and copy phases, combine into an inequality system over
 (epsilon, eta, delta, tau, gamma, gamma*, k1..k4).  That system is written
 once, as a lazy walk over its inequalities in report order: the checker
 records every entry with its intermediates, and the planner screens a fixed
-grid with the same walk to find a feasible, comfortably slack point.  The
-screen tests each part of feasibility once per block of the grid variables
-it reads (the leak guard per (tau, gamma*, k4, k1); the walk's majority
-entries, a sub-walk, per (tau, gamma*, k4, k2)), and a failure skips every
-candidate of the block; the candidates left run the full walk, which stops
-at their first failing inequality.
+grid with the same walk, testing each check once per block of the grid
+variables it reads, to find a feasible, comfortably slack point.
 """
 
 from __future__ import annotations
