@@ -137,7 +137,7 @@ def perturb_initial(x0: ConcState, epsilon: float, mode: str = "random",
 
 @dataclass(frozen=True)
 class ObservationScheme:
-    """Readout model: band width eta and how the adversary uses it."""
+    """Observation model: band width eta and how the adversary uses it."""
 
     eta: float = 0.0
     mode: str = "none"

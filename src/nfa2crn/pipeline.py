@@ -29,23 +29,14 @@ from .signals import InputSignal, SignalSpec, encode, validate
 from .simulate import (
     Decision,
     IntegratorFault,
-    Readout,
     SimConfig,
     Trace,
     check_phi,
-    conservation_deviation,
     decide,
     integrate,
     phi_slack,
 )
-from .translate import (
-    TranslationOutput,
-    dual_portal_species_name,
-    dual_state_species_name,
-    portal_species_name,
-    state_species_name,
-    translate,
-)
+from .translate import TranslationOutput, dual_state_species_name, state_species_name, translate
 
 __all__ = [
     "StageError",
@@ -112,7 +103,7 @@ class RunManifest:
 @dataclass
 class RunResult:
     manifest: RunManifest
-    trace: Trace | None  # the run's step table, kept only when returned or written
+    trace: Trace  # keeps the run's steps only when returned or written
     decision: Decision
     report: dict
 
@@ -145,7 +136,7 @@ def run_end_to_end(manifest: RunManifest) -> RunResult:
     certified to stay clear of the thresholds at every time past the
     decision horizon (see ``_verify``).  The result's trace
     keeps the run's steps, so it reads any time, and the report is read
-    from it.
+    from it: at a kept time the trace reads the solver's own state.
     """
     return _run_all([manifest], traces=True)[0]
 
@@ -199,10 +190,9 @@ def _run_all(manifests: Sequence[RunManifest], traces: bool = False) -> list[Run
     """Run manifests with two ``integrate`` calls at most, so that their word tries integrate together.
 
     Runs whose trace is returned (``traces``) or written (``out_dir``) keep
-    their steps and integrate together; their reports read their traces.
-    The others keep only what their reports check, a ``Readout`` of their
-    pairs (see ``_pairs``), so a corpus's memory grows with its runs'
-    checks, not with their steps.
+    their steps and integrate together.  The others keep only what their
+    reports check (see ``Trace``), so a corpus's memory grows with its
+    runs' checks, not with their steps.  Every report reads its run's trace.
     Networks, constraint reports and signal checks are made once per
     distinct input and shared.
     """
@@ -210,42 +200,32 @@ def _run_all(manifests: Sequence[RunManifest], traces: bool = False) -> list[Run
     setups = [_setup(m, shared) for m in manifests]
     keeps = [traces or bool(s.manifest.out_dir) for s in setups]
     with _stage("integrate"):
-        kept = iter(_integrate([s for s, keep in zip(setups, keeps) if keep]))
-        others = [s for s, keep in zip(setups, keeps) if not keep]
-        readouts = iter(_integrate(others, [_pairs(s.manifest.nfa) for s in others]))
+        kept = iter(_integrate([s for s, keep in zip(setups, keeps) if keep], steps=True))
+        others = iter(_integrate([s for s, keep in zip(setups, keeps) if not keep], steps=False))
     results = []
     for s, keep in zip(setups, keeps):
         constraints = _once(shared, s.manifest.params, lambda: check_constraints(s.manifest.params))
         # the encoder's signal is piecewise linear between the corners and thirds
         # that validate's grid always holds, so checking that grid alone is exact
         admissible = _once(shared, s.sig_spec, lambda: validate(s.signal, s.sig_spec, samples_per_phase=1).admissible)
-        trace = next(kept) if keep else None
-        readout = next(readouts) if trace is None else Readout.of(trace, _pairs(s.manifest.nfa), s.x0)
-        results.append(_verify(s, readout, trace, constraints, admissible))
+        results.append(_verify(s, next(kept if keep else others), constraints, admissible))
     return results
 
 
-def _integrate(setups: Sequence[_Setup], pairs: Sequence | None = None) -> list:
-    """``integrate`` the runs together: their traces, or their readouts given their pairs; none for no runs."""
+def _integrate(setups: Sequence[_Setup], steps: bool) -> list[Trace]:
+    """``integrate`` the runs together, keeping their ``steps`` or not; no traces for no runs."""
     if not setups:
         return []
     return integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups],
-                     [s.sim for s in setups], pairs)
+                     [s.sim for s in setups], steps)
 
 
-def _pairs(nfa: Nfa) -> list[tuple[str, str]]:
-    """The conserved pairs a report checks: each state and its dual, each portal and its dual."""
-    pairs = [(state_species_name(q), dual_state_species_name(q)) for q in nfa.states]
-    return pairs + [(portal_species_name(q), dual_portal_species_name(q)) for q in nfa.states]
-
-
-def _verify(setup: _Setup, readout: Readout, trace: Trace | None, constraints: ConstraintReport,
-            admissible: bool) -> RunResult:
-    """Decide, check and report one integrated run from its readout; write its trace too if asked."""
+def _verify(setup: _Setup, trace: Trace, constraints: ConstraintReport, admissible: bool) -> RunResult:
+    """Decide, check and report one integrated run from its trace; write the trace too if asked."""
     manifest, sig_spec, x0 = setup.manifest, setup.sig_spec, setup.x0
     params, nfa, word = manifest.params, manifest.nfa, manifest.word
     with _stage("decide"):
-        decision = decide(readout, nfa, sig_spec, manifest.scheme)
+        decision = decide(trace, nfa, sig_spec, manifest.scheme)
 
     target = extended_transition(nfa, nfa.initial, word)
     oracle_accepts = accepts(nfa, word)
@@ -253,8 +233,8 @@ def _verify(setup: _Setup, readout: Readout, trace: Trace | None, constraints: C
     verdicts_match = decision.verdicts == expected
 
     phi = [{"prefix": list(word[:k]), "t": 3 * k * params.tau,
-            "holds": bool(check_phi(readout, nfa, word[:k], params.gamma, params.tau)),
-            "slack": phi_slack(readout, nfa, word[:k], params.gamma, params.tau)}
+            "holds": bool(check_phi(trace, nfa, word[:k], params.gamma, params.tau)),
+            "slack": phi_slack(trace, nfa, word[:k], params.gamma, params.tau)}
            for k in range(len(word) + 1)]
     phi_all = all(entry["holds"] for entry in phi)
 
@@ -266,7 +246,7 @@ def _verify(setup: _Setup, readout: Readout, trace: Trace | None, constraints: C
     # over every later time, under every admissible rate adversary.
     t0 = sig_spec.decision_time
     k4, delta = params.k4, max(params.delta, manifest.profile.delta)
-    level = dict(zip(readout.names, readout.state_at(t0).tolist()))
+    level = dict(zip(trace.names, trace.state_at(t0).tolist()))
     sign_slack = {}
     high_margin = low_margin = math.inf
     for q in nfa.states:
@@ -281,7 +261,7 @@ def _verify(setup: _Setup, readout: Readout, trace: Trace | None, constraints: C
     certified = all(slack > 0 for slack in sign_slack.values())
     maintenance_ok = certified and high_margin > 0 and low_margin > 0
 
-    dev, totals = conservation_deviation(readout, x0, _pairs(nfa))
+    totals = {a: x0[a] + x0[b] for a, b in trace.deviation}
     totals_ok = all(1 - params.epsilon - 1e-12 <= c0 <= 1 + 2 * params.epsilon + 1e-12
                     for c0 in totals.values())
 
@@ -307,7 +287,7 @@ def _verify(setup: _Setup, readout: Readout, trace: Trace | None, constraints: C
             "ok": maintenance_ok,
         },
         "conservation": {
-            "max_deviation": dev,
+            "max_deviation": max([0.0, *trace.deviation.values()]),
             "totals": totals,
             "band_ok": totals_ok,
         },

@@ -8,9 +8,10 @@ controller, written for columns: it advances B independent problems in
 lockstep, each with its own time, step size and accept/reject decision.
 Every sum it forms (stage sums, the stoichiometry's accumulate, the error
 norm) has a fixed order, so a column's result is the same to the bit
-whatever B is and wherever the column sits in the batch.  Paired species (a
-value and its dual) have exactly opposite drifts at every state, so their
-sums are conserved to rounding by construction.
+whatever B is and wherever the column sits in the batch.  A network's
+conserved pairs are read from its stoichiometry: two species whose net
+effects are opposite in every reaction have exactly opposite drifts at every
+state, so their sum is conserved to rounding by construction.
 
 The solver restarts at every corner of the signal, so no step straddles a
 kink, and at most ``tau/3`` is taken at once.  Between two corners an encoded
@@ -28,24 +29,24 @@ padded with zeros to the widest column's, and its error norm runs over its
 own species, so its arithmetic is the one it has alone.  Blocks are shared
 only within one network.
 
-The stepper hands each iteration's accepted steps to a consumer as it makes
-them, and each ``integrate`` call chooses what its runs keep.  A run keeps
-its steps, or, given the conserved pairs to check, a ``Readout``.  Its steps
-make its dense output, a table of its solver steps (``DenseTable``), which
-reads any set of times with one search and one vectorised quartic per symbol
-block, and its ``Trace`` reads any time.  A ``Readout`` holds the states
-where the solver stops anyway: the start, the end of each symbol block and
-the end of the run, as the solver left them.  It also holds each pair's
-largest drift over its steps' start states and its end state, folded in
-batches soon after the steps are accepted, so no run holds its steps or a
-sample grid; ``Readout.of`` reads the same bits from a trace's step table.
+Every run gives one ``Trace``.  It holds the states where the solver stops
+anyway: the start, the end of each symbol block and the end of the run, as
+the solver left them.  It also holds each conserved pair's largest drift over
+the run's step start states and its end state, and what the run cost.  The
+stepper hands each iteration's accepted steps to a consumer as it makes
+them, and each ``integrate`` call chooses whether its runs keep their steps.
+A run that keeps them gets a table of its solver steps (``DenseTable``), and
+its trace reads any time: one search and one vectorised quartic per symbol
+block.  A run that does not keep them has its pair drift folded in batches
+soon after its steps are accepted, so it holds neither its steps nor a
+sample grid.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from typing import Callable, Sequence
@@ -53,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import HIGH_THRESHOLD, LOW_THRESHOLD
-from .brn import Brn, ColumnDrift, ConcState, MassActionKernel
+from .brn import Brn, ColumnDrift, MassActionKernel
 from .nfa import Nfa, extended_transition
 from .perturb import ObservationScheme, observe
 from .signals import InputSignal, SignalSpec
@@ -65,7 +66,6 @@ __all__ = [
     "SolverStats",
     "DenseTable",
     "Solution",
-    "Readout",
     "Decision",
     "IntegratorFault",
     "solve_ivp",
@@ -73,7 +73,6 @@ __all__ = [
     "decide",
     "check_phi",
     "phi_slack",
-    "conservation_deviation",
 ]
 
 # a trace's sample grid: t_end split into this many equal intervals
@@ -421,7 +420,9 @@ class _CompiledNetwork:
     The kernel's buffer holds the free species, then the inputs, then the
     1.0 pad, and its drift covers the free species.  The layout holds no
     signal, so every run on the network shares it; a ``_Piece`` is the
-    drift of many columns, of any networks, between two corners.
+    drift of many columns, of any networks, between two corners.  ``pairs``
+    are its conserved pairs: the positions i < j of two free species whose
+    net effects are exact negatives in every reaction, and not all zero.
     """
 
     def __init__(self, brn: Brn):
@@ -434,6 +435,10 @@ class _CompiledNetwork:
         self.n_species = len(names)
         self.n_free = len(self.free_idx)
         self.kernel = MassActionKernel(brn, self.free_names + self.driven_names, rows=self.n_free)
+        rows = self.kernel.stoich[:self.n_free]
+        opposite, rows = (-rows).tolist(), rows.tolist()
+        self.pairs = [(i, j) for i, row in enumerate(opposite) if any(row)
+                      for j in range(i + 1, self.n_free) if rows[j] == row]
 
     def states(self, signal, t: np.ndarray, free_vals: np.ndarray) -> np.ndarray:
         """Full states at the times t, one row per time: free species given, inputs from the signal."""
@@ -519,21 +524,33 @@ class SolverStats:
 
 @dataclass
 class Trace:
-    """Integrated concentrations with a dense evaluator.
+    """One integrated run: its kept states, its conserved pairs' drift and its cost, and its steps if kept.
 
-    ``values`` holds the sampled grid (rows: times, columns: species).
-    ``_dense`` maps a 1-D array of times inside ``[0, t_end]`` to the states
-    there, one row per time (the solver's ``DenseTable`` for ``integrate``);
-    ``value``/``state_at`` read through it with one call per request.
-    ``stats`` is the adaptive solver's cost (None for other traces).
+    ``points`` maps the run's start, the end of each of its symbol blocks
+    and its end to the full state there: the solver's own start and segment
+    end states, clamped at zero, inputs filled in from the signal.
+    ``deviation`` maps each conserved pair (a, b) of the network to the
+    largest ``|a + b - c0|`` over the start state of every step and the end
+    state, c0 being the pair's initial total.  ``stats`` is the adaptive
+    solver's cost (None for other traces).
+
+    A run that keeps its steps also has ``_dense``, which maps a 1-D array
+    of times inside ``[0, t_end]`` to the states there, one row per time
+    (the solver's ``DenseTable`` for ``integrate``), and ``values``, its
+    states on the sample grid ``times`` (rows: times, columns: species);
+    for other runs the three are None.  ``state_at`` reads a kept time from
+    ``points`` and any other time through ``_dense``, as ``value`` reads
+    every time, with one call per request.
     """
 
     names: tuple[str, ...]
-    times: np.ndarray
-    values: np.ndarray
+    times: np.ndarray | None
+    values: np.ndarray | None
     t_end: float
-    _dense: Callable[[np.ndarray], np.ndarray]
+    _dense: Callable[[np.ndarray], np.ndarray] | None
     stats: SolverStats | None = None
+    points: dict[float, np.ndarray] = field(default_factory=dict)
+    deviation: dict[tuple[str, str], float] = field(default_factory=dict)
 
     def __post_init__(self):
         self._index = {nm: i for i, nm in enumerate(self.names)}
@@ -542,10 +559,13 @@ class Trace:
         return self.values[:, self._index[name]]
 
     def _states(self, t) -> np.ndarray:
+        if self._dense is None:
+            raise ValueError(f"t={t} is not a kept time")
         return self._dense(_in_range(np.atleast_1d(np.asarray(t, dtype=float)), self.t_end))
 
     def state_at(self, t: float) -> np.ndarray:
-        return self._states(t)[0]
+        state = self.points.get(float(t))
+        return self._states(t)[0] if state is None else state
 
     def value(self, name: str, t) -> float | np.ndarray:
         col = self._states(t)[:, self._index[name]]
@@ -575,7 +595,11 @@ def _in_range(t: np.ndarray, t_end: float) -> np.ndarray:
 
 
 def trace_from_csv(fileobj) -> Trace:
-    """Reload a trace CSV; values interpolate linearly between sampled rows."""
+    """Reload a trace CSV; values interpolate linearly between sampled rows.
+
+    Raises ValueError, naming the first bad data row (1 is the first after
+    the header), for a non-finite cell or a ``t`` not above the row before.
+    """
     reader = csv.reader(fileobj)
     header = next(reader)
     if not header or header[0] != "t":
@@ -585,6 +609,13 @@ def trace_from_csv(fileobj) -> Trace:
     if data.size == 0:
         raise ValueError("trace CSV has no rows")
     times, values = data[:, 0], data[:, 1:]
+    bad = ~np.isfinite(data).all(axis=1)
+    bad[1:] |= ~(np.diff(times) > 0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"trace CSV row {row + 1}: "
+                         + ("a non-finite cell" if not np.isfinite(data[row]).all() else
+                            f"t={times[row]!r} does not increase past the row before"))
     # np.interp holds the first and the last row outside the sampled times
     return Trace(names=tuple(header[1:]), times=times, values=values, t_end=float(times[-1]),
                  _dense=lambda t: np.maximum(np.column_stack([np.interp(t, times, v) for v in values.T]), 0.0))
@@ -611,16 +642,14 @@ class DenseTable:
     twice and runs share the blocks they have in common; each segment a set
     of times touches takes one vectorised quartic.  Calling the table gives
     full states: integrated species clamped at zero, inputs filled in by
-    ``fill(t, free_values)``.  ``free_names`` names the integrated species,
-    and ``end`` holds them at the run's end, as the solver left them.
+    ``fill(t, free_values)``.
     """
 
-    def __init__(self, segments: Sequence[_Steps], fill, free_names: Sequence[str] = (), end: np.ndarray | None = None):
+    def __init__(self, segments: Sequence[_Steps], fill):
         self.ts = np.concatenate([[0.0], *(ends for ends, _, _ in segments)])
         self._segments = segments
         self._first_step = np.cumsum([0, *(len(ends) for ends, _, _ in segments)])
         self._fill = fill
-        self.free_names, self.end = list(free_names), end
 
     def free(self, t: np.ndarray) -> np.ndarray:
         """The integrated species at the times t, one row per time, as the solver left them."""
@@ -640,38 +669,30 @@ class DenseTable:
     def __call__(self, t: np.ndarray) -> np.ndarray:
         return self._fill(t, np.maximum(self.free(t), 0.0))
 
-    def kept(self) -> tuple[np.ndarray, np.ndarray]:
-        """The run's start and each segment's end, and the full states there: each segment's first
-        start state, then ``end``, clamped at zero, inputs filled in."""
-        times = self.ts[self._first_step]
-        free = np.vstack([*(y[0] for _, y, _ in self._segments), self.end])
-        return times, self._fill(times, np.maximum(free, 0.0))
-
-    def deviation(self, a: str, b: str, c0: float) -> float:
-        """The largest ``|a + b - c0|`` over every step's start state and the end state, as the solver left them."""
-        i, j = self.free_names.index(a), self.free_names.index(b)
-        return max(float(np.max(np.abs(y[:, i] + y[:, j] - c0))) for y in (*(y for _, y, _ in self._segments),
-                                                                            self.end[None]))
-
 
 @dataclass
 class _Column:
-    """One column of a segment batch: its network, signal, start state and piece boundaries."""
+    """One column of a segment batch: its network, signal, start state and piece boundaries, and
+    the free initial state of its runs, whose pair totals its drift is measured from."""
 
     net: _CompiledNetwork
     signal: object
     y0: np.ndarray
     bounds: np.ndarray  # the segment's start, the signal's corners inside it, its end
+    initial: np.ndarray
 
 
 def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, max_step: float,
-                        readings: _Readings | None = None) -> list[tuple[_Steps | None, np.ndarray, SolverStats]]:
+                        steps: bool) -> list[tuple[_Steps | None, np.ndarray, SolverStats, np.ndarray]]:
     """Integrate each column over its own pieces; round r takes every column's r-th piece in one call.
 
     The columns' drift is compiled once, and each round selects its columns
-    from it.  Each call's steps go to ``readings`` when given, else to a
-    fresh ``_StepLog``.  Returns, per column, its packed steps (None when
-    ``readings`` read them), its end state and what they cost.
+    from it.  Each call's steps go to a ``_Readings``, which folds them into
+    the columns' pair maxima, or, when the columns keep their ``steps``, to a
+    fresh ``_StepLog``, and the ``_Readings`` folds each column's packed
+    start states once.  Returns, per column, its packed steps (None unless
+    kept), its end state, what they cost and its pairs' maxima (in the order
+    of ``net.pairs``).
     """
     encoded = all(isinstance(col.signal, InputSignal) for col in columns)
     held = max(len(col.net.driven_names) for col in columns)
@@ -686,6 +707,7 @@ def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, ma
     for c, col in enumerate(columns):
         y[c, :col.net.n_free] = col.y0
     compiled = ColumnDrift.compile([col.net.kernel for col in columns], rows, held)
+    readings = _Readings(columns)
     pieces: list[list[_Steps]] = [[] for _ in columns]
     stats = [SolverStats() for _ in columns]
     for r in range(max(len(col.bounds) for col in columns) - 1):
@@ -699,24 +721,26 @@ def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, ma
         else:
             (c,) = live
             piece = _Piece(drift, a, signal=(columns[c].signal, columns[c].net.driven_names))
-        if readings is not None:
-            readings.live = live
+        readings.live = live
         widths = [columns[c].net.n_free for c in live]
-        consumer = _StepLog() if readings is None else readings
+        consumer = _StepLog() if steps else readings
         sol = solve_ivp(piece, a, b, y[live], rtol=rtol, atol=atol, max_step=max_step,
                         widths=widths, consumer=consumer)
-        if readings is None:
-            for c, steps in zip(live, consumer.steps(sol.ends, widths)):
-                pieces[c].append(steps)
+        if steps:
+            for c, logged in zip(live, consumer.steps(sol.ends, widths)):
+                pieces[c].append(logged)
         for i, c in enumerate(live):
             y[c, :len(sol.y_end[i])] = sol.y_end[i]
             accepted, rejected = len(sol.ends[i]), int(sol.rejected[i])
             stats[c] += SolverStats(1, 2 + 6 * (accepted + rejected), accepted, rejected,
                                     float(np.diff(sol.ends[i], prepend=a[i]).min()))
-    if readings is not None:
-        readings.close(y)
-    return [(_packed(p) if p else None, y[c, :col.net.n_free], stats[c])
-            for c, (col, p) in enumerate(zip(columns, pieces))]
+    packed = [_packed(p) if p else None for p in pieces]
+    if steps:
+        for c, (_, starts, _) in enumerate(packed):
+            readings.deviate(starts, np.full(len(starts), c))
+    readings.close(y)
+    return [(segment, y[c, :col.net.n_free], stats[c], readings.deviation[c, :len(col.net.pairs)])
+            for c, (col, segment) in enumerate(zip(columns, packed))]
 
 
 def _bounds(corners: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -724,69 +748,28 @@ def _bounds(corners: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.concatenate([[a], corners[(corners > a) & (corners < b)], [b]])
 
 
-@dataclass
-class Readout:
-    """What a run keeps in place of a ``Trace``: its states where the solver stopped, and its pairs' drift.
-
-    ``points`` maps the run's start, the end of each of its symbol blocks
-    and its end to the full state there: the solver's start state and its
-    segments' end states, clamped at zero, inputs filled in from the
-    signal.  ``state_at(t)`` reads one of them and raises ValueError at
-    any other time.  ``deviation`` maps each checked pair (a, b) to the
-    largest ``|a + b - c0|`` over the start state of every step and the end
-    state, c0 being the pair's initial total.
-    """
-
-    names: tuple[str, ...]
-    points: dict[float, np.ndarray]
-    deviation: dict[tuple[str, str], float]
-    stats: SolverStats
-
-    def __post_init__(self):
-        self._index = {nm: i for i, nm in enumerate(self.names)}
-
-    @classmethod
-    def of(cls, trace: Trace, pairs: Sequence[tuple[str, str]], x0: ConcState) -> "Readout":
-        """A trace's readout, read from its step table to the same bits (a trace read from CSV: from its rows)."""
-        table = trace._dense
-        if isinstance(table, DenseTable):
-            (times, states), read = table.kept(), table.deviation
-        else:
-            times, states = trace.times, trace.values
-            read = lambda a, b, c0: float(np.max(np.abs(trace.column(a) + trace.column(b) - c0)))
-        return cls(names=trace.names, points=dict(zip(times.tolist(), states)),
-                   deviation={(a, b): read(a, b, x0[a] + x0[b]) for a, b in pairs}, stats=trace.stats)
-
-    def state_at(self, t: float) -> np.ndarray:
-        try:
-            return self.points[float(t)]
-        except KeyError:
-            raise ValueError(f"t={t} is not a kept time") from None
-
-
 class _Readings:
-    """A ``solve_ivp`` consumer: the checked pairs' largest drift in each segment of one batch.
+    """A ``solve_ivp`` consumer: the conserved pairs' largest drift in each segment of one batch.
 
-    Column c is a segment of the runs that share ``plans[c]``'s network,
-    initial state and pairs, so ``deviation[c]``, each pair's largest
-    ``|a + b - c0|`` over its steps' start states and its end state, holds
-    for every run that takes it.  The start states of the accepted steps
-    wait, across the batch's pieces, until they hold ``_PENDING_STEPS`` rows
-    or the batch ends (``close``), and are then read together, so an
-    iteration adds no array operation.  Every call of a batch pads its rows
-    to one width, and ``live`` maps the current call's columns to segments.
+    Column c is a segment of the runs that share its network and free
+    initial state, so ``deviation[c]``, each pair's largest ``|a + b - c0|``
+    over its steps' start states and its end state, holds for every run
+    that takes it.  The start states of the accepted steps wait, across the
+    batch's pieces, until they hold ``_PENDING_STEPS`` rows or the batch
+    ends (``close``), and are then read together, so an iteration adds no
+    array operation.  Every call of a batch pads its rows to one width, and
+    ``live`` maps the current call's columns to segments.
     """
 
-    def __init__(self, plans: Sequence["_Plan"]):
-        n_pairs = max([1, *(len(plan.pairs) for plan in plans)])
+    def __init__(self, columns: Sequence[_Column]):
+        slots = max([1, *(len(col.net.pairs) for col in columns)])
         # each pair's species in its column's row and its initial total; padding reads species 0, never read back
-        self.pairs = np.zeros((2, len(plans), n_pairs), dtype=int)
-        self.c0 = np.zeros((len(plans), n_pairs))
-        for c, plan in enumerate(plans):
-            place = {nm: j for j, nm in enumerate(plan.net.free_names)}
-            for m, (a, b) in enumerate(plan.pairs):
-                self.pairs[:, c, m] = place[a], place[b]
-                self.c0[c, m] = plan.y0[place[a]] + plan.y0[place[b]]
+        self.pairs = np.zeros((2, len(columns), slots), dtype=int)
+        self.c0 = np.zeros((len(columns), slots))
+        for c, col in enumerate(columns):
+            for m, (i, j) in enumerate(col.net.pairs):
+                self.pairs[:, c, m] = i, j
+                self.c0[c, m] = col.initial[i] + col.initial[j]
         self.deviation = np.full(self.c0.shape, -math.inf)
         self.live: list[int] = []
         self.starts, self.rows, self.owner, self.held = [], [], [], 0
@@ -803,10 +786,10 @@ class _Readings:
         """Fold the start states held into their segments' pair maxima."""
         if self.starts:
             y = self.starts[0] if len(self.starts) == 1 else np.concatenate(self.starts)
-            self._deviate(y[self.rows], np.array(self.owner))
+            self.deviate(y[self.rows], np.array(self.owner))
             self.starts, self.rows, self.owner, self.held = [], [], [], 0
 
-    def _deviate(self, y: np.ndarray, owner: np.ndarray) -> None:
+    def deviate(self, y: np.ndarray, owner: np.ndarray) -> None:
         """Fold the pair deviations of some states (one row each: integrated species, padded) into their segments'."""
         a, b = self.pairs[:, owner]
         row = np.arange(len(owner))[:, None]
@@ -815,21 +798,22 @@ class _Readings:
     def close(self, y_end: np.ndarray) -> None:
         """Fold in what is still held and each segment's end state (one row each, padded)."""
         self.flush()
-        self._deviate(y_end, np.arange(len(y_end)))
+        self.deviate(y_end, np.arange(len(y_end)))
 
 
-def integrate(brn, x0, signal, config, pairs=None):
+def integrate(brn, x0, signal, config, steps=True):
     """Integrate the driven system from x0 over [0, t_end], for one run or many.
 
     Given a network, an initial state, a signal and a ``SimConfig``, returns
-    the run's ``Trace``, which keeps its steps.  Given four equally long
-    lists instead (one entry per run), integrates the runs together and
-    returns their traces in order; each is the one its run gives alone, to
-    the bit.  Given ``pairs`` too, the conserved pairs to check (names of
-    integrated species; a list of them for many runs), returns ``Readout``s
-    instead of traces: a run keeps only its states at its start, at the end
-    of each of its symbol blocks and at its end, and its pairs' maxima,
-    folded as its steps are accepted; none keeps its steps.
+    the run's ``Trace``.  Given four equally long lists instead (one entry
+    per run), integrates the runs together and returns their traces in
+    order; each is the one its run gives alone, to the bit.  Every trace
+    holds the run's states at its start, at the end of each of its symbol
+    blocks and at its end, its network's conserved pairs' maxima and its
+    cost.  With ``steps`` (the default) each run also keeps its steps, so
+    its trace reads any time and samples ``SAMPLE_INTERVALS + 1`` evenly
+    spaced times; without, no run keeps its steps and the pair maxima are
+    folded as the steps are accepted.
 
     Species of input kind are clamped to the signal at all times (their
     entries in x0 are ignored); everything else follows the mass-action
@@ -839,27 +823,24 @@ def integrate(brn, x0, signal, config, pairs=None):
     a spec.  A run's trajectory is a chain of segments: the symbol blocks of
     its word that end by ``t_end``, then the tail.  Runs with the same
     tolerances and ``tau`` integrate together whatever their networks: runs
-    on one network share every block whose word prefix, free initial state
-    and pairs they share, each level of their word tries is one batch of
-    distinct blocks, and their distinct tails are one batch.  The
-    trace samples ``SAMPLE_INTERVALS + 1`` evenly spaced times.  Raises
+    on one network share every block whose word prefix and free initial
+    state they share, each level of their word tries is one batch of
+    distinct blocks, and their distinct tails are one batch.  Raises
     IntegratorFault as ``solve_ivp`` does; negative excursions within ten
     times the absolute tolerance are clamped to zero in the outputs.
     """
     if isinstance(config, SimConfig):
-        return _integrate_runs([(brn, x0, signal, config)], None if pairs is None else [pairs])[0]
-    return _integrate_runs(list(zip(brn, x0, signal, config, strict=True)),
-                           None if pairs is None else list(pairs))
+        return _integrate_runs([(brn, x0, signal, config)], steps)[0]
+    return _integrate_runs(list(zip(brn, x0, signal, config, strict=True)), steps)
 
 
 @dataclass
 class _Plan:
     """How one run's trajectory splits into segments: its symbol blocks, then its tail.
 
-    A block's key is the run's origin (its batch, free initial state and
-    checked pairs) and the word prefix up to it; the tail's key adds what
-    else the tail depends on.  Runs share every segment whose key they
-    share.
+    A block's key is the run's origin (its network, batch and free initial
+    state) and the word prefix up to it; the tail's key adds what else the
+    tail depends on.  Runs share every segment whose key they share.
     """
 
     net: _CompiledNetwork
@@ -871,7 +852,6 @@ class _Plan:
     tail: tuple | None  # the tail's key; None when the last block ends at t_end
     tau: float | None
     t_end: float
-    pairs: tuple | None  # the conserved pairs it checks; None when it keeps its steps
 
     def segments(self) -> list[tuple]:
         """Each segment's key, its parent's key (None for the first), start and end."""
@@ -886,7 +866,7 @@ class _Plan:
         return out
 
 
-def _integrate_runs(runs, pairs=None) -> list:
+def _integrate_runs(runs, steps: bool) -> list[Trace]:
     nets: list[tuple[Brn, _CompiledNetwork]] = []  # one layout per distinct network
     plans: list[_Plan] = []
     batches: dict[tuple, list[int]] = {}  # tolerances and tau -> runs, of any networks
@@ -903,18 +883,17 @@ def _integrate_runs(runs, pairs=None) -> list:
         y0 = np.asarray(x0.values, dtype=float)[net.free_idx]
         # another kind of signal runs in a batch of its own
         batch = (config.rel_tol, config.abs_tol, tau, None if spec is not None else r)
-        run_pairs = None if pairs is None else tuple(map(tuple, pairs[r]))
-        # blocks are shared only within one network, and a segment's pair maxima only by runs that check them
-        origin = (g, batch, y0.tobytes(), run_pairs)
+        # blocks are shared only within one network, and from one initial state (their pair maxima start from it)
+        origin = (g, batch, y0.tobytes())
         # a tail depends on the rest of the word too
         tail = (origin, blocks, spec.word if spec is not None else None, config.t_end) \
             if 3 * len(blocks) * (tau or 0.0) < config.t_end else None
         plans.append(_Plan(net, signal, np.asarray(signal.critical_times(), dtype=float), origin,
-                           y0, blocks, tail, tau, config.t_end, run_pairs))
+                           y0, blocks, tail, tau, config.t_end))
         batches.setdefault(batch, []).append(r)
 
-    segments: dict[tuple, tuple[_Steps | None, np.ndarray, SolverStats]] = {}
-    deviation: dict[tuple, np.ndarray] = {}  # a segment's pair maxima (padded), when its runs keep no steps
+    # a segment's packed steps (None unless kept), end state, cost and pair maxima
+    segments: dict[tuple, tuple[_Steps | None, np.ndarray, SolverStats, np.ndarray]] = {}
     for (rtol, atol, tau, _), members in batches.items():
         # the word trie level by level: the distinct blocks of level k, each
         # from its parent's end state; then the distinct tails.  A batch maps
@@ -927,33 +906,25 @@ def _integrate_runs(runs, pairs=None) -> list:
         for batch in levels:
             if batch:
                 columns = [_Column(plan.net, plan.signal, segments[parent][1] if parent else plan.y0,
-                                   _bounds(plan.corners, a, b))
+                                   _bounds(plan.corners, a, b), plan.y0)
                            for plan, parent, a, b in batch.values()]
-                readings = None if pairs is None else _Readings([plan for plan, *_ in batch.values()])
                 segments.update(zip(batch, _integrate_segments(
-                    columns, rtol, atol, tau / 3.0 if tau else np.inf, readings)))
-                if readings is not None:
-                    deviation.update(zip(batch, readings.deviation))
+                    columns, rtol, atol, tau / 3.0 if tau else np.inf, steps)))
 
     out = []
     for (brn, _, _, config), plan in zip(runs, plans):
         run_segments = plan.segments()
-        keys = [key for key, *_ in run_segments]
-        cost = sum((segments[key][2] for key in keys), SolverStats())
-        if pairs is not None:
-            # the start and each segment's end, as the solver left them
-            times = np.array([0.0, *(b for *_, b in run_segments)])
-            free = np.vstack([plan.y0, *(segments[key][1] for key in keys)])
-            states = plan.net.states(plan.signal, times, np.maximum(free, 0.0))
-            worst = np.max([deviation[key][:len(plan.pairs)] for key in keys], axis=0)
-            out.append(Readout(names=brn.species_names, points=dict(zip(times.tolist(), states)),
-                               deviation=dict(zip(plan.pairs, worst.tolist())), stats=cost))
-            continue
-        dense = DenseTable([segments[key][0] for key in keys], partial(plan.net.states, plan.signal),
-                           plan.net.free_names, segments[keys[-1]][1])
-        t_grid = np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1)
-        out.append(Trace(names=brn.species_names, times=t_grid, values=dense(t_grid),
-                         t_end=config.t_end, _dense=dense, stats=cost))
+        packed, ends, costs, maxima = zip(*(segments[key] for key, *_ in run_segments))
+        fill = partial(plan.net.states, plan.signal)
+        # the start and each segment's end, as the solver left them
+        times = np.array([0.0, *(b for *_, b in run_segments)])
+        points = dict(zip(times.tolist(), fill(times, np.maximum(np.vstack([plan.y0, *ends]), 0.0))))
+        names = plan.net.free_names
+        deviation = {(names[i], names[j]): v for (i, j), v in zip(plan.net.pairs, np.max(maxima, axis=0).tolist())}
+        dense = DenseTable(packed, fill) if steps else None
+        t_grid = np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1) if steps else None
+        out.append(Trace(brn.species_names, t_grid, None if dense is None else dense(t_grid), config.t_end, dense,
+                         sum(costs, SolverStats()), points, deviation))
     return out
 
 
@@ -984,7 +955,7 @@ class Decision:
         }
 
 
-def decide(trace: Trace | Readout, nfa: Nfa, spec: SignalSpec, scheme: ObservationScheme,
+def decide(trace: Trace, nfa: Nfa, spec: SignalSpec, scheme: ObservationScheme,
            t: float | None = None) -> Decision:
     """Read the state species at time t (default: the decision horizon).
 
@@ -1018,13 +989,13 @@ def decide(trace: Trace | Readout, nfa: Nfa, spec: SignalSpec, scheme: Observati
     return Decision(verdicts=verdicts, observed=observed, t_dec=t_dec, accept=accept)
 
 
-def check_phi(trace: Trace | Readout, nfa: Nfa, prefix: Sequence[str], gamma: float,
+def check_phi(trace: Trace, nfa: Nfa, prefix: Sequence[str], gamma: float,
               tau: float) -> bool:
     """Block-boundary levels: reached states at or above 1-gamma, others at or below gamma."""
     return phi_slack(trace, nfa, prefix, gamma, tau) >= 0
 
 
-def phi_slack(trace: Trace | Readout, nfa: Nfa, prefix: Sequence[str], gamma: float, tau: float) -> float:
+def phi_slack(trace: Trace, nfa: Nfa, prefix: Sequence[str], gamma: float, tau: float) -> float:
     """How far the block-boundary levels clear ``check_phi``'s bounds: the least of ``y - (1 - gamma)``
     over the reached states and ``gamma - y`` over the others (negative where one fails)."""
     if not 0 < gamma < 0.5:
@@ -1034,19 +1005,7 @@ def phi_slack(trace: Trace | Readout, nfa: Nfa, prefix: Sequence[str], gamma: fl
                for q, y in zip(nfa.states, _levels(trace, nfa, 3 * len(prefix) * tau)))
 
 
-def _levels(trace: Trace | Readout, nfa: Nfa, t: float) -> np.ndarray:
+def _levels(trace: Trace, nfa: Nfa, t: float) -> np.ndarray:
     """Raw state-species levels at time t, in the automaton's state order, from one evaluation."""
     return trace.state_at(t)[[trace._index[state_species_name(q)] for q in nfa.states]]
 
-
-def conservation_deviation(trace: Trace | Readout, x0: ConcState, pairs: Sequence[tuple[str, str]]):
-    """Max deviation of paired sums from their initial totals, over every step's start state and the end state.
-
-    Returns (max deviation, dict of initial totals keyed by the pair's first
-    name).  A ``Readout`` gives the maxima it kept for its pairs; a trace is
-    read as ``Readout.of`` reads it.
-    """
-    if isinstance(trace, Trace):
-        trace = Readout.of(trace, pairs, x0)
-    totals = {a: x0[a] + x0[b] for a, b in pairs}
-    return max([0.0, *(trace.deviation[pair] for pair in pairs)]), totals

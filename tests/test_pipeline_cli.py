@@ -223,6 +223,18 @@ def test_a_returned_trace_reads_any_time_as_integrate_does(example_nfa, planned)
         assert result.trace.value(name, float(t[2])) == alone.value(name, float(t[2]))
 
 
+def test_the_returned_trace_reads_the_report_to_the_bit(example_nfa, planned):
+    # at the block ends and at t_dec a trace reads the solver's own state, as the report does
+    for word in all_words(example_nfa.alphabet, 3):
+        m = _manifest(example_nfa, word, planned)
+        result = run_end_to_end(m)
+        spec = SignalSpec(word, epsilon=planned.epsilon, tau=planned.tau)
+        assert simulate.decide(result.trace, example_nfa, spec, m.scheme) == result.decision
+        for k, entry in enumerate(result.report["phi"]):
+            slack = simulate.phi_slack(result.trace, example_nfa, word[:k], planned.gamma, planned.tau)
+            assert np.float64(slack).tobytes() == np.float64(entry["slack"]).tobytes()
+
+
 def test_a_returned_trace_reads_off_grid_times_without_integrating(example_nfa, planned, monkeypatch):
     result = run_end_to_end(_manifest(example_nfa, ("1", "1"), planned, perturbed=True, seed=2))
     calls = []
@@ -293,8 +305,8 @@ def test_long_word_and_extended_maintenance(example_nfa, planned):
     assert min(maintenance["sign_slack"].values()) > 0.49
     # the certified margins are the levels at t_dec, as the solver left them there
     reachable = set(result.report["oracle"]["reachable"])
-    table = result.trace._dense
-    level = {q: float(max(table.end[table.free_names.index(f"Y_{q}")], 0.0)) for q in example_nfa.states}
+    state = dict(zip(result.trace.names, result.trace.state_at(t_dec).tolist()))
+    level = {q: state[f"Y_{q}"] for q in example_nfa.states}
     assert maintenance["high_margin"] == min(level[q] for q in reachable) - (2 / 3 + planned.eta)
     assert maintenance["low_margin"] == min((1 / 3 - planned.eta) - level[q]
                                             for q in example_nfa.states if q not in reachable)
@@ -336,7 +348,7 @@ def test_a_state_short_of_its_majority_tipping_point_is_not_certified(example_nf
     from nfa2crn.analysis import check_constraints
 
     setup = pipeline._setup(_manifest(example_nfa, ("1", "0"), planned), {})
-    readout = simulate.integrate(setup.brn, setup.x0, setup.signal, setup.sim, pipeline._pairs(example_nfa))
+    readout = simulate.integrate(setup.brn, setup.x0, setup.signal, setup.sim, steps=False)
     t_dec = setup.sig_spec.decision_time
 
     def report(x0, **levels):
@@ -345,7 +357,7 @@ def test_a_state_short_of_its_majority_tipping_point_is_not_certified(example_nf
         for name, value in levels.items():
             state[readout._index[name]] = value
         handmade = replace(readout, points={**readout.points, t_dec: state})
-        return pipeline._verify(replace(setup, x0=x0), handmade, None, check_constraints(planned), True).report
+        return pipeline._verify(replace(setup, x0=x0), handmade, check_constraints(planned), True).report
 
     x0 = setup.x0
     r = report(x0)
@@ -489,6 +501,13 @@ class TestCli:
         decision = json.loads(capsys.readouterr().out)
         assert decision["accept"] is True
         assert decision["verdicts"]["C"] == "in-set"
+
+    def test_decide_refuses_a_trace_csv_with_a_bad_row(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        # the rows span t_dec = 2.1; read past the NaN, the verdict would be "undetermined" (exit 1)
+        path.write_text("t,Y_A,Y_B,Y_C\n0.0,1.0,0.0,0.0\n1.0,nan,0.0,0.0\n3.0,1.0,0.0,0.0\n")
+        assert main(["decide", str(path), NFA_PATH, "--word", "10", "--eps", "1e-4", "--tau", "0.3"]) == 2
+        assert "row 2" in capsys.readouterr().err
 
     def test_run_plot_data_and_band_overrides(self, tmp_path):
         plot = tmp_path / "long.csv"

@@ -28,7 +28,6 @@ from nfa2crn.simulate import (
     SimConfig,
     Trace,
     check_phi,
-    conservation_deviation,
     decide,
     integrate,
     trace_from_csv,
@@ -49,6 +48,28 @@ def test_linear_decay_closed_form():
     trace = integrate(brn, x0, _zero_signal(), SimConfig(t_end=2.0, rel_tol=1e-10, abs_tol=1e-12))
     assert trace.value("Y", 1.0) == pytest.approx(math.exp(-1.0), rel=1e-8)
     assert trace.value("Z", 1.0) == pytest.approx(1 - math.exp(-1.0), rel=1e-8)
+    # Y + Z is conserved: the network's one pair, read from its stoichiometry
+    assert list(trace.deviation) == [("Y", "Z")] and trace.deviation["Y", "Z"] <= 1e-15
+
+
+def test_a_network_with_no_opposite_rows_has_no_pairs():
+    brn = Brn((Species("Y"), Species("Z"), Species("W")),
+              (Reaction.with_constant_rate({"Y": 2}, {"Z": 1}, 1.0),
+               Reaction.with_constant_rate({"Z": 1}, {"W": 2}, 1.0)))
+    trace = integrate(brn, ConcState(brn.species_names, [1.0, 0.0, 0.0]), _zero_signal(), SimConfig(t_end=1.0),
+                      steps=False)
+    assert trace.deviation == {} and trace.stats.accepted > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_conserved_pairs_are_each_state_and_portal_with_its_dual(seed):
+    from nfa2crn.pipeline import random_nfa
+
+    nfa = random_nfa(np.random.default_rng(seed), 5, 3)
+    net = simulate._CompiledNetwork(translate(nfa, RATES).brn)
+    pairs = [(net.free_names[i], net.free_names[j]) for i, j in net.pairs]
+    assert set(pairs) == {(f"{y}_{q}", f"{y}b_{q}") for q in nfa.states for y in "YZ"}
 
 
 def test_majority_preserves_consensus_without_input(example_nfa):
@@ -86,9 +107,9 @@ def test_conservation_on_driven_run(example_nfa, planned):
     trace = integrate(out.brn, out.initial, encode(spec),
                       SimConfig(t_end=spec.decision_time + planned.tau))
     pairs = [(f"Y_{q}", f"Yb_{q}") for q in "ABC"] + [(f"Z_{q}", f"Zb_{q}") for q in "ABC"]
-    dev, totals = conservation_deviation(trace, out.initial, pairs)
-    assert dev <= 1e-8
-    assert all(v == pytest.approx(1.0) for v in totals.values())
+    assert set(trace.deviation) == set(pairs)
+    assert max(trace.deviation.values()) <= 1e-8
+    assert all(out.initial[a] + out.initial[b] == pytest.approx(1.0) for a, b in pairs)
 
 
 def test_pieces_end_at_signal_corners(example_nfa, planned):
@@ -430,10 +451,24 @@ def test_trace_csv_roundtrip(example_nfa, planned):
     assert again.names == trace.names
     assert np.allclose(again.values, trace.values)
     assert again.value("Y_A", trace.times[5]) == pytest.approx(trace.values[5][0])
-    # a reloaded trace has no steps: its pairs drift over its rows
-    pairs = [(f"Y_{q}", f"Yb_{q}") for q in "ABC"]
-    rows = max(np.abs(again.column(a) + again.column(b) - 1.0).max() for a, b in pairs)
-    assert conservation_deviation(again, out.initial, pairs)[0] == rows
+    # a reloaded trace has rows only: no kept states and no pair maxima
+    assert again.points == {} and again.deviation == {}
+
+
+@pytest.mark.parametrize("defect, row, message", [("unsorted", 4, "does not increase"),
+                                                 ("duplicate", 4, "does not increase"),
+                                                 ("nan", 3, "non-finite")])
+def test_trace_csv_rejects_a_bad_row(defect, row, message):
+    rows = [[float(i), 0.1 * i, 1.0 - 0.1 * i] for i in range(6)]
+    if defect == "unsorted":
+        rows[2], rows[3] = rows[3], rows[2]
+    elif defect == "duplicate":
+        rows[3][0] = rows[2][0]
+    else:
+        rows[2][1] = math.nan
+    text = "t,a,b\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows)
+    with pytest.raises(ValueError, match=f"row {row}: .*{message}"):
+        trace_from_csv(io.StringIO(text))
 
 
 def test_decision_stable_under_tolerance_refinement(example_nfa, planned):
@@ -505,16 +540,17 @@ def test_a_column_packs_the_same_bits_alone_and_anywhere_in_a_batch(example_nfa,
         k = int(rng.integers(0, 3))
         signal = encode(SignalSpec(word, epsilon=planned.epsilon, tau=tau))
         x0 = out.initial.values[net.free_idx] + rng.uniform(0, planned.epsilon, len(net.free_idx))
+        initial = out.initial.values[net.free_idx]
         columns.append(simulate._Column(net, signal, x0, simulate._bounds(
-            signal.critical_times(), 3 * k * tau, 3 * (k + 1) * tau)))
+            signal.critical_times(), 3 * k * tau, 3 * (k + 1) * tau), initial))
     target = data.draw(st.integers(0, size - 1))
-    alone = simulate._integrate_segments([columns[target]], 1e-8, 1e-11, tau / 3)[0]
+    alone = simulate._integrate_segments([columns[target]], 1e-8, 1e-11, tau / 3, steps=True)[0]
     for position in range(size):
         batch = columns[:target] + columns[target + 1:]
         batch.insert(position, columns[target])
-        packed = simulate._integrate_segments(batch, 1e-8, 1e-11, tau / 3)[position]
-        for ours, reference in zip((*packed[0], packed[1]), (*alone[0], alone[1])):
-            assert np.array_equal(ours, reference)
+        packed = simulate._integrate_segments(batch, 1e-8, 1e-11, tau / 3, steps=True)[position]
+        for ours, reference in zip((*packed[0], packed[1], packed[3]), (*alone[0], alone[1], alone[3])):
+            assert ours.tobytes() == reference.tobytes()
         assert packed[2] == alone[2]
 
 
@@ -543,8 +579,8 @@ def test_a_watched_run_reads_its_dense_trace_to_the_bit(example_nfa, planned, da
     setups = [pipeline._setup(m, shared) for m in manifests]
     sims = [replace(s.sim, t_end=s.sig_spec.decision_time + float(rng.choice([0.0, 2.5])) * planned.tau)
             for s in setups]
-    pairs = [pipeline._pairs(m.nfa) for m in manifests]
-    readouts = integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups], sims, pairs)
+    readouts = integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups], sims,
+                         steps=False)
     r = data.draw(st.integers(0, len(setups) - 1))
     setup, sim, readout = setups[r], sims[r], readouts[r]
     with pytest.MonkeyPatch.context() as mp:
@@ -560,23 +596,22 @@ def test_a_watched_run_reads_its_dense_trace_to_the_bit(example_nfa, planned, da
     for t in list(readout.points)[1:]:
         assert readout.state_at(t)[free].tobytes() == np.maximum(ends[t], 0.0).tobytes()
     assert readout.stats == trace.stats
-    # the same read from the trace's step table: points and pair maxima to the bit
-    of_trace = simulate.Readout.of(trace, pairs[r], setup.x0)
-    assert of_trace.names == readout.names
-    assert list(of_trace.points) == list(readout.points)
+    assert readout._dense is None and readout.times is None and readout.values is None
+    # the run alone keeping its steps: the same points and pair maxima, to the bit
+    assert trace.names == readout.names
+    assert list(trace.points) == list(readout.points)
     for t in readout.points:
-        assert of_trace.state_at(t).tobytes() == readout.state_at(t).tobytes()
-    assert list(of_trace.deviation) == list(readout.deviation) == pairs[r]
+        assert trace.state_at(t).tobytes() == readout.state_at(t).tobytes()
+    assert list(trace.deviation) == list(readout.deviation)
     for pair, value in readout.deviation.items():
-        assert np.float64(of_trace.deviation[pair]).tobytes() == np.float64(value).tobytes()
-    assert of_trace.stats == readout.stats
+        assert np.float64(trace.deviation[pair]).tobytes() == np.float64(value).tobytes()
 
 
 def test_a_readout_reads_only_its_kept_times(example_nfa, planned):
     from nfa2crn import pipeline
 
     setup = pipeline._setup(pipeline.RunManifest(nfa=example_nfa, word=("1", "0"), params=planned), {})
-    [readout] = integrate([setup.brn], [setup.x0], [setup.signal], [setup.sim], [pipeline._pairs(example_nfa)])
+    [readout] = integrate([setup.brn], [setup.x0], [setup.signal], [setup.sim], steps=False)
     tau, t_dec = planned.tau, setup.sig_spec.decision_time
     assert list(readout.points) == [0.0, 3 * tau, 6 * tau, t_dec]
     for t in (0.5 * tau, 4 * tau, t_dec + tau):
@@ -598,22 +633,18 @@ def test_the_pair_drift_is_the_largest_over_the_step_starts_and_the_end_state(ex
                                     initial_mode="worst-case-signed", seed=2)
     setup = pipeline._setup(manifest, {})
     sim = replace(setup.sim, t_end=setup.sig_spec.decision_time + 1.5 * planned.tau)
-    pairs = pipeline._pairs(example_nfa)
-    [readout] = integrate([setup.brn], [setup.x0], [setup.signal], [sim], [pairs])
+    [readout] = integrate([setup.brn], [setup.x0], [setup.signal], [sim], steps=False)
     consumers = []
     calls = _recording(monkeypatch, consumers)
     trace = integrate(setup.brn, setup.x0, setup.signal, sim)
     states = np.vstack([*(stack[0] for log in consumers for stack in log.stacks), calls[-1][2].y_end[0]])
     free = [nm for nm in trace.names if not nm.startswith("X_")]
+    pairs = [(f"{y}_{q}", f"{y}b_{q}") for q in example_nfa.states for y in "YZ"]
+    assert list(readout.deviation) == list(trace.deviation) == pairs
     for a, b in pairs:
         drift = np.abs(states[:, free.index(a)] + states[:, free.index(b)] - (setup.x0[a] + setup.x0[b]))
-        assert readout.deviation[a, b] == drift.max()
-    assert conservation_deviation(trace, setup.x0, pairs)[0] == max(readout.deviation.values()) > 0
-    # two runs of one network that check different pairs keep each its own pairs' maxima
-    halves = pairs[:3], pairs[3:]
-    both = integrate([setup.brn] * 2, [setup.x0] * 2, [setup.signal] * 2, [sim] * 2, halves)
-    for half, kept in zip(halves, both):
-        assert kept.deviation == {pair: readout.deviation[pair] for pair in half}
+        assert readout.deviation[a, b] == trace.deviation[a, b] == drift.max()
+    assert max(readout.deviation.values()) > 0
 
 
 def test_a_round_compiles_its_drift_once(example_nfa, planned, monkeypatch):
