@@ -32,14 +32,14 @@ only within one network.
 Every run gives one ``Trace``.  It holds the states where the solver stops
 anyway: the start, the end of each symbol block and the end of the run, as
 the solver left them.  It also holds each conserved pair's largest drift over
-the run's step start states and its end state, and what the run cost.  The
-stepper hands each iteration's accepted steps to a consumer as it makes
-them, and each ``integrate`` call chooses whether its runs keep their steps.
-A run that keeps them gets a table of its solver steps (``DenseTable``), and
-its trace reads any time: one search and one vectorised quartic per symbol
-block.  A run that does not keep them has its pair drift folded in batches
-soon after its steps are accepted, so it holds neither its steps nor a
-sample grid.
+the run's step start states and its end state, and what the run cost.  Each
+stepper call returns its accepted steps, and their start states are folded
+into the pair drift once per call.  Each ``integrate`` call chooses whether
+its runs keep their steps.  A run that keeps them has the stepper log their
+stages too and gets a table of its solver steps (``DenseTable``), and its
+trace reads any time: one search and one vectorised quartic per symbol
+block.  A run that does not keep them holds neither its steps nor a sample
+grid, and reads only its kept times.
 """
 
 from __future__ import annotations
@@ -77,8 +77,6 @@ __all__ = [
 
 # a trace's sample grid: t_end split into this many equal intervals
 SAMPLE_INTERVALS = 400
-# a batch folds the start states it holds into its pair maxima once they are about this many
-_PENDING_STEPS = 64
 
 # Dormand-Prince 5(4), as in scipy's RK45: nodes, stage weights (row s
 # combines stages 0..s-1), the fifth-order weights, the error weights and
@@ -155,11 +153,15 @@ class Solution:
     """What one ``solve_ivp`` call integrated.
 
     ``ends[b]`` holds column b's accepted step ends, ``y_end[b]`` its end
-    state and ``rejected[b]`` the number of its rejected steps; the steps
-    themselves went to the call's consumer.  ``nfev`` counts six drift
-    evaluations per attempted column-step plus the two start-up calls, which
-    evaluate every column at once; so ``(nfev - 2) // 6 - (len(t) - 1)`` is
-    the number of rejected column-steps, as for one scipy RK45 solve.
+    state and ``rejected[b]`` the number of its rejected steps.  ``nfev``
+    counts six drift evaluations per attempted column-step plus the two
+    start-up calls, which evaluate every column at once; so
+    ``(nfev - 2) // 6 - (len(t) - 1)`` is the number of rejected
+    column-steps, as for one scipy RK45 solve.
+
+    The accepted steps themselves are logged in the order they were
+    accepted: ``stack[:, i]`` holds step i's start state (padded), then, for
+    a call with ``stages``, its seven stages, and ``cols[i]`` its column.
     """
 
     t0: np.ndarray
@@ -167,15 +169,24 @@ class Solution:
     y_end: list[np.ndarray]
     rejected: np.ndarray
     nfev: int
+    cols: np.ndarray
+    stack: np.ndarray
 
     @property
     def t(self) -> np.ndarray:
         """The first column's start, then every accepted step's end, column after column."""
         return np.concatenate([self.t0[:1], *self.ends])
 
+    def steps(self) -> list[_Steps]:
+        """Each column's steps, packed, with their quartic coefficients; cut to its width, as copies."""
+        y_old = _by_column(self.cols, self.stack[0], len(self.ends))
+        Q = _by_column(self.cols, _quartic(self.stack[1:]), len(self.ends))
+        return [(e, y[:, :w].copy() if w < y.shape[1] else y, q if w == q.shape[1] else q[:, :w].copy())
+                for e, y, q, w in zip(self.ends, y_old, Q, map(len, self.y_end))]
+
 
 def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = np.inf,
-              widths: Sequence[int] | None = None, consumer) -> Solution:
+              widths: Sequence[int] | None = None, stages: bool = False) -> Solution:
     """Integrate B columns, column b from ``t0[b]`` to ``t1[b]`` starting at ``y0[b]``.
 
     Column b's own species are the first ``widths[b]`` of its row (default:
@@ -195,14 +206,12 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
     batch.  The stages, the drift and the error norm are array operations
     over the columns still running.
 
-    Each iteration hands its accepted steps to ``consumer(rows, cols, t_old,
-    t_new, stack)``: their rows in ``stack`` (the start states, then the
-    seven stages, of the columns running; padded), their columns, start
-    times and end times: a ``_StepLog`` keeps them, ``_Readings`` folds
-    their start states into pair maxima.  Raises IntegratorFault, with
-    the time and state, on step-size underflow, a non-finite state or error
-    norm, or a state below ``-10 * atol`` (the lowest one, once every column
-    arrived).
+    The solution logs every accepted step: its column and its rows of its
+    iteration's stack, all of them with ``stages`` (for a dense table) or,
+    copied, the start state alone without (for the conserved pairs' drift).
+    Raises IntegratorFault, with the time and state, on step-size underflow,
+    a non-finite state or error norm, or a state below ``-10 * atol`` (the
+    lowest one, once every column arrived).
     """
     y = np.array(y0, dtype=float)
     n_cols, n = y.shape
@@ -215,7 +224,7 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
         raise IntegratorFault("non-finite state", time=t[b], state=y[b, :width[b]].copy())
     needs_t = drift.needs_t
     cols = list(range(n_cols))  # the columns still running, in batch order
-    ends = []  # per lockstep iteration: the columns and ends of its accepted steps
+    log = []  # per lockstep iteration: the columns, ends and stack rows of its accepted steps
     floor = -10.0 * atol
     lowest: dict[int, tuple] = {}  # per column, its first lowest state below the floor: value, time, state
     if y.min() < floor:
@@ -258,7 +267,6 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
             scale += atol
             err /= scale
             attempts += len(cols)
-            t_old = t.copy()
             accepted, done = [], []
             for i, square_sum in enumerate(_square_sums(err, groups)):
                 norm = math.sqrt(square_sum / width[i])
@@ -280,17 +288,15 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
                     rejected[i] = True
                     rejections[cols[i]] += 1
             if len(accepted) == len(cols):
-                consumer(accepted, cols, t_old, t_new, stack)
-                ends.append((cols, t_new))
+                log.append((cols, t_new, stack if stages else stack[:1].copy()))
                 y, f = y_new, stack[7]
                 if y.min() < floor:
                     _note_lowest(lowest, y, cols, t_new, width, floor)
             elif accepted:
                 k = np.array(accepted)
-                moved, starts, arrivals = ([v[i] for i in accepted] for v in (cols, t_old, t_new))
-                consumer(accepted, moved, starts, arrivals, stack)
-                ends.append((moved, arrivals))
-                # f is a row of a kept stack, so it is replaced, not written into
+                moved, arrivals = ([v[i] for i in accepted] for v in (cols, t_new))
+                log.append((moved, arrivals, stack[:8 if stages else 1, k]))
+                # f is a row of a stack the log may hold, so it is replaced, not written into
                 f = f.copy()
                 y[k], f[k] = y_new[k], stack[7, k]
                 if y[k].min() < floor:
@@ -312,10 +318,11 @@ def solve_ivp(drift, t0, t1, y0, *, rtol: float, atol: float, max_step: float = 
         value = min(v for v, _, _ in lowest.values())
         _, time, state = lowest[min(c for c, (v, _, _) in lowest.items() if v == value)]
         raise IntegratorFault(f"negative concentration {value:.3e} beyond fault threshold", time=time, state=state)
-    ends = _by_column([c for c, _ in ends], np.fromiter(chain.from_iterable(e for _, e in ends), dtype=float),
-                      n_cols)
+    moved, arrivals, stacks = zip(*log)
+    owner = np.fromiter(chain.from_iterable(moved), dtype=int)
+    ends = _by_column(owner, np.fromiter(chain.from_iterable(arrivals), dtype=float), n_cols)
     return Solution(t0=np.array(t0, dtype=float), ends=ends, y_end=y_end, rejected=rejections,
-                    nfev=2 + 6 * attempts)
+                    nfev=2 + 6 * attempts, cols=owner, stack=np.concatenate(stacks, axis=1))
 
 
 def _note_lowest(lowest: dict, states: np.ndarray, cols: list, times: list, width: list, floor: float) -> None:
@@ -372,11 +379,8 @@ def _square_sums(x: np.ndarray, groups: list[tuple[int, np.ndarray]] | None) -> 
     return sums.tolist()
 
 
-def _by_column(cols: list[list[int]], rows: np.ndarray, n_cols: int) -> list[np.ndarray]:
-    """Rows logged iteration by iteration, one per column in ``cols``, split per column in order."""
-    if n_cols == 1:
-        return [rows]
-    owner = np.fromiter(chain.from_iterable(cols), dtype=int)
+def _by_column(owner: np.ndarray, rows: np.ndarray, n_cols: int) -> list[np.ndarray]:
+    """Logged rows, row i of column ``owner[i]``, split per column in order, as copies."""
     order = np.argsort(owner, kind="stable")
     return np.split(rows[order], np.cumsum(np.bincount(owner, minlength=n_cols))[:-1])
 
@@ -393,25 +397,6 @@ def _interpolate(h: np.ndarray, x: np.ndarray, y_old: np.ndarray, Q: np.ndarray)
     """scipy's quartic ``y_old + h (Q @ [x, x^2, x^3, x^4])``, one row per step and time."""
     powers = np.cumprod(np.repeat(x[:, None], Q.shape[2], axis=1), axis=1)
     return h[:, None] * np.einsum("kij,kj->ki", Q, powers) + y_old
-
-
-class _StepLog:
-    """A ``solve_ivp`` consumer that keeps every accepted step, for a ``DenseTable``."""
-
-    def __init__(self):
-        self.cols, self.stacks = [], []
-
-    def __call__(self, rows, cols, t_old, t_new, stack):
-        self.cols.append(cols)
-        self.stacks.append(stack if len(rows) == stack.shape[1] else stack[:, rows])
-
-    def steps(self, ends: list[np.ndarray], width: list[int]) -> list[_Steps]:
-        """Each column's steps, packed, with their quartic coefficients; cut to its width, as copies."""
-        stacks = np.concatenate(self.stacks, axis=1)
-        y_old = _by_column(self.cols, stacks[0], len(width))
-        Q = _by_column(self.cols, _quartic(stacks[1:]), len(width))
-        return [(e, y[:, :w].copy() if len(width) == 1 or w < y.shape[1] else y,
-                 q if w == q.shape[1] else q[:, :w].copy()) for e, y, q, w in zip(ends, y_old, Q, width)]
 
 
 class _CompiledNetwork:
@@ -538,9 +523,10 @@ class Trace:
     of times inside ``[0, t_end]`` to the states there, one row per time
     (the solver's ``DenseTable`` for ``integrate``), and ``values``, its
     states on the sample grid ``times`` (rows: times, columns: species);
-    for other runs the three are None.  ``state_at`` reads a kept time from
-    ``points`` and any other time through ``_dense``, as ``value`` reads
-    every time, with one call per request.
+    for other runs the three are None.  ``state_at`` and ``value`` read a
+    kept time from ``points`` and any other time through ``_dense``, with
+    one call per request; ``column`` and the CSV writers read the sample
+    grid, so they refuse a trace that keeps no steps.
     """
 
     names: tuple[str, ...]
@@ -555,35 +541,46 @@ class Trace:
     def __post_init__(self):
         self._index = {nm: i for i, nm in enumerate(self.names)}
 
+    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.values is None:
+            raise ValueError("the trace keeps no steps, so it has no sample grid")
+        return self.times, self.values
+
     def column(self, name: str) -> np.ndarray:
-        return self.values[:, self._index[name]]
+        return self._grid()[1][:, self._index[name]]
 
     def _states(self, t) -> np.ndarray:
-        if self._dense is None:
-            raise ValueError(f"t={t} is not a kept time")
-        return self._dense(_in_range(np.atleast_1d(np.asarray(t, dtype=float)), self.t_end))
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        kept = [self.points.get(x) for x in t.tolist()]
+        other = [x for x, state in zip(t.tolist(), kept) if state is None]
+        if other and self._dense is None:
+            raise ValueError(f"t={other[0]} is not a kept time")
+        dense = self._dense(_in_range(t, self.t_end)) if other else kept
+        return np.array([row if state is None else state for row, state in zip(dense, kept)]).reshape(
+            len(t), len(self.names))
 
     def state_at(self, t: float) -> np.ndarray:
-        state = self.points.get(float(t))
-        return self._states(t)[0] if state is None else state
+        return self._states(t)[0]
 
     def value(self, name: str, t) -> float | np.ndarray:
         col = self._states(t)[:, self._index[name]]
         return float(col[0]) if np.isscalar(t) else col
 
     def write_csv(self, fileobj) -> None:
+        times, values = self._grid()
         writer = csv.writer(fileobj)
         writer.writerow(["t", *self.names])
-        for i, t in enumerate(self.times):
-            writer.writerow([repr(float(t)), *(repr(float(v)) for v in self.values[i])])
+        for i, t in enumerate(times):
+            writer.writerow([repr(float(t)), *(repr(float(v)) for v in values[i])])
 
     def write_long_csv(self, fileobj) -> None:
         """Long-format (t, species, value) rows for external plotting tools."""
+        times, values = self._grid()
         writer = csv.writer(fileobj)
         writer.writerow(["t", "species", "value"])
         for j, name in enumerate(self.names):
-            for i, t in enumerate(self.times):
-                writer.writerow([repr(float(t)), name, repr(float(self.values[i, j]))])
+            for i, t in enumerate(times):
+                writer.writerow([repr(float(t)), name, repr(float(values[i, j]))])
 
 
 def _in_range(t: np.ndarray, t_end: float) -> np.ndarray:
@@ -598,14 +595,18 @@ def trace_from_csv(fileobj) -> Trace:
     """Reload a trace CSV; values interpolate linearly between sampled rows.
 
     Raises ValueError, naming the first bad data row (1 is the first after
-    the header), for a non-finite cell or a ``t`` not above the row before.
+    the header), for a row with more or fewer cells than the header, a
+    non-finite cell or a ``t`` not above the row before.
     """
     reader = csv.reader(fileobj)
     header = next(reader)
     if not header or header[0] != "t":
         raise ValueError("trace CSV must start with a 't' column")
-    rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows)
+    rows = [row for row in reader if row]
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise ValueError(f"trace CSV row {i}: {len(row)} cells where the header has {len(header)}")
+    data = np.asarray([[float(v) for v in row] for row in rows])
     if data.size == 0:
         raise ValueError("trace CSV has no rows")
     times, values = data[:, 0], data[:, 1:]
@@ -687,10 +688,10 @@ def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, ma
     """Integrate each column over its own pieces; round r takes every column's r-th piece in one call.
 
     The columns' drift is compiled once, and each round selects its columns
-    from it.  Each call's steps go to a ``_Readings``, which folds them into
-    the columns' pair maxima, or, when the columns keep their ``steps``, to a
-    fresh ``_StepLog``, and the ``_Readings`` folds each column's packed
-    start states once.  Returns, per column, its packed steps (None unless
+    from it.  The start states of each call's accepted steps are folded into
+    the columns' pair maxima at once, the end states at the end; the stages,
+    logged only when the columns keep their ``steps``, are packed into each
+    column's steps.  Returns, per column, its packed steps (None unless
     kept), its end state, what they cost and its pairs' maxima (in the order
     of ``net.pairs``).
     """
@@ -721,26 +722,20 @@ def _integrate_segments(columns: Sequence[_Column], rtol: float, atol: float, ma
         else:
             (c,) = live
             piece = _Piece(drift, a, signal=(columns[c].signal, columns[c].net.driven_names))
-        readings.live = live
-        widths = [columns[c].net.n_free for c in live]
-        consumer = _StepLog() if steps else readings
         sol = solve_ivp(piece, a, b, y[live], rtol=rtol, atol=atol, max_step=max_step,
-                        widths=widths, consumer=consumer)
+                        widths=[columns[c].net.n_free for c in live], stages=steps)
+        readings.deviate(sol.stack[0], np.array(live)[sol.cols])
         if steps:
-            for c, logged in zip(live, consumer.steps(sol.ends, widths)):
+            for c, logged in zip(live, sol.steps()):
                 pieces[c].append(logged)
         for i, c in enumerate(live):
             y[c, :len(sol.y_end[i])] = sol.y_end[i]
             accepted, rejected = len(sol.ends[i]), int(sol.rejected[i])
             stats[c] += SolverStats(1, 2 + 6 * (accepted + rejected), accepted, rejected,
                                     float(np.diff(sol.ends[i], prepend=a[i]).min()))
-    packed = [_packed(p) if p else None for p in pieces]
-    if steps:
-        for c, (_, starts, _) in enumerate(packed):
-            readings.deviate(starts, np.full(len(starts), c))
-    readings.close(y)
-    return [(segment, y[c, :col.net.n_free], stats[c], readings.deviation[c, :len(col.net.pairs)])
-            for c, (col, segment) in enumerate(zip(columns, packed))]
+    readings.deviate(y, np.arange(len(y)))
+    return [(_packed(p) if p else None, y[c, :col.net.n_free], stats[c], readings.deviation[c, :len(col.net.pairs)])
+            for c, (col, p) in enumerate(zip(columns, pieces))]
 
 
 def _bounds(corners: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -749,16 +744,13 @@ def _bounds(corners: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 class _Readings:
-    """A ``solve_ivp`` consumer: the conserved pairs' largest drift in each segment of one batch.
+    """The conserved pairs' largest drift in each segment of one batch.
 
     Column c is a segment of the runs that share its network and free
     initial state, so ``deviation[c]``, each pair's largest ``|a + b - c0|``
     over its steps' start states and its end state, holds for every run
-    that takes it.  The start states of the accepted steps wait, across the
-    batch's pieces, until they hold ``_PENDING_STEPS`` rows or the batch
-    ends (``close``), and are then read together, so an iteration adds no
-    array operation.  Every call of a batch pads its rows to one width, and
-    ``live`` maps the current call's columns to segments.
+    that takes it.  A max does not depend on the order of its inputs, so
+    states may be folded in any batches, each row once.
     """
 
     def __init__(self, columns: Sequence[_Column]):
@@ -771,34 +763,12 @@ class _Readings:
                 self.pairs[:, c, m] = i, j
                 self.c0[c, m] = col.initial[i] + col.initial[j]
         self.deviation = np.full(self.c0.shape, -math.inf)
-        self.live: list[int] = []
-        self.starts, self.rows, self.owner, self.held = [], [], [], 0
-
-    def __call__(self, rows, cols, t_old, t_new, stack):
-        self.starts.append(stack[0])
-        self.rows.extend(self.held + i for i in rows)
-        self.owner.extend(self.live[c] for c in cols)
-        self.held += stack.shape[1]
-        if self.held >= _PENDING_STEPS:
-            self.flush()
-
-    def flush(self) -> None:
-        """Fold the start states held into their segments' pair maxima."""
-        if self.starts:
-            y = self.starts[0] if len(self.starts) == 1 else np.concatenate(self.starts)
-            self.deviate(y[self.rows], np.array(self.owner))
-            self.starts, self.rows, self.owner, self.held = [], [], [], 0
 
     def deviate(self, y: np.ndarray, owner: np.ndarray) -> None:
         """Fold the pair deviations of some states (one row each: integrated species, padded) into their segments'."""
         a, b = self.pairs[:, owner]
         row = np.arange(len(owner))[:, None]
         np.maximum.at(self.deviation, owner, np.abs(y[row, a] + y[row, b] - self.c0[owner]))
-
-    def close(self, y_end: np.ndarray) -> None:
-        """Fold in what is still held and each segment's end state (one row each, padded)."""
-        self.flush()
-        self.deviate(y_end, np.arange(len(y_end)))
 
 
 def integrate(brn, x0, signal, config, steps=True):
@@ -812,8 +782,8 @@ def integrate(brn, x0, signal, config, steps=True):
     blocks and at its end, its network's conserved pairs' maxima and its
     cost.  With ``steps`` (the default) each run also keeps its steps, so
     its trace reads any time and samples ``SAMPLE_INTERVALS + 1`` evenly
-    spaced times; without, no run keeps its steps and the pair maxima are
-    folded as the steps are accepted.
+    spaced times; without, no run keeps its steps, and its trace reads only
+    its kept times.
 
     Species of input kind are clamped to the signal at all times (their
     entries in x0 are ignored); everything else follows the mass-action

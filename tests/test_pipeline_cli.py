@@ -504,10 +504,14 @@ class TestCli:
 
     def test_decide_refuses_a_trace_csv_with_a_bad_row(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
-        # the rows span t_dec = 2.1; read past the NaN, the verdict would be "undetermined" (exit 1)
-        path.write_text("t,Y_A,Y_B,Y_C\n0.0,1.0,0.0,0.0\n1.0,nan,0.0,0.0\n3.0,1.0,0.0,0.0\n")
-        assert main(["decide", str(path), NFA_PATH, "--word", "10", "--eps", "1e-4", "--tau", "0.3"]) == 2
-        assert "row 2" in capsys.readouterr().err
+        # the rows span t_dec = 2.1; read past the NaN, the verdict would be "undetermined" (exit 1);
+        # then every row without its Y_A cell, read as shifted columns; then one row a cell too long
+        for row, rows in [(2, ["0.0,1.0,0.0,0.0", "1.0,nan,0.0,0.0", "3.0,1.0,0.0,0.0"]),
+                          (1, ["0.0,0.0,0.0", "1.0,0.0,0.0", "3.0,0.0,0.0"]),
+                          (2, ["0.0,1.0,0.0,0.0", "1.0,1.0,0.0,0.0,0.0", "3.0,1.0,0.0,0.0"])]:
+            path.write_text("t,Y_A,Y_B,Y_C\n" + "".join(r + "\n" for r in rows))
+            assert main(["decide", str(path), NFA_PATH, "--word", "10", "--eps", "1e-4", "--tau", "0.3"]) == 2
+            assert f"row {row}" in capsys.readouterr().err
 
     def test_run_plot_data_and_band_overrides(self, tmp_path):
         plot = tmp_path / "long.csv"

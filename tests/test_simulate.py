@@ -119,17 +119,14 @@ def test_pieces_end_at_signal_corners(example_nfa, planned):
     assert set(signal.critical_times().tolist()) <= set(trace._dense.ts.tolist())
 
 
-def _recording(monkeypatch, consumers=None):
-    """Record every ``simulate.solve_ivp`` call: its start times, end times and solution (and its
-    consumer, in ``consumers``)."""
+def _recording(monkeypatch):
+    """Record every ``simulate.solve_ivp`` call: its start times, end times and solution."""
     calls = []
     real_solve_ivp = simulate.solve_ivp
 
     def recording_solve_ivp(drift, t0, t1, y0, **kwargs):
         sol = real_solve_ivp(drift, t0, t1, y0, **kwargs)
         calls.append((np.array(t0, dtype=float), np.array(t1, dtype=float), sol))
-        if consumers is not None:
-            consumers.append(kwargs["consumer"])
         return sol
 
     monkeypatch.setattr(simulate, "solve_ivp", recording_solve_ivp)
@@ -174,13 +171,11 @@ def test_dense_table_matches_ode_solution(example_nfa, planned, monkeypatch):
                                                      omega=2 * math.pi / planned.tau, seed=4))
     spec = SignalSpec(("1", "0", "1"), epsilon=planned.epsilon, tau=planned.tau)
     config = SimConfig(t_end=spec.decision_time + planned.tau)
-    logs = []
-    calls = _recording(monkeypatch, logs)
+    calls = _recording(monkeypatch)
     trace = integrate(brn, out.initial, encode(spec), config)
-    # a trace's steps are the ones each call's step log kept
-    assert all(isinstance(log, simulate._StepLog) for log in logs)
-    steps = [step for (_, _, sol), log in zip(calls, logs)
-             for step in zip(*log.steps(sol.ends, [len(sol.y_end[0])])[0])]
+    # a trace's steps are the ones each call logged with their stages
+    assert all(len(sol.stack) == 8 for _, _, sol in calls)
+    steps = [step for _, _, sol in calls for step in zip(*sol.steps()[0])]
     ends = np.array([end for end, _, _ in steps])
     table = trace._dense
     assert np.array_equal(table.ts, np.concatenate([[0.0], ends]))
@@ -457,15 +452,21 @@ def test_trace_csv_roundtrip(example_nfa, planned):
 
 @pytest.mark.parametrize("defect, row, message", [("unsorted", 4, "does not increase"),
                                                  ("duplicate", 4, "does not increase"),
-                                                 ("nan", 3, "non-finite")])
+                                                 ("nan", 3, "non-finite"),
+                                                 ("short", 2, "2 cells where the header has 3"),
+                                                 ("long", 5, "4 cells where the header has 3")])
 def test_trace_csv_rejects_a_bad_row(defect, row, message):
     rows = [[float(i), 0.1 * i, 1.0 - 0.1 * i] for i in range(6)]
     if defect == "unsorted":
         rows[2], rows[3] = rows[3], rows[2]
     elif defect == "duplicate":
         rows[3][0] = rows[2][0]
-    else:
+    elif defect == "nan":
         rows[2][1] = math.nan
+    elif defect == "short":
+        del rows[1][1]
+    else:
+        rows[4].append(0.5)
     text = "t,a,b\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows)
     with pytest.raises(ValueError, match=f"row {row}: .*{message}"):
         trace_from_csv(io.StringIO(text))
@@ -622,6 +623,30 @@ def test_a_readout_reads_only_its_kept_times(example_nfa, planned):
         decide(readout, example_nfa, setup.sig_spec, setup.manifest.scheme, t=t_dec + tau)
 
 
+def test_value_reads_a_kept_time_as_state_at_does(example_nfa, planned):
+    from nfa2crn import pipeline
+
+    setup = pipeline._setup(pipeline.RunManifest(nfa=example_nfa, word=("1", "0"), params=planned), {})
+    [readout] = integrate([setup.brn], [setup.x0], [setup.signal], [setup.sim], steps=False)
+    trace = integrate(setup.brn, setup.x0, setup.signal, setup.sim)
+    kept, inside = list(readout.points), 0.5 * planned.tau
+    for name in ("Y_A", "Zb_C", "X_1"):
+        i = readout.names.index(name)
+        for t in kept:
+            assert readout.value(name, t) == readout.state_at(t)[i] == trace.value(name, t)
+        assert readout.value(name, kept).tobytes() == np.array([readout.state_at(t)[i] for t in kept]).tobytes()
+        # a trace with steps reads a kept time from its points and any other through its table
+        mixed = trace.value(name, [inside, *kept])
+        assert mixed.tobytes() == np.array([trace.value(name, t) for t in [inside, *kept]]).tobytes()
+        assert mixed[0] == trace._dense(np.array([inside]))[0, i]
+    with pytest.raises(ValueError, match="not a kept time"):
+        readout.value("Y_A", [kept[0], inside])
+    # without steps there is no sample grid to write or read
+    for read in (readout.write_csv, readout.write_long_csv, lambda _: readout.column("Y_A")):
+        with pytest.raises(ValueError, match="keeps no steps"):
+            read(io.StringIO())
+
+
 def test_the_pair_drift_is_the_largest_over_the_step_starts_and_the_end_state(example_nfa, planned, monkeypatch):
     # read independently from the steps each solver call logged and its end state, over a tail past t_dec
     from dataclasses import replace
@@ -634,10 +659,9 @@ def test_the_pair_drift_is_the_largest_over_the_step_starts_and_the_end_state(ex
     setup = pipeline._setup(manifest, {})
     sim = replace(setup.sim, t_end=setup.sig_spec.decision_time + 1.5 * planned.tau)
     [readout] = integrate([setup.brn], [setup.x0], [setup.signal], [sim], steps=False)
-    consumers = []
-    calls = _recording(monkeypatch, consumers)
+    calls = _recording(monkeypatch)
     trace = integrate(setup.brn, setup.x0, setup.signal, sim)
-    states = np.vstack([*(stack[0] for log in consumers for stack in log.stacks), calls[-1][2].y_end[0]])
+    states = np.vstack([*(sol.stack[0] for _, _, sol in calls), calls[-1][2].y_end[0]])
     free = [nm for nm in trace.names if not nm.startswith("X_")]
     pairs = [(f"{y}_{q}", f"{y}b_{q}") for q in example_nfa.states for y in "YZ"]
     assert list(readout.deviation) == list(trace.deviation) == pairs
@@ -770,15 +794,29 @@ def test_nfev_of_a_batch_counts_its_rejected_column_steps():
     # stiffer columns reject more of their steps
     rates = np.array([[1.0], [40.0], [400.0]])
     drift = _Drift(lambda call, t, y, cols: -rates[cols] * (y - 2 - np.sin(5 * t)[:, None]))
-    log = simulate._StepLog()
     sol = simulate.solve_ivp(drift, [0.0, 0.5, 1.0], [2.0, 2.0, 2.0], np.ones((3, 1)),
-                             rtol=1e-6, atol=1e-9, consumer=log)
+                             rtol=1e-6, atol=1e-9, stages=True)
     assert sol.rejected.sum() > 0
     assert (sol.nfev - 2) // 6 - (len(sol.t) - 1) == sol.rejected.sum()
     # two start-up calls evaluate all three columns; every attempted column-step six times
     assert drift.columns == 2 * 3 + (sol.nfev - 2)
-    assert len(sol.t) - 1 == sum(len(ends) for ends, _, _ in log.steps(sol.ends, [1] * 3)) == \
+    assert len(sol.t) - 1 == sum(len(ends) for ends, _, _ in sol.steps()) == \
         sum(map(len, sol.ends))
+
+
+def test_a_call_without_stages_logs_the_start_states_of_one_with_them():
+    # columns of two widths (the middle one pads its second species with a drift of 0); the
+    # stiffer ones reject steps while the others accept theirs
+    rates = np.array([[1.0, 3.0], [40.0, 0.0], [400.0, 7.0]])
+    y0 = np.array([[1.0, 0.5], [1.0, 0.0], [1.0, 1.5]])
+    sols = [simulate.solve_ivp(_Drift(lambda call, t, y, cols: -rates[cols] * (y - 2 - np.sin(5 * t)[:, None])),
+                               [0.0, 0.5, 1.0], [2.0, 2.0, 2.0], y0, rtol=1e-6, atol=1e-9, widths=[2, 1, 2],
+                               stages=stages) for stages in (False, True)]
+    without, with_stages = sols
+    assert without.rejected.sum() > 0 and without.rejected.tolist() == with_stages.rejected.tolist()
+    assert without.stack.shape == (1, len(without.t) - 1, 2) and with_stages.stack.shape[0] == 8
+    assert without.stack.tobytes() == with_stages.stack[:1].tobytes()
+    assert without.cols.tolist() == with_stages.cols.tolist() and set(without.cols.tolist()) == {0, 1, 2}
 
 
 def test_stepper_agrees_with_scipy_rk45(example_nfa, planned):
@@ -827,8 +865,7 @@ def test_solver_stats_stay_out_of_the_report(example_nfa, planned):
 
 def _fault(f, y0, t1=2.0):
     with pytest.raises(IntegratorFault) as caught:
-        simulate.solve_ivp(_Drift(f), [0.0], [t1], np.array([[y0]]), rtol=1e-6, atol=1e-9,
-                           consumer=simulate._StepLog())
+        simulate.solve_ivp(_Drift(f), [0.0], [t1], np.array([[y0]]), rtol=1e-6, atol=1e-9, stages=True)
     assert caught.value.time is not None and caught.value.state is not None
     return caught.value
 
