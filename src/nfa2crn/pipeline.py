@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import HIGH_THRESHOLD, LOW_THRESHOLD, ConstraintReport, ParameterSet, check_constraints
 from .brn import Brn, ConcState
-from .nfa import Nfa, accepts, extended_transition
+from .nfa import Nfa, extended_transition
 from .perturb import ObservationScheme, PerturbationProfile, perturb_initial, perturb_rates
 from .signals import InputSignal, SignalSpec, encode, validate
 from .simulate import (
@@ -31,12 +31,12 @@ from .simulate import (
     IntegratorFault,
     SimConfig,
     Trace,
-    check_phi,
+    check_phi,  # not called here: perfbench's tracer patches every PIPELINE_NAMES name on this module
     decide,
     integrate,
     phi_slack,
 )
-from .translate import TranslationOutput, dual_state_species_name, state_species_name, translate
+from .translate import state_species_name, translate
 
 __all__ = [
     "StageError",
@@ -146,8 +146,6 @@ class _Setup:
     """A run's compiled, encoded and perturbed inputs, ready to integrate."""
 
     manifest: RunManifest
-    translation: TranslationOutput
-    sig_spec: SignalSpec
     signal: InputSignal
     brn: Brn
     x0: ConcState
@@ -167,8 +165,7 @@ def _setup(manifest: RunManifest, shared: dict) -> _Setup:
     with _stage("compile"):
         translation = _once(shared, (manifest.nfa, params), lambda: translate(manifest.nfa, params.rates))
     with _stage("encode"):
-        sig_spec = SignalSpec(word=manifest.word, epsilon=params.epsilon, tau=params.tau)
-        signal = encode(sig_spec)
+        signal = encode(SignalSpec(word=manifest.word, epsilon=params.epsilon, tau=params.tau))
     with _stage("perturb"):
         profile = manifest.profile
         if profile.mode == "sinusoid" and profile.omega <= 0:
@@ -183,7 +180,7 @@ def _setup(manifest: RunManifest, shared: dict) -> _Setup:
         else:
             x0 = perturb_initial(translation.initial, params.epsilon,
                                  mode=manifest.initial_mode, seed=manifest.seed)
-    return _Setup(manifest, translation, sig_spec, signal, brn, x0, sim)
+    return _Setup(manifest, signal, brn, x0, sim)
 
 
 def _run_all(manifests: Sequence[RunManifest], traces: bool = False) -> list[RunResult]:
@@ -207,7 +204,7 @@ def _run_all(manifests: Sequence[RunManifest], traces: bool = False) -> list[Run
         constraints = _once(shared, s.manifest.params, lambda: check_constraints(s.manifest.params))
         # the encoder's signal is piecewise linear between the corners and thirds
         # that validate's grid always holds, so checking that grid alone is exact
-        admissible = _once(shared, s.sig_spec, lambda: validate(s.signal, s.sig_spec, samples_per_phase=1).admissible)
+        admissible = _once(shared, s.signal.spec, lambda: validate(s.signal, s.signal.spec, samples_per_phase=1).admissible)
         results.append(_verify(s, next(kept if keep else others), constraints, admissible))
     return results
 
@@ -222,20 +219,19 @@ def _integrate(setups: Sequence[_Setup], steps: bool) -> list[Trace]:
 
 def _verify(setup: _Setup, trace: Trace, constraints: ConstraintReport, admissible: bool) -> RunResult:
     """Decide, check and report one integrated run from its trace; write the trace too if asked."""
-    manifest, sig_spec, x0 = setup.manifest, setup.sig_spec, setup.x0
+    manifest, sig_spec, x0 = setup.manifest, setup.signal.spec, setup.x0
     params, nfa, word = manifest.params, manifest.nfa, manifest.word
     with _stage("decide"):
         decision = decide(trace, nfa, sig_spec, manifest.scheme)
 
     target = extended_transition(nfa, nfa.initial, word)
-    oracle_accepts = accepts(nfa, word)
+    oracle_accepts = bool(target & nfa.accepting)
     expected = {q: ("in-set" if q in target else "not-in-set") for q in nfa.states}
     verdicts_match = decision.verdicts == expected
 
-    phi = [{"prefix": list(word[:k]), "t": 3 * k * params.tau,
-            "holds": bool(check_phi(trace, nfa, word[:k], params.gamma, params.tau)),
-            "slack": phi_slack(trace, nfa, word[:k], params.gamma, params.tau)}
-           for k in range(len(word) + 1)]
+    slacks = [phi_slack(trace, nfa, word[:k], params.gamma, params.tau) for k in range(len(word) + 1)]
+    phi = [{"prefix": list(word[:k]), "t": 3 * k * params.tau, "holds": slack >= 0, "slack": slack}
+           for k, slack in enumerate(slacks)]
     phi_all = all(entry["holds"] for entry in phi)
 
     # From 3n tau on the inputs are 0, so each state moves only under its
@@ -249,9 +245,10 @@ def _verify(setup: _Setup, trace: Trace, constraints: ConstraintReport, admissib
     level = dict(zip(trace.names, trace.state_at(t0).tolist()))
     sign_slack = {}
     high_margin = low_margin = math.inf
+    totals = {a: x0[a] + x0[b] for a, b in trace.deviation}
     for q in nfa.states:
         name = state_species_name(q)
-        y, p = level[name], x0[name] + x0[dual_state_species_name(q)]
+        y, p = level[name], totals[name]
         if q in target:
             sign_slack[q] = y - p * (k4 + delta) / (2 * k4)
             high_margin = min(high_margin, y - (HIGH_THRESHOLD + params.eta))
@@ -261,7 +258,6 @@ def _verify(setup: _Setup, trace: Trace, constraints: ConstraintReport, admissib
     certified = all(slack > 0 for slack in sign_slack.values())
     maintenance_ok = certified and high_margin > 0 and low_margin > 0
 
-    totals = {a: x0[a] + x0[b] for a, b in trace.deviation}
     totals_ok = all(1 - params.epsilon - 1e-12 <= c0 <= 1 + 2 * params.epsilon + 1e-12
                     for c0 in totals.values())
 

@@ -32,12 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Word, tolerance, phase duration, and waveform family of an input signal."""
+    """Word, tolerance and phase duration of an input signal; its waveform is the trapezoid."""
 
     word: tuple[str, ...]
     epsilon: float
     tau: float
-    shape: str = "trapezoid"
 
     def __post_init__(self):
         object.__setattr__(self, "word", tuple(self.word))
@@ -45,8 +44,6 @@ class SignalSpec:
             raise ValueError("epsilon must lie in (0, 1/2)")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.shape != "trapezoid":
-            raise ValueError(f"unknown waveform shape {self.shape!r}")
 
     @property
     def length(self) -> int:
@@ -65,12 +62,13 @@ class SignalSpec:
             "word": list(self.word),
             "epsilon": self.epsilon,
             "tau": self.tau,
-            "shape": self.shape,
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SignalSpec":
-        return cls(tuple(data["word"]), data["epsilon"], data["tau"], data.get("shape", "trapezoid"))
+        if data.get("shape", "trapezoid") != "trapezoid":
+            raise ValueError(f"unknown waveform shape {data['shape']!r}")
+        return cls(tuple(data["word"]), data["epsilon"], data["tau"])
 
 
 def phase_role(k: int, word_length: int) -> str:

@@ -594,29 +594,32 @@ def _in_range(t: np.ndarray, t_end: float) -> np.ndarray:
 def trace_from_csv(fileobj) -> Trace:
     """Reload a trace CSV; values interpolate linearly between sampled rows.
 
-    Raises ValueError, naming the first bad data row (1 is the first after
-    the header), for a row with more or fewer cells than the header, a
-    non-finite cell or a ``t`` not above the row before.
+    Raises ValueError for a header that names a species twice and, naming the first bad
+    data row (1 is the first after the header), for a row with more or fewer cells than
+    the header, a cell that is not a number or not finite, or a ``t`` not above the row before.
     """
     reader = csv.reader(fileobj)
     header = next(reader)
     if not header or header[0] != "t":
         raise ValueError("trace CSV must start with a 't' column")
-    rows = [row for row in reader if row]
-    for i, row in enumerate(rows, 1):
-        if len(row) != len(header):
-            raise ValueError(f"trace CSV row {i}: {len(row)} cells where the header has {len(header)}")
-    data = np.asarray([[float(v) for v in row] for row in rows])
-    if data.size == 0:
+    if len(set(header)) < len(header):
+        raise ValueError(f"trace CSV header names {next(n for n in header if header.count(n) > 1)!r} twice")
+    cells: list[list[float]] = []
+    for i, row in enumerate(filter(None, reader), 1):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells where the header has {len(header)}")
+            cells.append([float(v) for v in row])
+            if not all(map(math.isfinite, cells[-1])):
+                raise ValueError("a non-finite cell")
+            if i > 1 and not cells[-1][0] > cells[-2][0]:
+                raise ValueError(f"t={cells[-1][0]!r} does not increase past the row before")
+        except ValueError as exc:
+            raise ValueError(f"trace CSV row {i}: {exc}") from None
+    if not cells:
         raise ValueError("trace CSV has no rows")
+    data = np.asarray(cells)
     times, values = data[:, 0], data[:, 1:]
-    bad = ~np.isfinite(data).all(axis=1)
-    bad[1:] |= ~(np.diff(times) > 0)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError(f"trace CSV row {row + 1}: "
-                         + ("a non-finite cell" if not np.isfinite(data[row]).all() else
-                            f"t={times[row]!r} does not increase past the row before"))
     # np.interp holds the first and the last row outside the sampled times
     return Trace(names=tuple(header[1:]), times=times, values=values, t_end=float(times[-1]),
                  _dense=lambda t: np.maximum(np.column_stack([np.interp(t, times, v) for v in values.T]), 0.0))

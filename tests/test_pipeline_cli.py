@@ -12,7 +12,7 @@ from conftest import PLAN_DELTA, PLAN_EPS, PLAN_ETA
 from nfa2crn import pipeline, simulate
 from nfa2crn.analysis import plan_parameters
 from nfa2crn.cli import main
-from nfa2crn.nfa import parse_nfa
+from nfa2crn.nfa import accepts, parse_nfa
 from nfa2crn.perturb import ObservationScheme, PerturbationProfile
 from nfa2crn.pipeline import (
     EXAMPLE_NFA_TEXT,
@@ -233,6 +233,22 @@ def test_the_returned_trace_reads_the_report_to_the_bit(example_nfa, planned):
         for k, entry in enumerate(result.report["phi"]):
             slack = simulate.phi_slack(result.trace, example_nfa, word[:k], planned.gamma, planned.tau)
             assert np.float64(slack).tobytes() == np.float64(entry["slack"]).tobytes()
+            assert entry["holds"] == (entry["slack"] >= 0)
+        assert result.report["oracle"]["accepts"] == accepts(example_nfa, word)
+
+
+def test_verify_reads_each_block_end_once(example_nfa, planned, monkeypatch):
+    # one phi_slack per block end gives both its slack and whether it holds
+    word = ("1", "0", "1")
+    m = _manifest(example_nfa, word, planned)
+    setup = pipeline._setup(m, {})
+    trace = pipeline._integrate([setup], steps=False)[0]
+    calls = []
+    for name in ("phi_slack", "check_phi"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    pipeline._verify(setup, trace, pipeline.check_constraints(planned), True)
+    assert calls == ["phi_slack"] * (len(word) + 1)
 
 
 def test_a_returned_trace_reads_off_grid_times_without_integrating(example_nfa, planned, monkeypatch):
@@ -316,7 +332,7 @@ def test_long_word_and_extended_maintenance(example_nfa, planned):
     assert tail.t_end == pytest.approx(t_dec + 4.0 * planned.tau)
     for q in example_nfa.states:
         assert tail.value(f"Y_{q}", t_dec) == pytest.approx(level[q], abs=1e-10)
-    late = simulate.decide(tail, example_nfa, setup.sig_spec, m.scheme, t=tail.t_end)
+    late = simulate.decide(tail, example_nfa, setup.signal.spec, m.scheme, t=tail.t_end)
     assert late.verdicts == result.decision.verdicts and late.accept is False
 
 
@@ -349,7 +365,7 @@ def test_a_state_short_of_its_majority_tipping_point_is_not_certified(example_nf
 
     setup = pipeline._setup(_manifest(example_nfa, ("1", "0"), planned), {})
     readout = simulate.integrate(setup.brn, setup.x0, setup.signal, setup.sim, steps=False)
-    t_dec = setup.sig_spec.decision_time
+    t_dec = setup.signal.spec.decision_time
 
     def report(x0, **levels):
         # the run's readout, with some states at t_dec set by hand
@@ -384,7 +400,7 @@ def test_wider_automaton_end_to_end():
         + "".join(f"trans: s{i} b s{i}\n" for i in range(6))
         + "trans: s0 c s5\ntrans: s4 c s5\n"
     )
-    from nfa2crn.nfa import parse_nfa
+    from nfa2crn.nfa import accepts, parse_nfa
     from nfa2crn.analysis import plan_parameters
     from nfa2crn.nfa import accepts
 

@@ -90,6 +90,16 @@ def test_spec_validation():
         SignalSpec(("1",), epsilon=0.1, tau=0.0)
 
 
+def test_spec_json_names_no_shape_but_loads_a_trapezoid_descriptor():
+    spec = SignalSpec(("1", "0"), epsilon=0.1, tau=1.5)
+    data = spec.to_json_dict()
+    assert "shape" not in data
+    assert SignalSpec.from_json_dict(data) == spec
+    assert SignalSpec.from_json_dict({**data, "shape": "trapezoid"}) == spec
+    with pytest.raises(ValueError, match="unknown waveform shape 'sine'"):
+        SignalSpec.from_json_dict({**data, "shape": "sine"})
+
+
 def test_phase_roles():
     assert [phase_role(k, 2) for k in range(7)] == [
         "reset", "symbol", "copy", "reset", "symbol", "copy", "silent"]

@@ -454,7 +454,8 @@ def test_trace_csv_roundtrip(example_nfa, planned):
                                                  ("duplicate", 4, "does not increase"),
                                                  ("nan", 3, "non-finite"),
                                                  ("short", 2, "2 cells where the header has 3"),
-                                                 ("long", 5, "4 cells where the header has 3")])
+                                                 ("long", 5, "4 cells where the header has 3"),
+                                                 ("text", 3, "could not convert string to float: 'x'")])
 def test_trace_csv_rejects_a_bad_row(defect, row, message):
     rows = [[float(i), 0.1 * i, 1.0 - 0.1 * i] for i in range(6)]
     if defect == "unsorted":
@@ -465,11 +466,19 @@ def test_trace_csv_rejects_a_bad_row(defect, row, message):
         rows[2][1] = math.nan
     elif defect == "short":
         del rows[1][1]
+    elif defect == "text":
+        rows[2][2] = "x"
     else:
         rows[4].append(0.5)
-    text = "t,a,b\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows)
+    text = "t,a,b\n" + "".join(",".join(v if isinstance(v, str) else repr(v) for v in r) + "\n" for r in rows)
     with pytest.raises(ValueError, match=f"row {row}: .*{message}"):
         trace_from_csv(io.StringIO(text))
+
+
+def test_trace_csv_refuses_a_species_named_twice():
+    # read by name, the second column would hide the first
+    with pytest.raises(ValueError, match="header names 'a' twice"):
+        trace_from_csv(io.StringIO("t,a,b,a\n0.0,1.0,0.5,2.0\n1.0,1.5,0.5,2.5\n"))
 
 
 def test_decision_stable_under_tolerance_refinement(example_nfa, planned):
@@ -578,7 +587,7 @@ def test_a_watched_run_reads_its_dense_trace_to_the_bit(example_nfa, planned, da
             profile=profile, initial_mode=str(rng.choice(["exact", "random"])), seed=int(rng.integers(3))))
     shared = {}
     setups = [pipeline._setup(m, shared) for m in manifests]
-    sims = [replace(s.sim, t_end=s.sig_spec.decision_time + float(rng.choice([0.0, 2.5])) * planned.tau)
+    sims = [replace(s.sim, t_end=s.signal.spec.decision_time + float(rng.choice([0.0, 2.5])) * planned.tau)
             for s in setups]
     readouts = integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups], sims,
                          steps=False)
@@ -613,14 +622,14 @@ def test_a_readout_reads_only_its_kept_times(example_nfa, planned):
 
     setup = pipeline._setup(pipeline.RunManifest(nfa=example_nfa, word=("1", "0"), params=planned), {})
     [readout] = integrate([setup.brn], [setup.x0], [setup.signal], [setup.sim], steps=False)
-    tau, t_dec = planned.tau, setup.sig_spec.decision_time
+    tau, t_dec = planned.tau, setup.signal.spec.decision_time
     assert list(readout.points) == [0.0, 3 * tau, 6 * tau, t_dec]
     for t in (0.5 * tau, 4 * tau, t_dec + tau):
         with pytest.raises(ValueError, match="not a kept time"):
             readout.state_at(t)
-    assert decide(readout, example_nfa, setup.sig_spec, setup.manifest.scheme).accept is True
+    assert decide(readout, example_nfa, setup.signal.spec, setup.manifest.scheme).accept is True
     with pytest.raises(ValueError, match="not a kept time"):
-        decide(readout, example_nfa, setup.sig_spec, setup.manifest.scheme, t=t_dec + tau)
+        decide(readout, example_nfa, setup.signal.spec, setup.manifest.scheme, t=t_dec + tau)
 
 
 def test_value_reads_a_kept_time_as_state_at_does(example_nfa, planned):
@@ -657,7 +666,7 @@ def test_the_pair_drift_is_the_largest_over_the_step_starts_and_the_end_state(ex
     manifest = pipeline.RunManifest(nfa=example_nfa, word=("1", "0"), params=planned, profile=profile,
                                     initial_mode="worst-case-signed", seed=2)
     setup = pipeline._setup(manifest, {})
-    sim = replace(setup.sim, t_end=setup.sig_spec.decision_time + 1.5 * planned.tau)
+    sim = replace(setup.sim, t_end=setup.signal.spec.decision_time + 1.5 * planned.tau)
     [readout] = integrate([setup.brn], [setup.x0], [setup.signal], [sim], steps=False)
     calls = _recording(monkeypatch)
     trace = integrate(setup.brn, setup.x0, setup.signal, sim)
