@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -249,7 +249,19 @@ class ParameterSet:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ParameterSet":
-        return cls(**{k: (int(v) if k == "d" else float(v)) for k, v in data.items()})
+        """The set ``to_json_dict`` wrote; raises ValueError, naming the problem, for anything else."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a parameter set is a JSON object, not {type(data).__name__}")
+        names = [f.name for f in fields(cls)]
+        problems = [*(f"misses the key {k!r}" for k in names if k not in data),
+                    *(f"has an unknown key {k!r}" for k in data if k not in names),
+                    *(f"holds {v!r}, not a number, at {k!r}" for k, v in data.items()
+                      if isinstance(v, bool) or not isinstance(v, (int, float)))]
+        if not problems and not float(data["d"]).is_integer():
+            problems.append(f"holds d = {data['d']!r}, not a whole number")
+        if problems:
+            raise ValueError(f"parameter set {', '.join(problems)}")
+        return cls(**{k: int(v) if k == "d" else float(v) for k, v in data.items()})
 
     def dumps(self, **kwargs) -> str:
         kwargs.setdefault("indent", 2)
@@ -365,22 +377,21 @@ def _copy_low_bound_value(params: ParameterSet, z0: float, copy_rate: str) -> fl
     return (2.0 / (alpha + beta)) * (beta * math.exp(-(alpha + beta) * params.tau / 3) + alpha)
 
 
-def phase_bounds(params: ParameterSet, phase: str, *, z0: float | None = None,
-                 y0: float | None = None, p: float | None = None,
+def phase_bounds(params: ParameterSet, phase: str, *, y0: float | None = None,
                  copy_rate: str = "actual") -> PhaseBound:
     """Evaluate one phase's guaranteed bound at the given parameters.
 
-    Defaults chain the bounds exactly as the inductive argument does: the
+    The bounds chain exactly as the inductive argument does: the
     compute-high bound assumes sources restored to 1-gamma*, the copy-high
     bound takes the compute-high output as its z floor, and the copy-low
-    bound takes the reset output as its z ceiling.  Pass explicit z0/y0 to
-    evaluate a bound against a custom single-phase setup, or p to pin the
-    conserved total (default is the worst admissible 1+2*eps).
+    and compute-low bounds take the reset output as their z ceiling.  Pass
+    y0 to start a bound's source elsewhere.  The conserved total is the
+    worst admissible one, 1+2*eps.
     """
     if phase not in PHASES:
         raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
     eps, dl, tau = params.epsilon, params.delta, params.tau
-    p_val = p if p is not None else 1 + 2 * eps
+    p_val = 1 + 2 * eps
 
     if phase == "reset":
         a, b = _reset_constants(params)
@@ -409,7 +420,7 @@ def phase_bounds(params: ParameterSet, phase: str, *, z0: float | None = None,
 
     if phase == "compute-low":
         y0_val = y0 if y0 is not None else params.gamma_star
-        z0_val = z0 if z0 is not None else _reset_bound_value(params)
+        z0_val = _reset_bound_value(params)
         decl = _growth_declarations(eps, dl, params.k2, params.k4, p_val)
         try:
             e2 = am_equilibria(decl, "growth").e2
@@ -424,7 +435,7 @@ def phase_bounds(params: ParameterSet, phase: str, *, z0: float | None = None,
         )
 
     if phase == "copy-high":
-        z0_val = z0 if z0 is not None else _compute_high_bound_value(params, 1 - params.gamma_star)
+        z0_val = _compute_high_bound_value(params, 1 - params.gamma_star)
         alpha, beta, z_loss = _copy_high_constants(params, z0_val, copy_rate)
         value = _copy_high_bound_value(params, z0_val, copy_rate)
         return PhaseBound(
@@ -434,7 +445,7 @@ def phase_bounds(params: ParameterSet, phase: str, *, z0: float | None = None,
         )
 
     if phase == "copy-low":
-        z0_val = z0 if z0 is not None else _reset_bound_value(params)
+        z0_val = _reset_bound_value(params)
         alpha, beta, z_gain = _copy_low_constants(params, z0_val, copy_rate)
         value = _copy_low_bound_value(params, z0_val, copy_rate)
         return PhaseBound(

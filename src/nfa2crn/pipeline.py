@@ -210,9 +210,7 @@ def _run_all(manifests: Sequence[RunManifest], traces: bool = False) -> list[Run
 
 
 def _integrate(setups: Sequence[_Setup], steps: bool) -> list[Trace]:
-    """``integrate`` the runs together, keeping their ``steps`` or not; no traces for no runs."""
-    if not setups:
-        return []
+    """``integrate`` the runs together, keeping their ``steps`` or not."""
     return integrate([s.brn for s in setups], [s.x0 for s in setups], [s.signal for s in setups],
                      [s.sim for s in setups], steps)
 

@@ -38,8 +38,8 @@ into the pair drift once per call.  Each ``integrate`` call chooses whether
 its runs keep their steps.  A run that keeps them has the stepper log their
 stages too and gets a table of its solver steps (``DenseTable``), and its
 trace reads any time: one search and one vectorised quartic per symbol
-block.  A run that does not keep them holds neither its steps nor a sample
-grid, and reads only its kept times.
+block.  A trace samples no grid until it is written.  A run that does not
+keep its steps reads only its kept times.
 """
 
 from __future__ import annotations
@@ -521,17 +521,15 @@ class Trace:
 
     A run that keeps its steps also has ``_dense``, which maps a 1-D array
     of times inside ``[0, t_end]`` to the states there, one row per time
-    (the solver's ``DenseTable`` for ``integrate``), and ``values``, its
-    states on the sample grid ``times`` (rows: times, columns: species);
-    for other runs the three are None.  ``state_at`` and ``value`` read a
-    kept time from ``points`` and any other time through ``_dense``, with
-    one call per request; ``column`` and the CSV writers read the sample
-    grid, so they refuse a trace that keeps no steps.
+    (the solver's ``DenseTable`` for ``integrate``); for other runs it is
+    None.  Every read goes through ``_states``: ``state_at``, ``value`` and
+    the CSV writers read a kept time from ``points`` and any other time
+    through ``_dense``, with one call per request.  The writers read the
+    sample grid (``SAMPLE_INTERVALS + 1`` evenly spaced times over
+    ``[0, t_end]``) as they write, so they refuse a trace without steps.
     """
 
     names: tuple[str, ...]
-    times: np.ndarray | None
-    values: np.ndarray | None
     t_end: float
     _dense: Callable[[np.ndarray], np.ndarray] | None
     stats: SolverStats | None = None
@@ -542,12 +540,10 @@ class Trace:
         self._index = {nm: i for i, nm in enumerate(self.names)}
 
     def _grid(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.values is None:
+        if self._dense is None:
             raise ValueError("the trace keeps no steps, so it has no sample grid")
-        return self.times, self.values
-
-    def column(self, name: str) -> np.ndarray:
-        return self._grid()[1][:, self._index[name]]
+        times = np.linspace(0.0, self.t_end, SAMPLE_INTERVALS + 1)
+        return times, self._states(times)
 
     def _states(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -570,17 +566,15 @@ class Trace:
         times, values = self._grid()
         writer = csv.writer(fileobj)
         writer.writerow(["t", *self.names])
-        for i, t in enumerate(times):
-            writer.writerow([repr(float(t)), *(repr(float(v)) for v in values[i])])
+        writer.writerows([repr(t), *map(repr, row.tolist())] for t, row in zip(times.tolist(), values))
 
     def write_long_csv(self, fileobj) -> None:
         """Long-format (t, species, value) rows for external plotting tools."""
         times, values = self._grid()
         writer = csv.writer(fileobj)
         writer.writerow(["t", "species", "value"])
-        for j, name in enumerate(self.names):
-            for i, t in enumerate(times):
-                writer.writerow([repr(float(t)), name, repr(float(values[i, j]))])
+        writer.writerows([repr(t), name, repr(v)] for name, column in zip(self.names, values.T)
+                         for t, v in zip(times.tolist(), column.tolist()))
 
 
 def _in_range(t: np.ndarray, t_end: float) -> np.ndarray:
@@ -618,11 +612,10 @@ def trace_from_csv(fileobj) -> Trace:
             raise ValueError(f"trace CSV row {i}: {exc}") from None
     if not cells:
         raise ValueError("trace CSV has no rows")
-    data = np.asarray(cells)
-    times, values = data[:, 0], data[:, 1:]
-    # np.interp holds the first and the last row outside the sampled times
-    return Trace(names=tuple(header[1:]), times=times, values=values, t_end=float(times[-1]),
-                 _dense=lambda t: np.maximum(np.column_stack([np.interp(t, times, v) for v in values.T]), 0.0))
+    times, *columns = np.asarray(cells).T
+    # np.interp holds the first and the last row outside the sampled times, and reads a row exactly
+    return Trace(names=tuple(header[1:]), t_end=float(times[-1]),
+                 _dense=lambda t: np.maximum(np.column_stack([np.interp(t, times, v) for v in columns]), 0.0))
 
 
 def _packed(pieces: Sequence[_Steps]) -> _Steps:
@@ -784,9 +777,8 @@ def integrate(brn, x0, signal, config, steps=True):
     holds the run's states at its start, at the end of each of its symbol
     blocks and at its end, its network's conserved pairs' maxima and its
     cost.  With ``steps`` (the default) each run also keeps its steps, so
-    its trace reads any time and samples ``SAMPLE_INTERVALS + 1`` evenly
-    spaced times; without, no run keeps its steps, and its trace reads only
-    its kept times.
+    its trace reads any time and can be written; without, no run keeps its
+    steps, and its trace reads only its kept times.
 
     Species of input kind are clamped to the signal at all times (their
     entries in x0 are ignored); everything else follows the mass-action
@@ -894,9 +886,7 @@ def _integrate_runs(runs, steps: bool) -> list[Trace]:
         points = dict(zip(times.tolist(), fill(times, np.maximum(np.vstack([plan.y0, *ends]), 0.0))))
         names = plan.net.free_names
         deviation = {(names[i], names[j]): v for (i, j), v in zip(plan.net.pairs, np.max(maxima, axis=0).tolist())}
-        dense = DenseTable(packed, fill) if steps else None
-        t_grid = np.linspace(0.0, config.t_end, SAMPLE_INTERVALS + 1) if steps else None
-        out.append(Trace(brn.species_names, t_grid, None if dense is None else dense(t_grid), config.t_end, dense,
+        out.append(Trace(brn.species_names, config.t_end, DenseTable(packed, fill) if steps else None,
                          sum(costs, SolverStats()), points, deviation))
     return out
 

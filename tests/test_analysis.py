@@ -337,6 +337,41 @@ class TestPhaseBounds:
         with pytest.raises(ValueError, match="unknown phase"):
             phase_bounds(planned, "bogus")
 
+    def test_every_phase_bound_at_the_planned_set(self, planned):
+        # each chained bound, its constants and its hypotheses at the example's planned set,
+        # the conserved total always the worst admissible one, 1 + 2 eps
+        p = 1 + 2 * planned.epsilon
+        expected = [
+            ("reset", "z_q", "upper", 0.019385821780917106, "phase-end",
+             {"a": 0.0005001000000000001, "b": 13.998860010000001, "p": p, "tau": 1.0}, {"drain-positive": True}),
+            ("compute-high", "z_q", "lower", 0.8062749535161087, "phase-end",
+             {"alpha": 4.9288813940265, "beta": 0.00014001, "y0": 0.9859833333333333, "E2": 0.5012126360823846,
+              "p": p}, {"pump-positive": True, "source-stays-high": True}),
+            ("compute-low", "z_q", "upper", 1.4213328217809171, "phase-end",
+             {"y0": 0.014016666666666667, "z0": 0.019385821780917106, "E2*": 0.4988073639176154, "p": p},
+             {"source-stays-low": True}),
+            ("copy-high", "y_q", "lower", 0.7513137410206889, "two-thirds",
+             {"alpha": 221.64558424398916, "beta": 73.36215444988271, "z0": 0.8062749535161087,
+              "z_loss": 0.00028002, "p": p}, {"pump-positive": True}),
+            ("copy-low", "y_q", "upper", 0.17363042300045228, "two-thirds",
+             {"alpha": 25.6102884993015, "beta": 269.3874205051256, "z0": 0.019385821780917106,
+              "z_gain": 0.0010002000000000001, "p": p}, {"drain-positive": True}),
+            ("am-high", "y_q", "lower", 0.9859833333333333, "phase-end",
+             {"y1": 0.7196666666666667, "E2": 0.5012126360823846, "E3": 0.9989173659176153,
+              "travel_time": 0.8746018612070002, "p": p}, {"window": True, "phase-long-enough": True}),
+            ("am-low", "y_q", "upper", 0.014016666666666667, "phase-end",
+             {"y1": 0.2803333333333333, "E1*": 0.0011026340823846238, "E2*": 0.4988073639176154,
+              "travel_time": 0.8748800586377053, "p": p}, {"window": True, "phase-long-enough": True}),
+        ]
+        assert [phase for phase, *_ in expected] == list(analysis.PHASES)
+        for phase, observable, direction, value, at, constants, hypotheses in expected:
+            record = phase_bounds(planned, phase)
+            assert (record.phase, record.observable, record.direction, record.at) == (phase, observable, direction, at)
+            assert record.value == pytest.approx(value, rel=1e-12)
+            assert list(record.constants) == list(constants)
+            assert record.constants == pytest.approx(constants, rel=1e-12)
+            assert record.hypotheses == hypotheses
+
 
 class TestConstraintChecker:
     def test_planned_set_passes_with_positive_slack(self, planned):
@@ -465,6 +500,18 @@ class TestPlanner:
     def test_parameter_set_roundtrip(self, planned):
         again = ParameterSet.from_json_dict(planned.to_json_dict())
         assert again == planned
+        assert ParameterSet.from_json_dict({**planned.to_json_dict(), "d": 5.0}) == planned
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda data: list(data.values()), "is a JSON object, not list"),
+        (lambda data: {k: v for k, v in data.items() if k != "k4"}, "misses the key 'k4'"),
+        (lambda data: {**data, "kappa": 1.0}, "unknown key 'kappa'"),
+        (lambda data: {**data, "k1": None}, "holds None, not a number, at 'k1'"),
+        (lambda data: {**data, "d": 1.5}, "holds d = 1.5, not a whole number"),
+    ])
+    def test_parameter_set_refuses_another_shape(self, planned, change, message):
+        with pytest.raises(ValueError, match=message):
+            ParameterSet.from_json_dict(change(planned.to_json_dict()))
 
     def test_matches_reference_scan(self):
         # the corpus bands and the run bands, and one infeasible case

@@ -1,4 +1,5 @@
 import ast
+import io
 import json
 import math
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PLAN_DELTA, PLAN_EPS, PLAN_ETA
+from conftest import PLAN_DELTA, PLAN_EPS, PLAN_ETA, grid_rows, sample_grid
 from nfa2crn import pipeline, simulate
 from nfa2crn.analysis import plan_parameters
 from nfa2crn.cli import main
@@ -213,8 +214,8 @@ def test_a_returned_trace_reads_any_time_as_integrate_does(example_nfa, planned)
     result = run_end_to_end(m)
     setup = pipeline._setup(m, {})
     alone = simulate.integrate(setup.brn, setup.x0, setup.signal, setup.sim)
-    assert np.array_equal(result.trace.times, alone.times)
-    assert result.trace.values.tobytes() == alone.values.tobytes()
+    assert np.array_equal(sample_grid(result.trace), sample_grid(alone))
+    assert grid_rows(result.trace).tobytes() == grid_rows(alone).tobytes()
     assert result.trace.stats == alone.stats
     # times off the grid: inside a step, on a corner, at the end
     t = np.array([0.123 * planned.tau, 3 * planned.tau, 4.5678 * planned.tau, setup.sim.t_end])
@@ -262,11 +263,44 @@ def test_a_returned_trace_reads_off_grid_times_without_integrating(example_nfa, 
 
     monkeypatch.setattr(simulate, "solve_ivp", counting_solve_ivp)
     t = np.array([0.123, 4.5678, 6.0101]) * planned.tau
-    assert not np.isin(t, result.trace.times).any()
+    assert not np.isin(t, sample_grid(result.trace)).any()
     for name in ("Y_A", "Z_B", "X_1"):
         result.trace.value(name, t)
         result.trace.value(name, float(t[0]))
     assert calls == []
+
+
+def test_a_written_trace_reads_the_report_at_its_kept_times(example_nfa, planned, tmp_path):
+    # at tau = 1 the written grid holds t_dec for every word and the block ends 3k tau for words of length 1 and 3
+    assert planned.tau == 1.0
+    for word, kept_rows in ((("1",), 3), (("1", "0"), 2), (("0", "1", "1"), 5)):
+        out_dir = tmp_path / "".join(word)
+        m = replace(_manifest(example_nfa, word, planned, perturbed=True, seed=5), out_dir=str(out_dir))
+        result = run_end_to_end(m)
+        text = (out_dir / "trace.csv").read_text()
+        rows = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()[1:]])
+        at_kept = [row for row in rows if float(row[0]) in result.trace.points]
+        assert len(at_kept) == kept_rows
+        for row in at_kept:
+            assert row[1:].tobytes() == result.trace.state_at(float(row[0])).tobytes()
+        written = simulate.trace_from_csv(io.StringIO(text))
+        spec = SignalSpec(word, epsilon=planned.epsilon, tau=planned.tau)
+        assert simulate.decide(written, example_nfa, spec, m.scheme) == result.decision
+
+
+def test_a_run_samples_no_grid_until_it_is_written(example_nfa, planned, monkeypatch):
+    calls = []
+    real_call = simulate.DenseTable.__call__
+
+    def counting_call(self, t):
+        calls.append(len(t))
+        return real_call(self, t)
+
+    monkeypatch.setattr(simulate.DenseTable, "__call__", counting_call)
+    result = run_end_to_end(_manifest(example_nfa, ("1", "0"), planned, perturbed=True, seed=1))
+    assert calls == []
+    result.trace.write_csv(io.StringIO())
+    assert calls == [simulate.SAMPLE_INTERVALS + 1]
 
 
 def test_a_corpus_writes_the_files_of_its_runs_alone(example_nfa, planned, tmp_path):
@@ -351,7 +385,8 @@ def test_the_certified_levels_bound_the_integrated_tail(example_nfa, planned, mo
         trace = simulate.integrate(setup.brn, setup.x0, setup.signal,
                                    replace(setup.sim, t_end=t_dec + 3.0 * planned.tau))
         # the sample grid past t_dec, and a finer grid read from the steps
-        tail = np.concatenate([trace.times[trace.times >= t_dec], np.linspace(t_dec, trace.t_end, 1001)])
+        grid = sample_grid(trace)
+        tail = np.concatenate([grid[grid >= t_dec], np.linspace(t_dec, trace.t_end, 1001)])
         for q in example_nfa.states:
             start, levels = result.trace.value(f"Y_{q}", t_dec), trace.value(f"Y_{q}", tail)
             if q in result.report["oracle"]["reachable"]:
@@ -491,6 +526,21 @@ class TestCli:
         code = main(["run", NFA_PATH, "10", "--params", str(params_path), "--force"])
         assert code == 1  # ran anyway, decision cannot match
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda data: {k: v for k, v in data.items() if k != "k4"}, "misses the key 'k4'"),
+        (lambda data: {**data, "kappa": 1.0}, "unknown key 'kappa'"),
+        (lambda data: {**data, "d": 1.5}, "holds d = 1.5, not a whole number"),
+        (lambda data: list(data.values()), "is a JSON object, not list"),
+    ])
+    def test_check_and_run_refuse_a_parameter_file_of_another_shape(self, tmp_path, capsys, planned, change,
+                                                                     message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(change(planned.to_json_dict())))
+        for argv in (["check", str(path)], ["run", NFA_PATH, "10", "--params", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["compile", "/nonexistent.nfa", "--k1", "1", "--k2", "1",
                      "--k3", "1", "--k4", "1"]) == 2
@@ -570,10 +620,10 @@ class TestCli:
         with open(tmp_path / "trace.csv") as fh:
             trace = simulate.trace_from_csv(fh)
         # the reference: scipy's linear interpolation with the end rows held outside, clamped at 0
-        rows_at = interp1d(trace.times, trace.values, axis=0, kind="linear", bounds_error=False,
-                           fill_value=(trace.values[0], trace.values[-1]))
-        reference = simulate.Trace(trace.names, trace.times, trace.values, trace.t_end,
-                                   lambda t: np.maximum(rows_at(t), 0.0))
+        times, values = sample_grid(trace), grid_rows(trace)
+        rows_at = interp1d(times, values, axis=0, kind="linear", bounds_error=False,
+                           fill_value=(values[0], values[-1]))
+        reference = simulate.Trace(trace.names, trace.t_end, lambda t: np.maximum(rows_at(t), 0.0))
         t = np.random.default_rng(0).uniform(0, trace.t_end, 500)
         assert np.allclose(trace._states(t), reference._states(t), rtol=0, atol=1e-12)
         nfa = parse_nfa(EXAMPLE_NFA_TEXT)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import grid_rows, sample_grid
 from nfa2crn import simulate
 from nfa2crn.brn import (
     Brn,
@@ -96,7 +97,8 @@ def test_inputs_track_signal_exactly(example_nfa, planned):
     signal = encode(spec)
     trace = integrate(out.brn, out.initial, signal, SimConfig(t_end=4.0))
     t = np.linspace(0, 4.0, 101)
-    assert np.array_equal(trace.column("X_r"), signal.concentration("X_r", trace.times))
+    grid = sample_grid(trace)
+    assert np.array_equal(trace.value("X_r", grid), signal.concentration("X_r", grid))
     for tt in t[::10]:
         assert trace.value("X_1", tt) == signal.concentration("X_1", float(tt))
 
@@ -153,7 +155,7 @@ def test_batched_blocks_reuse_shared_prefix_exactly(example_nfa, planned, monkey
         calls.clear()
         alone = integrate(brn, out.initial, signal(word), config)
         assert len(calls) == 19
-        assert np.array_equal(trace.values, alone.values)
+        assert np.array_equal(grid_rows(trace), grid_rows(alone))
         assert np.array_equal(trace._dense.ts, alone._dense.ts)
         assert trace.stats == alone.stats
     # the same word twice integrates once; another initial state shares nothing
@@ -161,8 +163,8 @@ def test_batched_blocks_reuse_shared_prefix_exactly(example_nfa, planned, monkey
     x0 = out.initial.replace(Y_A=0.99, Yb_A=0.01)
     twice = integrate([brn] * 3, [out.initial, out.initial, x0], [signal(("1", "1"))] * 3, [config] * 3)
     assert [len(t0) for t0, _, _ in calls] == [2] * 18 + [2]
-    assert np.array_equal(twice[0].values, twice[1].values)
-    assert not np.array_equal(twice[0].values, twice[2].values)
+    assert np.array_equal(grid_rows(twice[0]), grid_rows(twice[1]))
+    assert not np.array_equal(grid_rows(twice[0]), grid_rows(twice[2]))
 
 
 def test_dense_table_matches_ode_solution(example_nfa, planned, monkeypatch):
@@ -193,10 +195,11 @@ def test_dense_table_matches_ode_solution(example_nfa, planned, monkeypatch):
         return np.array(rows)
 
     blocks = 3 * planned.tau * np.arange(spec.length + 1)
-    for t in (trace.times, blocks, table.ts):
+    grid = sample_grid(trace)
+    for t in (grid, blocks, table.ts):
         assert np.allclose(table.free(t), reference(t), rtol=1e-14, atol=1e-15)
     free = [i for i, name in enumerate(trace.names) if not name.startswith("X_")]
-    assert np.allclose(trace.values[:, free], np.maximum(reference(trace.times), 0.0),
+    assert np.allclose(grid_rows(trace)[:, free], np.maximum(reference(grid), 0.0),
                        rtol=1e-14, atol=1e-15)
 
 
@@ -212,7 +215,7 @@ def test_dense_table_reads_a_boundary_from_the_step_ending_there():
     assert np.array_equal(table(t)[:, 0], [1.0, 0.0, 0.5, 5.0, 5.0, 0.0, 5.0])
     # no times: no rows, from the table and through a trace
     assert table.free(np.array([])).shape == (0, 1)
-    trace = Trace(("a",), np.array([0.0, 2.0]), np.array([[0.0], [5.0]]), 2.0, table)
+    trace = Trace(("a",), 2.0, table)
     assert trace.value("a", []).shape == (0,)
 
 
@@ -223,7 +226,7 @@ def test_trace_value_on_times_makes_one_evaluator_call():
         calls.append(len(t))
         return np.stack([t, 2 * t], axis=1)
 
-    trace = Trace(("a", "b"), np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, 2.0]]), 1.0, evaluator)
+    trace = Trace(("a", "b"), 1.0, evaluator)
     assert np.array_equal(trace.value("b", np.linspace(0, 1, 5)), 2 * np.linspace(0, 1, 5))
     assert trace.value("a", 0.5) == 0.5
     assert calls == [5, 1]
@@ -444,10 +447,32 @@ def test_trace_csv_roundtrip(example_nfa, planned):
     buf.seek(0)
     again = trace_from_csv(buf)
     assert again.names == trace.names
-    assert np.allclose(again.values, trace.values)
-    assert again.value("Y_A", trace.times[5]) == pytest.approx(trace.values[5][0])
+    grid = sample_grid(trace)
+    assert np.array_equal(sample_grid(again), grid)
+    assert np.allclose(grid_rows(again), grid_rows(trace))
+    assert again.value("Y_A", grid[5]) == pytest.approx(trace.value("Y_A", grid[5]))
     # a reloaded trace has rows only: no kept states and no pair maxima
     assert again.points == {} and again.deviation == {}
+
+
+def test_the_wide_and_long_csvs_hold_the_same_numbers(example_nfa, planned):
+    out = translate(example_nfa, planned.rates)
+    spec = SignalSpec(("1", "0"), epsilon=planned.epsilon, tau=planned.tau)
+    trace = integrate(out.brn, out.initial, encode(spec), SimConfig(t_end=spec.decision_time))
+    wide, long = io.StringIO(), io.StringIO()
+    trace.write_csv(wide)
+    trace.write_long_csv(long)
+    header, *rows = [line.split(",") for line in wide.getvalue().splitlines()]
+    cells = {(row[0], name): v for row in rows for name, v in zip(header[1:], row[1:])}
+    long_header, *long_rows = [line.split(",") for line in long.getvalue().splitlines()]
+    assert long_header == ["t", "species", "value"]
+    assert len(long_rows) == len(cells) == len(trace.names) * (simulate.SAMPLE_INTERVALS + 1)
+    assert {(t, name): v for t, name, v in long_rows} == cells
+
+
+@pytest.mark.parametrize("steps", [True, False])
+def test_no_runs_give_no_traces(steps):
+    assert integrate([], [], [], [], steps=steps) == []
 
 
 @pytest.mark.parametrize("defect, row, message", [("unsorted", 4, "does not increase"),
@@ -497,7 +522,7 @@ def test_nonnegative_samples(example_nfa, planned):
     out = translate(example_nfa, planned.rates)
     spec = SignalSpec(("1", "1"), epsilon=planned.epsilon, tau=planned.tau)
     trace = integrate(out.brn, out.initial, encode(spec), SimConfig(t_end=spec.decision_time))
-    assert np.all(trace.values >= 0.0)
+    assert np.all(grid_rows(trace) >= 0.0)
 
 
 # -- the stepper ------------------------------------------------------------
@@ -606,7 +631,8 @@ def test_a_watched_run_reads_its_dense_trace_to_the_bit(example_nfa, planned, da
     for t in list(readout.points)[1:]:
         assert readout.state_at(t)[free].tobytes() == np.maximum(ends[t], 0.0).tobytes()
     assert readout.stats == trace.stats
-    assert readout._dense is None and readout.times is None and readout.values is None
+    # no steps and no stored sample grid
+    assert readout._dense is None and not {"times", "values"} & set(vars(readout))
     # the run alone keeping its steps: the same points and pair maxima, to the bit
     assert trace.names == readout.names
     assert list(trace.points) == list(readout.points)
@@ -651,7 +677,7 @@ def test_value_reads_a_kept_time_as_state_at_does(example_nfa, planned):
     with pytest.raises(ValueError, match="not a kept time"):
         readout.value("Y_A", [kept[0], inside])
     # without steps there is no sample grid to write or read
-    for read in (readout.write_csv, readout.write_long_csv, lambda _: readout.column("Y_A")):
+    for read in (readout.write_csv, readout.write_long_csv, lambda _: readout._grid()):
         with pytest.raises(ValueError, match="keeps no steps"):
             read(io.StringIO())
 
@@ -716,7 +742,7 @@ def test_a_round_compiles_its_drift_once(example_nfa, planned, monkeypatch):
     # a column left a batch: the drift of the other was selected from the table
     assert (2, 1) in selected
     for brn, out, signal, trace in zip(brns, outs, signals, together):
-        assert integrate(brn, out.initial, signal, config).values.tobytes() == trace.values.tobytes()
+        assert grid_rows(integrate(brn, out.initial, signal, config)).tobytes() == grid_rows(trace).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
